@@ -1,10 +1,11 @@
-"""Privacy-budget splitting and private-comparison variance.
+"""Privacy-budget splitting and noise calibration.
 
 The total budget eps splits into a threshold part eps1 and a query part
-eps2 = w * eps1. For each mechanism variant the comparison variance, as a
-function of w, has a unique closed-form minimizer; these formulas and the
-variance itself live here so the harness and the acceptance checks share
-one source of truth.
+eps2 = w * eps1. :func:`calibrate` turns (variant, eps1, eps2, c, delta)
+into the (threshold, query) noise laws, following Lyu, Su & Li 2017; every
+noise scale, rate, variance and correction input elsewhere derives from
+it. For each variant the comparison variance, as a function of w, has a
+unique closed-form minimizer given by :func:`optimal_w`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+from .noise import Kind, law_variance
 
 _SPLIT_TOL = 1e-12
 
@@ -34,11 +37,13 @@ class Variant(enum.Enum):
     @property
     def query_family(self) -> str:
         """The query-noise family behind this variant."""
-        if self in (Variant.EXP_NO_CORR, Variant.EXP_MEAN_CORR,
-                    Variant.EXP_OPT_CORR):
-            return "exponential"
-        return {Variant.LAP: "laplace", Variant.GAU: "gaussian",
-                Variant.GUM: "gumbel"}[self]
+        return _QUERY_KIND[self].value
+
+
+_QUERY_KIND = {Variant.LAP: Kind.LAPLACE, Variant.GAU: Kind.GAUSSIAN,
+               Variant.GUM: Kind.GUMBEL, Variant.EXP_NO_CORR: Kind.EXPONENTIAL,
+               Variant.EXP_MEAN_CORR: Kind.EXPONENTIAL,
+               Variant.EXP_OPT_CORR: Kind.EXPONENTIAL}
 
 
 # Coefficient a such that the optimal w is (a * c)^(2/3) in the
@@ -48,14 +53,6 @@ _W_COEFF = {
     "gumbel": math.pi / math.sqrt(3.0),
     "laplace": 2.0,
     "gaussian": 2.0,
-}
-
-# Query-noise variance is _QVAR_COEFF * s^2 where s is the query-noise
-# scale 2c*delta/eps2 (c*delta/eps2 when monotonic).
-_QVAR_COEFF = {
-    "exponential": 1.0,
-    "gumbel": math.pi**2 / 6.0,
-    "laplace": 2.0,
 }
 
 
@@ -109,31 +106,44 @@ def split(eps_total: float, variant: Variant, c: int,
 
 def gaussian_kappa(delta_dp: float) -> float:
     """Calibration constant for the Gaussian baseline: sigma = kappa*delta/eps."""
-    if not 0.0 < delta_dp < 1.0:
+    if delta_dp is None or not 0.0 < delta_dp < 1.0:
         raise ValueError(f"delta_dp must lie in (0, 1), got {delta_dp}")
     return math.sqrt(2.0 * math.log(1.25 / delta_dp))
+
+
+def query_sensitivity(c: int, delta: float, monotonic: bool = False) -> float:
+    """Query-noise sensitivity: 2c*delta, or c*delta when monotonic."""
+    return (c if monotonic else 2 * c) * delta
+
+
+def calibrate(variant: Variant, eps1: float, eps2: float, c: int, delta: float,
+              monotonic: bool = False, delta_dp: float | None = None
+              ) -> tuple[tuple[Kind, float], tuple[Kind, float]]:
+    """The (kind, scale) of a variant's threshold and query noise laws.
+
+    The threshold noise is Laplace(delta/eps1) for every variant except the
+    Gaussian one, which uses sigma = kappa*delta/eps1 with
+    kappa = sqrt(2 ln(1.25/delta_dp)); delta_dp is required there and
+    ignored elsewhere. The query noise comes from the variant's family at
+    scale query_sensitivity/eps2, times kappa for the Gaussian.
+    """
+    if not (0 < eps1 < math.inf and 0 < eps2 < math.inf
+            and 0 < delta < math.inf):
+        raise ValueError("eps1, eps2, delta must all be positive and finite")
+    if c < 1:
+        raise ValueError(f"c must be at least 1, got {c}")
+    scale = query_sensitivity(c, delta, monotonic) / eps2
+    kind = _QUERY_KIND[variant]
+    if kind is Kind.GAUSSIAN:
+        kappa = gaussian_kappa(delta_dp)
+        return (kind, kappa * delta / eps1), (kind, kappa * scale)
+    return (Kind.LAPLACE, delta / eps1), (kind, scale)
 
 
 def comparison_variance(variant: Variant, eps1: float, eps2: float, c: int,
                         delta: float, monotonic: bool = False,
                         delta_dp: float | None = None) -> float:
-    """Variance of the private comparison: threshold-noise plus query-noise terms.
-
-    The threshold noise is Laplace(delta/eps1) for every variant except the
-    Gaussian one, which uses sigma = kappa*delta/eps1 with
-    kappa = sqrt(2 ln(1.25/delta_dp)); delta_dp is required there and
-    ignored elsewhere.
-    """
-    if not (eps1 > 0 and eps2 > 0 and delta > 0):
-        raise ValueError("eps1, eps2, delta must all be positive")
-    if c < 1:
-        raise ValueError(f"c must be at least 1, got {c}")
-    s = (c if monotonic else 2 * c) * delta / eps2
-    family = variant.query_family
-    if family == "gaussian":
-        if delta_dp is None:
-            raise ValueError("the Gaussian variant needs delta_dp for its "
-                             "calibration constant")
-        kappa_sq = gaussian_kappa(delta_dp) ** 2
-        return kappa_sq * ((delta / eps1) ** 2 + s**2)
-    return 2.0 * (delta / eps1) ** 2 + _QVAR_COEFF[family] * s**2
+    """Variance of the private comparison: threshold plus query noise. Reads
+    :func:`calibrate` directly, as building NoiseDists is slow in w searches."""
+    thr, qry = calibrate(variant, eps1, eps2, c, delta, monotonic, delta_dp)
+    return law_variance(*thr) + law_variance(*qry)

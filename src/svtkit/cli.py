@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -81,8 +82,15 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if any(e <= 0 for e in self.eps_values):
-            raise ValueError("eps values must be positive")
+        if not all(math.isfinite(x) and x > 0
+                   for x in (*self.eps_values, self.delta)):
+            raise ValueError("eps values and delta must be positive and finite")
+        if len({_eps_key(e) for e in self.eps_values}) < len(self.eps_values):
+            raise ValueError("eps values closer than 1e-9 share a random stream")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and nonnegative")
+        if self.c < 1:
+            raise ValueError("c must be at least 1")
         if any(t < 1 for t in self.traverses):
             raise ValueError("traverses must be at least 1")
 
@@ -98,6 +106,10 @@ def load_dataset(cfg: ExperimentConfig) -> data.ScoredDataset:
 _VARIANT_KEY = {token: i for i, token in enumerate(VARIANT_TOKENS)}
 
 
+def _eps_key(eps: float) -> int:
+    return int(round(eps * 1e9))
+
+
 def cell_rng(seed: int, eps: float, variant: str, traverses: int,
              repetition: int) -> np.random.Generator:
     """Independent stream for one sweep cell, derived from its identity.
@@ -105,7 +117,7 @@ def cell_rng(seed: int, eps: float, variant: str, traverses: int,
     Keyed by the cell's values (not loop indices), so a single-cell re-run
     of any row reproduces it exactly.
     """
-    entropy = (int(seed), _VARIANT_KEY[variant], int(round(eps * 1e9)),
+    entropy = (int(seed), _VARIANT_KEY[variant], _eps_key(eps),
                int(traverses), int(repetition))
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))
 
@@ -206,7 +218,7 @@ def emit_correction_table(eps_values: Sequence[float], c: int, alpha: float,
     rows = []
     for eps in eps_values:
         split = allocation.split(eps, Variant.EXP_OPT_CORR, c, monotonic)
-        lam = split.eps2 / ((c if monotonic else 2 * c) * delta)
+        lam = split.eps2 / allocation.query_sensitivity(c, delta, monotonic)
         query = correction.CorrectionQuery(b=delta / split.eps1, lam=lam,
                                            alpha=alpha, k=k_est, m=m, e=e)
         r_op, p_op = correction.optimal_correction(query)
@@ -302,7 +314,7 @@ def _series_correction_sweep(eps: float = 0.1, c: int = 50,
                              r_max: Optional[float] = None,
                              points: int = 501) -> list[dict]:
     split = allocation.split(eps, Variant.EXP_OPT_CORR, c, monotonic)
-    lam = split.eps2 / ((c if monotonic else 2 * c) * delta)
+    lam = split.eps2 / allocation.query_sensitivity(c, delta, monotonic)
     mean = 1.0 / lam
     query = correction.CorrectionQuery(b=delta / split.eps1, lam=lam,
                                        alpha=alpha, k=k)

@@ -58,13 +58,17 @@ class NoiseDist:
         return self.location
 
     def variance(self) -> float:
-        if self.kind is Kind.LAPLACE:
-            return 2.0 * self.scale**2
-        if self.kind is Kind.EXPONENTIAL:
-            return self.scale**2
-        if self.kind is Kind.GAUSSIAN:
-            return self.scale**2
-        return math.pi**2 * self.scale**2 / 6.0
+        return law_variance(self.kind, self.scale)
+
+
+# Variance of each law per unit of scale squared.
+_VARIANCE_COEFF = {Kind.LAPLACE: 2.0, Kind.EXPONENTIAL: 1.0,
+                   Kind.GAUSSIAN: 1.0, Kind.GUMBEL: math.pi**2 / 6.0}
+
+
+def law_variance(kind: Kind, scale: float) -> float:
+    """Variance of the ``kind`` law at ``scale``; the location plays no part."""
+    return _VARIANCE_COEFF[kind] * scale**2
 
 
 def laplace(scale: float, location: float = 0.0) -> NoiseDist:
@@ -91,7 +95,7 @@ def _standardize(d: NoiseDist, x) -> np.ndarray:
 def _as_given(value: np.ndarray, like) -> float | np.ndarray:
     """Return a Python float for scalar input, an array otherwise."""
     if np.isscalar(like) or getattr(like, "ndim", 1) == 0:
-        return float(value)
+        return float(np.asarray(value).ravel()[0])
     return value
 
 

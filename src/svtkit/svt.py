@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import inspect
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -25,9 +26,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import noise as noise_mod
-from .allocation import Variant, gaussian_kappa
+from .allocation import Variant, calibrate, query_sensitivity
 from .correction import CorrectionQuery, optimal_correction
-from .noise import EULER_GAMMA, NoiseDist
+from .noise import NoiseDist
 
 
 class HaltReason(enum.Enum):
@@ -115,12 +116,14 @@ class SvtConfig:
     delta_dp: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (self.delta > 0 and self.eps1 > 0 and self.eps2 > 0):
-            raise ValueError("delta, eps1, eps2 must all be positive")
+        if not all(math.isfinite(x) and x > 0
+                   for x in (self.delta, self.eps1, self.eps2)):
+            raise ValueError("delta, eps1, eps2 must all be positive and finite")
         if self.c < 1 or self.k_max < 1 or self.max_traverses < 1:
             raise ValueError("c, k_max, max_traverses must be at least 1")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and nonnegative, "
+                             f"got {self.alpha}")
         if self.k_est < 1:
             raise ValueError(f"k_est must be at least 1, got {self.k_est}")
         if self.variant.query_family == "gaussian":
@@ -144,7 +147,7 @@ def effective_lambda(cfg: SvtConfig) -> float:
     when monotonic."""
     if cfg.variant.query_family != "exponential":
         raise ValueError(f"variant {cfg.variant.value} has no exponential rate")
-    return cfg.eps2 / ((cfg.c if cfg.monotonic else 2 * cfg.c) * cfg.delta)
+    return cfg.eps2 / query_sensitivity(cfg.c, cfg.delta, cfg.monotonic)
 
 
 def privacy_cost(cfg: SvtConfig, outcome: SvtOutcome) -> tuple[float, float]:
@@ -159,24 +162,11 @@ def privacy_cost(cfg: SvtConfig, outcome: SvtOutcome) -> tuple[float, float]:
     return eps, float(dp)
 
 
-def _query_scale(cfg: SvtConfig) -> float:
-    return (cfg.c if cfg.monotonic else 2 * cfg.c) * cfg.delta / cfg.eps2
-
-
 def noise_pair(cfg: SvtConfig) -> tuple[NoiseDist, NoiseDist]:
     """The (threshold, query) noise laws behind a config."""
-    family = cfg.variant.query_family
-    if family == "gaussian":
-        kappa = gaussian_kappa(cfg.delta_dp)
-        return (noise_mod.gaussian(kappa * cfg.delta / cfg.eps1),
-                noise_mod.gaussian(kappa * _query_scale(cfg)))
-    threshold = noise_mod.laplace(cfg.delta / cfg.eps1)
-    scale = _query_scale(cfg)
-    if family == "exponential":
-        return threshold, noise_mod.exponential(scale)
-    if family == "gumbel":
-        return threshold, noise_mod.gumbel(scale)
-    return threshold, noise_mod.laplace(scale)
+    thr, qry = calibrate(cfg.variant, cfg.eps1, cfg.eps2, cfg.c, cfg.delta,
+                         cfg.monotonic, cfg.delta_dp)
+    return NoiseDist(*thr), NoiseDist(*qry)
 
 
 def correction_term(cfg: SvtConfig) -> float:
@@ -193,11 +183,10 @@ def correction_term(cfg: SvtConfig) -> float:
     v = cfg.variant
     if v in (Variant.LAP, Variant.GAU, Variant.EXP_NO_CORR):
         return 0.0
-    if v is Variant.GUM:
-        return EULER_GAMMA * _query_scale(cfg)
-    if v is Variant.EXP_MEAN_CORR:
-        return _query_scale(cfg)
-    query = CorrectionQuery(b=cfg.delta / cfg.eps1, lam=effective_lambda(cfg),
+    thr, qry = noise_pair(cfg)
+    if v in (Variant.GUM, Variant.EXP_MEAN_CORR):
+        return qry.mean()
+    query = CorrectionQuery(b=thr.scale, lam=effective_lambda(cfg),
                             alpha=cfg.alpha, k=cfg.k_est)
     return optimal_correction(query)[0]
 

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from svtkit import cli, data
+from svtkit.allocation import Variant
 from svtkit.cli import ExperimentConfig, SWEEP_COLUMNS
+from svtkit.svt import SvtConfig, effective_lambda
+
+NAN, INF = float("nan"), float("inf")
 
 
 def small_sweep(**overrides) -> ExperimentConfig:
@@ -31,10 +35,27 @@ def strip_timing(rows):
     dict(repetitions=0),
     dict(seed=-1),
     dict(traverses=(1, 0)),
+    dict(c=0),
+    dict(eps_values=(0.5, NAN)),
+    dict(eps_values=(INF,)),
+    dict(alpha=NAN),
+    dict(alpha=INF),
+    dict(delta=NAN),
+    dict(delta=INF),
+    dict(delta=0.0),
+    dict(delta=-1.0),
+    dict(eps_values=(0.5, 0.5)),
+    dict(eps_values=(0.5, 0.5 + 3e-10)),  # one cell_rng key, one stream
 ])
 def test_config_rejects(bad):
     with pytest.raises(ValueError):
         small_sweep(**bad)
+
+
+def test_config_accepts_eps_values_with_distinct_stream_keys():
+    cfg = small_sweep(eps_values=(0.5, 0.5 + 2e-9))
+    a, b = (cli.cell_rng(0, e, "lap", 1, 0).random() for e in cfg.eps_values)
+    assert a != b
 
 
 def test_cell_rng_deterministic_and_distinct():
@@ -121,6 +142,17 @@ def test_correction_table_columns_and_mean_rule():
                                                    rel=1e-12)
     assert row["optimal_correction"] > row["mean_correction"]
     assert 0.0 < row["success_probability"] < 1.0
+
+
+@pytest.mark.parametrize("monotonic", [False, True])
+def test_correction_table_lambda_is_effective_lambda(monotonic):
+    rows = cli.emit_correction_table((0.1, 1.0), c=5, alpha=0.0, k_est=20,
+                                     delta=2.0, monotonic=monotonic)
+    for row in rows:
+        cfg = SvtConfig(delta=2.0, eps1=row["eps1"], eps2=row["eps2"], c=5,
+                        k_max=1, variant=Variant.EXP_OPT_CORR,
+                        monotonic=monotonic)
+        assert row["lambda"] == effective_lambda(cfg)
 
 
 def test_correction_table_scales_with_epsilon():

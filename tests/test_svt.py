@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from svtkit import correction, noise
+from svtkit import allocation, correction, noise
 from svtkit.allocation import Variant
 from svtkit.svt import (HaltReason, QueryStream, SvtConfig, SvtOutcome,
                         correction_term, effective_lambda, noise_pair,
@@ -252,6 +252,56 @@ def test_config_validation():
         cfg_with(variant=Variant.GAU)  # missing delta_dp
     with pytest.raises(ValueError):
         cfg_with(variant=Variant.GAU, delta_dp=1.5)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, bad", [
+    ("query", dict(alpha=NAN)),
+    ("query", dict(alpha=INF)),
+    ("query", dict(b=INF)),
+    ("query", dict(lam=INF)),
+    ("config", dict(alpha=NAN)),
+    ("config", dict(alpha=INF)),
+    ("config", dict(eps1=INF)),
+    ("config", dict(eps2=INF)),
+    ("config", dict(delta=INF)),
+    ("config", dict(eps1=NAN)),
+])
+def test_non_finite_input_rejected(build, bad):
+    with pytest.raises(ValueError):
+        if build == "query":
+            correction.CorrectionQuery(**{**dict(b=1.0, lam=1.0, alpha=0.0,
+                                                 k=10), **bad})
+        else:
+            cfg_with(**bad)
+
+
+@pytest.mark.parametrize("monotonic", [False, True])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_single_calibration_source(variant, monotonic):
+    """Scales, variance and correction inputs all derive from noise_pair."""
+    cfg = cfg_with(variant=variant, monotonic=monotonic, delta=2.0, eps1=0.3,
+                   eps2=0.7, c=5, alpha=1.5, k_est=20,
+                   delta_dp=1e-4 if variant is Variant.GAU else None)
+    thr, qry = noise_pair(cfg)
+    sensitivity = (cfg.c if monotonic else 2 * cfg.c) * cfg.delta
+    kappa = (allocation.gaussian_kappa(cfg.delta_dp)
+             if variant is Variant.GAU else 1.0)
+    assert thr.scale == pytest.approx(kappa * cfg.delta / cfg.eps1, rel=1e-15)
+    assert qry.scale == pytest.approx(kappa * sensitivity / cfg.eps2, rel=1e-15)
+    assert allocation.comparison_variance(
+        variant, cfg.eps1, cfg.eps2, cfg.c, cfg.delta, monotonic,
+        cfg.delta_dp) == thr.variance() + qry.variance()
+    if variant in (Variant.GUM, Variant.EXP_MEAN_CORR):
+        assert correction_term(cfg) == qry.mean()
+    if variant is Variant.EXP_OPT_CORR:
+        lam = cfg.eps2 / sensitivity
+        assert effective_lambda(cfg) == lam
+        expected, _ = correction.optimal_correction(correction.CorrectionQuery(
+            b=cfg.delta / cfg.eps1, lam=lam, alpha=cfg.alpha, k=cfg.k_est))
+        assert correction_term(cfg) == expected
 
 
 def test_correction_defaults_per_variant():
