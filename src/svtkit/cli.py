@@ -31,7 +31,7 @@ import numpy as np
 
 from . import allocation, correction, data, metrics, noise
 from .allocation import Variant
-from .svt import SvtConfig, run_svt
+from .svt import QueryStream, SvtConfig, run_svt
 
 UPPER_BOUND = "upper"  # pseudo-variant: rank by exponentially perturbed scores
 
@@ -91,8 +91,8 @@ class ExperimentConfig:
             raise ValueError("alpha must be finite and nonnegative")
         if self.c < 1:
             raise ValueError("c must be at least 1")
-        if any(t < 1 for t in self.traverses):
-            raise ValueError("traverses must be at least 1")
+        if not self.traverses or any(t < 1 for t in self.traverses):
+            raise ValueError("traverses must be nonempty, each at least 1")
 
 
 def load_dataset(cfg: ExperimentConfig) -> data.ScoredDataset:
@@ -126,11 +126,10 @@ def _noisy_ranking(ds: data.ScoredDataset, eps2: float, delta: float, c: int,
                    truth: metrics.GroundTruth,
                    rng: np.random.Generator) -> tuple[float, float]:
     """Non-interactive reference: top-c of scores + Exp(delta/eps2) noise."""
-    scores = np.array([s for _, s in ds.items])
-    perturbed = scores + noise.sample(noise.exponential(delta / eps2), rng,
-                                      size=ds.n_items)
+    perturbed = ds.scores + noise.sample(noise.exponential(delta / eps2), rng,
+                                         size=ds.n_items)
     order = np.argsort(-perturbed, kind="stable")[:c]
-    chosen = [ds.items[i][0] for i in order]
+    chosen = ds.ids[order].tolist()
     return metrics.ncr(chosen, truth), metrics.f1(chosen, truth)
 
 
@@ -274,7 +273,6 @@ def near_threshold_stream(k: int, threshold: float, alpha: float,
     then one positive just above threshold + alpha, queried last."""
     scored = [(i, threshold - alpha - margin) for i in range(1, k + 1)]
     scored.append((k + 1, threshold + alpha + margin))
-    from .svt import QueryStream
     return QueryStream.with_threshold(scored, threshold)
 
 

@@ -2,38 +2,74 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .svt import QueryEntry, QueryStream
+from .svt import QueryStream, Record, check_unique_finite, columns, frozen
 
 BINARY_THRESHOLD = 500.0
 ZIPF_THRESHOLD = 200.0
 
 
-@dataclass(frozen=True)
-class ScoredDataset:
-    """Items with true scores and the predefined selection threshold."""
+class Items(Sequence):
+    """Read-only view of parallel id and score arrays as (id, score) pairs."""
+
+    def __init__(self, ids: np.ndarray, scores: np.ndarray) -> None:
+        self.ids = ids
+        self.scores = scores
+
+    @classmethod
+    def of(cls, pairs: Iterable[tuple[int, float]]) -> "Items":
+        """``pairs`` if it already is a view, else a view of new arrays."""
+        if isinstance(pairs, Items):
+            return pairs
+        return cls(*columns(pairs, (np.int64, float)))
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __getitem__(self, i: int) -> tuple[int, float]:
+        return int(self.ids[i]), float(self.scores[i])
+
+    def __iter__(self) -> Iterator[tuple[int, float]]:
+        return zip(self.ids.tolist(), self.scores.tolist())
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class ScoredDataset(Record):
+    """Items -- unique int64 ids with finite float64 scores -- and the
+    predefined selection threshold. ``items`` is taken as (id, score) pairs
+    or an :class:`Items` view, and reads back as a view."""
 
     name: str
-    items: tuple[tuple[int, float], ...]
+    ids: np.ndarray
+    scores: np.ndarray
     threshold: float
 
-    def __post_init__(self) -> None:
-        if not self.items:
+    def __init__(self, name: str, items: Iterable[tuple[int, float]],
+                 threshold: float) -> None:
+        items = Items.of(items)
+        vars(self).update(name=name, ids=frozen(items.ids, np.int64),
+                          scores=frozen(items.scores, float),
+                          threshold=threshold)
+        if self.ids.size == 0:
             raise ValueError("a dataset needs at least one item")
-        ids = [i for i, _ in self.items]
-        if len(set(ids)) != len(ids):
-            raise ValueError("item ids must be unique")
+        check_unique_finite(self.ids, self.scores)
         if not np.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold}")
 
     @property
+    def items(self) -> Items:
+        return Items(self.ids, self.scores)
+
+    @property
     def n_items(self) -> int:
-        return len(self.items)
+        return self.ids.size
 
 
 def gen_binary(n_items: int = 10000, n_positive: int = 100) -> ScoredDataset:
@@ -42,18 +78,20 @@ def gen_binary(n_items: int = 10000, n_positive: int = 100) -> ScoredDataset:
         raise ValueError(f"n_positive={n_positive} exceeds n_items={n_items}")
     if n_items < 1 or n_positive < 0:
         raise ValueError("need n_items >= 1 and n_positive >= 0")
-    items = tuple((i, 1000.0 if i <= n_positive else 0.0)
-                  for i in range(1, n_items + 1))
-    return ScoredDataset(name="binary", items=items,
-                         threshold=BINARY_THRESHOLD)
+    ids = np.arange(1, n_items + 1)
+    return ScoredDataset("binary",
+                         Items(ids, np.where(ids <= n_positive, 1000.0, 0.0)),
+                         BINARY_THRESHOLD)
 
 
 def gen_zipf(n_items: int = 10000) -> ScoredDataset:
     """Power-law synthetic dataset: item i scores 10000/i."""
     if n_items < 1:
         raise ValueError(f"need n_items >= 1, got {n_items}")
-    items = tuple((i, 10000.0 / i) for i in range(1, n_items + 1))
-    return ScoredDataset(name="zipf", items=items, threshold=ZIPF_THRESHOLD)
+    # IEEE division is correctly rounded, so each score is bit-identical
+    # to the Python float 10000.0 / i.
+    ids = np.arange(1, n_items + 1)
+    return ScoredDataset("zipf", Items(ids, 10000.0 / ids), ZIPF_THRESHOLD)
 
 
 def ingest_transactions(path: str | Path, threshold: float) -> ScoredDataset:
@@ -64,8 +102,7 @@ def ingest_transactions(path: str | Path, threshold: float) -> ScoredDataset:
     counts once. Items come out sorted by id.
     """
     path = Path(path)
-    counts: dict[int, int] = {}
-    n_transactions = 0
+    counts: Counter[int] = Counter()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
@@ -79,22 +116,17 @@ def ingest_transactions(path: str | Path, threshold: float) -> ScoredDataset:
                     f"{line.strip()!r}") from None
             if any(i < 0 for i in ids):
                 raise ValueError(f"{path}: line {lineno}: negative item id")
-            n_transactions += 1
-            for item in ids:
-                counts[item] = counts.get(item, 0) + 1
-    if n_transactions == 0:
+            counts.update(ids)
+    if not counts:
         raise ValueError(f"{path}: no transactions found")
-    items = tuple((i, float(counts[i])) for i in sorted(counts))
-    return ScoredDataset(name=path.stem, items=items,
-                         threshold=float(threshold))
+    return ScoredDataset(path.stem, sorted(counts.items()), float(threshold))
 
 
 def write_scores(ds: ScoredDataset, path: str | Path) -> None:
     """Persist a dataset as CSV rows id,score under a metadata header line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# name={ds.name} threshold={ds.threshold!r}\n")
-        for item, score in ds.items:
-            fh.write(f"{item},{score!r}\n")
+        fh.writelines(f"{item},{score!r}\n" for item, score in ds.items)
 
 
 def read_scores(path: str | Path) -> ScoredDataset:
@@ -106,23 +138,34 @@ def read_scores(path: str | Path) -> ScoredDataset:
             raise ValueError(f"{path}: missing scores header, got {header!r}")
         meta, _, thr = header[2:].rpartition(" threshold=")
         name = meta[len("name="):]
-        items = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                item, score = line.split(",")
-                items.append((int(item), float(score)))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected id,score") from None
-    return ScoredDataset(name=name, items=tuple(items),
-                         threshold=float(thr))
+        body = fh.tell()
+        try:
+            rows = np.loadtxt(fh, dtype=[("id", np.int64), ("score", float)],
+                              delimiter=",", comments=None, ndmin=1)
+            items = Items(rows["id"], rows["score"])
+        except ValueError:
+            # The line-by-line parser accepts blank lines with spaces and
+            # names the line of a malformed row.
+            fh.seek(body)
+            items = Items.of(_score_rows(fh, path))
+    return ScoredDataset(name, items, float(thr))
+
+
+def _score_rows(lines: Iterable[str], path: Path) -> Iterator[tuple[int, float]]:
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        try:
+            item, score = line.split(",")
+            yield int(item), float(score)
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: expected id,score") from None
 
 
 def shuffle_and_stream(ds: ScoredDataset, rng: np.random.Generator) -> QueryStream:
     """Uniformly permute the items and pair each with the dataset threshold."""
     order = rng.permutation(ds.n_items)
-    entries = tuple(QueryEntry(ds.items[i][0], ds.items[i][1], ds.threshold)
-                    for i in order)
-    return QueryStream(entries)
+    # The dataset's ids are unique and its values finite: no second check.
+    return QueryStream.trusted(ids=ds.ids[order], scores=ds.scores[order],
+                               thresholds=np.full(ds.n_items, ds.threshold))

@@ -11,48 +11,53 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .svt import SvtOutcome
+from .data import Items
+from .svt import Record, SvtOutcome, check_unique_finite, frozen
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+@dataclass(frozen=True, init=False, eq=False)
+class GroundTruth(Record):
     """True ranking of a dataset's items, score-descending with id tie-break.
 
-    ``ranked_ids`` covers every item; ``scores[i]`` is the true score of
-    ``ranked_ids[i]``. c is the selection size the metrics target.
+    ``ids`` covers every item; ``scores[i]`` is the true score of
+    ``ids[i]``. c is the selection size the metrics target.
+    ``ranked_ids`` reads the ids back as a tuple.
     """
 
-    ranked_ids: tuple[int, ...]
-    scores: tuple[float, ...]
+    ids: np.ndarray
+    scores: np.ndarray
     threshold: float
     c: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, ranked_ids, scores, threshold: float, c: int) -> None:
+        vars(self).update(ids=frozen(ranked_ids, np.int64),
+                          scores=frozen(scores, float), threshold=threshold, c=c)
         if self.c < 1:
             raise ValueError(f"c must be at least 1, got {self.c}")
-        if len(self.ranked_ids) != len(self.scores):
-            raise ValueError("ranked_ids and scores must align")
-        if len(set(self.ranked_ids)) != len(self.ranked_ids):
-            raise ValueError("item ids must be unique")
-        keys = [(-s, i) for s, i in zip(self.scores, self.ranked_ids)]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+        check_unique_finite(self.ids, self.scores)
+        s, i = self.scores, self.ids
+        if not ((s[:-1] > s[1:]) | ((s[:-1] == s[1:]) & (i[:-1] < i[1:]))).all():
             raise ValueError("ranking must be score-descending with "
                              "ascending-id tie-break")
 
     @classmethod
     def from_items(cls, items: Iterable[tuple[int, float]], threshold: float,
                    c: int) -> "GroundTruth":
-        ordered = sorted(items, key=lambda item: (-item[1], item[0]))
-        return cls(ranked_ids=tuple(i for i, _ in ordered),
-                   scores=tuple(float(s) for _, s in ordered),
+        items = Items.of(items)
+        order = np.lexsort((items.ids, -items.scores))
+        return cls(ranked_ids=items.ids[order], scores=items.scores[order],
                    threshold=float(threshold), c=c)
 
+    @property
+    def ranked_ids(self) -> tuple[int, ...]:
+        return tuple(self.ids.tolist())
+
     def top_c_ids(self) -> tuple[int, ...]:
-        return self.ranked_ids[:self.c]
+        return tuple(self.ids[:self.c].tolist())
 
 
 def ncr(positives: Iterable[int], truth: GroundTruth) -> float:
@@ -68,8 +73,8 @@ def ncr(positives: Iterable[int], truth: GroundTruth) -> float:
         raise ValueError(f"at most c={truth.c} positives expected, "
                          f"got {len(emitted)}")
     credit = {}
-    for rank0, (item, score) in enumerate(zip(truth.ranked_ids[:truth.c],
-                                              truth.scores[:truth.c])):
+    for rank0, (item, score) in enumerate(zip(truth.ids[:truth.c].tolist(),
+                                              truth.scores[:truth.c].tolist())):
         if score >= truth.threshold:
             credit[item] = truth.c - rank0
     total = sum(credit.get(item, 0) for item in emitted)
@@ -106,24 +111,24 @@ def alpha_beta_estimate(runner: Callable[[np.random.Generator], SvtOutcome],
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    score_of = dict(zip(truth.ranked_ids, truth.scores))
-    n_items = len(truth.ranked_ids)
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    order = np.argsort(truth.ids)
+    ids, scores = truth.ids[order], truth.scores[order]
     low = truth.threshold - alpha
     high = truth.threshold + alpha
     failures = 0
     for _ in range(trials):
         outcome = runner(rng)
-        seen = set()
-        bad = False
-        for ans in outcome.answers:
-            seen.add(ans.query_id)
-            score = score_of[ans.query_id]
-            if (score < low) if ans.flagged else (score > high):
-                bad = True
-                break
-        failures += bad or len(seen) < n_items
+        at = np.searchsorted(ids, outcome.answer_ids)
+        if not np.array_equal(ids.take(at, mode="clip"), outcome.answer_ids):
+            raise ValueError("an answered id is missing from the ground truth")
+        score = scores[at]
+        bad = np.where(outcome.flags, score < low, score > high).any()
+        # Each query is evaluated in traverse 1 exactly once, so these
+        # answers count the distinct queries seen.
+        unseen = np.count_nonzero(outcome.traverses == 1) < ids.size
+        failures += bool(bad or unseen)
     return failures / trials
 
 
@@ -131,7 +136,7 @@ def accuracy_alpha_bound(k: int, eps: float, beta: float) -> float:
     """Tolerance guaranteeing failure rate at most beta for the corrected
     exponential mechanism with c=1, unit sensitivity, and an even split:
     alpha = 4(ln k + ln(2/beta))/eps."""
-    if k < 1 or not eps > 0 or not 0.0 < beta < 1.0:
+    if k < 1 or not (math.isfinite(eps) and eps > 0) or not 0.0 < beta < 1.0:
         raise ValueError("need k >= 1, eps > 0, beta in (0, 1)")
     return 4.0 * (math.log(k) + math.log(2.0 / beta)) / eps
 
@@ -139,6 +144,7 @@ def accuracy_alpha_bound(k: int, eps: float, beta: float) -> float:
 def accuracy_beta_bound(k: int, eps: float, alpha: float) -> float:
     """Inverse of :func:`accuracy_alpha_bound`: beta = 2k exp(-alpha eps/4),
     capped at 1."""
-    if k < 1 or not eps > 0 or alpha < 0:
-        raise ValueError("need k >= 1, eps > 0, alpha >= 0")
+    if k < 1 or not (math.isfinite(eps) and eps > 0
+                     and math.isfinite(alpha) and alpha >= 0):
+        raise ValueError("need k >= 1, finite eps > 0, finite alpha >= 0")
     return min(1.0, 2.0 * k * math.exp(-alpha * eps / 4.0))

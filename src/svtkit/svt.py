@@ -19,9 +19,8 @@ from __future__ import annotations
 import enum
 import inspect
 import math
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,29 +48,78 @@ class Answer(NamedTuple):
     traverse: int
 
 
-@dataclass(frozen=True)
-class QueryStream:
-    """An ordered stream of (id, score, threshold) queries with unique ids."""
+def frozen(values, dtype) -> np.ndarray:
+    """A read-only one-dimensional view of ``values`` as ``dtype``."""
+    array = np.asarray(values, dtype=dtype).view()
+    if array.ndim != 1:
+        raise ValueError(f"expected a 1-d array, got shape {array.shape}")
+    array.flags.writeable = False
+    return array
 
-    entries: tuple[QueryEntry, ...]
 
-    def __post_init__(self) -> None:
-        ids = [e.query_id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("query ids must be unique within a stream")
+def columns(rows: Iterable[Sequence], dtypes: Sequence) -> list[np.ndarray]:
+    """Split tuple rows into one read-only array per position."""
+    rows = [tuple(row) for row in rows]
+    return [frozen([row[k] for row in rows], dtype)
+            for k, dtype in enumerate(dtypes)]
+
+
+def check_unique_finite(ids: np.ndarray, *values: np.ndarray) -> None:
+    """Reject misaligned arrays, repeated ids and NaN or infinite values."""
+    if any(v.size != ids.size for v in values):
+        raise ValueError("ids and their values must align")
+    if np.unique(ids).size != ids.size:
+        raise ValueError("ids must be unique")
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("scores and thresholds must be finite")
+
+
+class Record:
+    """Base of the frozen array dataclasses: fields are set once in
+    ``__init__`` or ``trusted``, and ``==`` compares each, arrays elementwise."""
 
     @classmethod
-    def with_threshold(cls, scored: Sequence[tuple[int, float]],
+    def trusted(cls, **values):
+        """An instance from field values that already meet the class's
+        invariants, set without copying or validation."""
+        record = cls.__new__(cls)
+        vars(record).update(values)
+        return record
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class QueryStream(Record):
+    """An ordered stream of queries: unique int64 ids with finite float64
+    scores and thresholds. It is built from (id, score, threshold) rows and
+    iterates as :class:`QueryEntry` tuples."""
+
+    ids: np.ndarray
+    scores: np.ndarray
+    thresholds: np.ndarray
+
+    def __init__(self, entries: Iterable[Sequence]) -> None:
+        ids, scores, thresholds = columns(entries, (np.int64, float, float))
+        vars(self).update(ids=ids, scores=scores, thresholds=thresholds)
+        check_unique_finite(ids, scores, thresholds)
+
+    @classmethod
+    def with_threshold(cls, scored: Iterable[tuple[int, float]],
                        threshold: float) -> "QueryStream":
         """Build a stream where every query shares one threshold."""
-        return cls(tuple(QueryEntry(int(i), float(s), float(threshold))
-                         for i, s in scored))
+        return cls((i, s, threshold) for i, s in scored)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.ids.size
 
     def __iter__(self):
-        return iter(self.entries)
+        return map(QueryEntry, self.ids.tolist(), self.scores.tolist(),
+                   self.thresholds.tolist())
 
 
 @dataclass(frozen=True)
@@ -132,14 +180,38 @@ class SvtConfig:
                                  "in (0, 1)")
 
 
-@dataclass(frozen=True)
-class SvtOutcome:
-    answers: tuple[Answer, ...]
-    positives: tuple[int, ...]
+@dataclass(frozen=True, init=False, eq=False)
+class SvtOutcome(Record):
+    """One run's answers in evaluation order (queried id, flag, traverse)
+    and its counters. ``answers`` and ``positives`` are derived views; the
+    constructor takes them too."""
+
+    answer_ids: np.ndarray
+    flags: np.ndarray
+    traverses: np.ndarray
     n_c: int
     n_a: int
     halt_reason: HaltReason
     correction_used: float
+
+    def __init__(self, answers: Iterable[Sequence], positives: Iterable[int],
+                 n_c: int, n_a: int, halt_reason: HaltReason,
+                 correction_used: float) -> None:
+        ids, flags, traverses = columns(answers, (np.int64, bool, np.int64))
+        vars(self).update(answer_ids=ids, flags=flags, traverses=traverses,
+                          n_c=n_c, n_a=n_a, halt_reason=halt_reason,
+                          correction_used=correction_used)
+        if tuple(positives) != self.positives:
+            raise ValueError("positives must be the flagged answer ids")
+
+    @property
+    def answers(self) -> tuple[Answer, ...]:
+        return tuple(map(Answer, self.answer_ids.tolist(), self.flags.tolist(),
+                         self.traverses.tolist()))
+
+    @property
+    def positives(self) -> tuple[int, ...]:
+        return tuple(self.answer_ids[self.flags].tolist())
 
 
 def effective_lambda(cfg: SvtConfig) -> float:
@@ -207,12 +279,15 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
             noise_override: Optional[Callable] = None) -> SvtOutcome:
     """Run one mechanism invocation over a query stream.
 
-    Draw order is fixed for reproducibility: one threshold draw up front,
-    then query noise for each processing batch in evaluation order; under
-    ``resample``, threshold redraws happen per positive after the batch's
-    query draws. A ``noise_override`` replaces both noise sources with a
-    deterministic callable ``(role, query_id, traverse) -> float`` where
-    role is "threshold" (query_id -1, traverse = redraw index) or "query".
+    Each loop step evaluates one traverse as a vector: the whole queue on
+    the first, the negatives re-appended by the previous one after that,
+    cut short by k_max. Draw order is fixed for reproducibility: one
+    threshold draw up front, then query noise for each traverse in
+    evaluation order; under ``resample``, threshold redraws happen per
+    positive after the traverse's query draws. A ``noise_override``
+    replaces both noise sources with a deterministic callable
+    ``(role, query_id, traverse) -> float`` where role is "threshold"
+    (query_id -1, traverse = redraw index) or "query".
 
     Ties (noisy score exactly equal to the corrected noisy threshold) are
     answered positively.
@@ -236,34 +311,33 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         redraws += 1
         return value
 
-    def draw_query(batch: list[tuple[QueryEntry, int]]) -> np.ndarray:
+    def draw_query(batch: np.ndarray, traverse: int) -> np.ndarray:
         if noise_override is not None:
-            return np.array([float(noise_override("query", e.query_id, t))
-                             for e, t in batch])
-        return np.atleast_1d(noise_mod.sample(qry_dist, rng, size=len(batch)))
+            return np.array([float(noise_override("query", i, traverse))
+                             for i in queries.ids[batch].tolist()])
+        return np.atleast_1d(noise_mod.sample(qry_dist, rng, size=batch.size))
 
-    pending: deque[tuple[QueryEntry, int]] = deque(
-        (entry, 1) for entry in queries.entries)
-    answers: list[Answer] = []
-    positives: list[int] = []
+    gaps = queries.scores - queries.thresholds
+    pending = np.arange(len(queries))
+    evaluated: list[np.ndarray] = []
+    flagged: list[np.ndarray] = []
     n_a = 0
     n_c = 0
+    traverse = 1
     rho = draw_threshold()
     halt: Optional[HaltReason] = None
 
     while halt is None:
-        if not pending:
+        if pending.size == 0:
             halt = HaltReason.EXHAUSTED
             break
         if n_a >= cfg.k_max:
             halt = HaltReason.QUERY_BUDGET
             break
-        take = min(len(pending), cfg.k_max - n_a)
-        batch = [pending.popleft() for _ in range(take)]
-        v = draw_query(batch)
-        base = np.fromiter(
-            (e.score - e.threshold for e, _ in batch), dtype=float,
-            count=take) + v - r
+        take = min(pending.size, cfg.k_max - n_a)
+        batch = pending[:take]
+        v = draw_query(batch, traverse)
+        base = gaps[batch] + v - r
 
         if cfg.resample:
             flags = np.empty(take, dtype=bool)
@@ -281,25 +355,26 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         else:
             flags = base >= rho
 
-        flag_pos = np.flatnonzero(flags)
+        flag_pos = flags.nonzero()[0]
         room = cfg.c - n_c
+        used = take
         if len(flag_pos) >= room:
             used = int(flag_pos[room - 1]) + 1
             halt = HaltReason.POSITIVE_BUDGET
-        else:
-            used = take
-
-        for idx in range(used):
-            entry, traverse = batch[idx]
-            if flags[idx]:
-                answers.append(Answer(entry.query_id, True, traverse))
-                positives.append(entry.query_id)
-                n_c += 1
-            else:
-                answers.append(Answer(entry.query_id, False, traverse))
-                if cfg.append and traverse < cfg.max_traverses:
-                    pending.append((entry, traverse + 1))
+        elif take < pending.size:
+            halt = HaltReason.QUERY_BUDGET
+        batch, flags = batch[:used], flags[:used]
+        evaluated.append(batch)
+        flagged.append(flags)
+        n_c += min(flag_pos.size, room)
         n_a += used
+        requeue = cfg.append and traverse < cfg.max_traverses
+        pending = batch[~flags] if requeue else batch[:0]
+        traverse += 1
 
-    return SvtOutcome(answers=tuple(answers), positives=tuple(positives),
-                      n_c=n_c, n_a=n_a, halt_reason=halt, correction_used=r)
+    return SvtOutcome.trusted(
+        answer_ids=queries.ids[np.concatenate(evaluated)],
+        flags=np.concatenate(flagged),
+        traverses=np.repeat(np.arange(1, len(evaluated) + 1),
+                            [b.size for b in evaluated]),
+        n_c=n_c, n_a=n_a, halt_reason=halt, correction_used=r)

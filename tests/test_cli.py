@@ -296,3 +296,8 @@ def test_token_parsers():
     assert cli._floats("0.1, 0.5,") == (0.1, 0.5)
     assert cli._ints("1,2, 10") == (1, 2, 10)
     assert cli._tokens(" lap , gau ") == ("lap", "gau")
+
+
+def test_config_rejects_empty_traverses():
+    with pytest.raises(ValueError):
+        small_sweep(traverses=())

@@ -1,0 +1,209 @@
+"""The vectorized engine against a per-entry reference loop.
+
+``reference_run`` is the queue-based engine that ``run_svt`` replaced: one
+pending deque of (entry, traverse) pairs, one query-noise draw per
+processing batch, threshold redraws after the batch under resampling. It
+is kept here, in the tests only, as the oracle: for any stream, config,
+seed or noise override, ``run_svt`` must return the same answers (ids,
+flags, traverses), counters, halt reason and correction bit for bit, and
+call a noise override in the same order.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from svtkit import noise as noise_mod
+from svtkit.allocation import Variant
+from svtkit.svt import (HaltReason, QueryStream, SvtConfig, correction_term,
+                        noise_pair, run_svt)
+
+
+def reference_run(queries, cfg, rng, noise_override=None):
+    thr_dist, qry_dist = noise_pair(cfg)
+    r = correction_term(cfg)
+    redraws = 0
+
+    def draw_threshold():
+        nonlocal redraws
+        if noise_override is not None:
+            value = float(noise_override("threshold", -1, redraws))
+        else:
+            value = noise_mod.sample(thr_dist, rng)
+        redraws += 1
+        return value
+
+    def draw_query(batch):
+        if noise_override is not None:
+            return np.array([float(noise_override("query", e.query_id, t))
+                             for e, t in batch])
+        return np.atleast_1d(noise_mod.sample(qry_dist, rng, size=len(batch)))
+
+    pending = deque((entry, 1) for entry in queries)
+    answers = []
+    n_a = n_c = 0
+    rho = draw_threshold()
+    halt = None
+    while halt is None:
+        if not pending:
+            halt = HaltReason.EXHAUSTED
+            break
+        if n_a >= cfg.k_max:
+            halt = HaltReason.QUERY_BUDGET
+            break
+        take = min(len(pending), cfg.k_max - n_a)
+        batch = [pending.popleft() for _ in range(take)]
+        v = draw_query(batch)
+        base = np.fromiter((e.score - e.threshold for e, _ in batch),
+                           dtype=float, count=take) + v - r
+        if cfg.resample:
+            flags = np.empty(take, dtype=bool)
+            i = 0
+            while i < take:
+                above = base[i:] >= rho
+                if not above.any():
+                    flags[i:] = False
+                    break
+                hit = i + int(np.argmax(above))
+                flags[i:hit] = False
+                flags[hit] = True
+                rho = draw_threshold()
+                i = hit + 1
+        else:
+            flags = base >= rho
+        flag_pos = np.flatnonzero(flags)
+        room = cfg.c - n_c
+        if len(flag_pos) >= room:
+            used = int(flag_pos[room - 1]) + 1
+            halt = HaltReason.POSITIVE_BUDGET
+        else:
+            used = take
+        for idx in range(used):
+            entry, traverse = batch[idx]
+            answers.append((entry.query_id, bool(flags[idx]), traverse))
+            if flags[idx]:
+                n_c += 1
+            elif cfg.append and traverse < cfg.max_traverses:
+                pending.append((entry, traverse + 1))
+        n_a += used
+    return answers, n_c, n_a, halt, r
+
+
+def assert_same_run(queries, cfg, seed, override=None):
+    calls = {"new": [], "ref": []}
+
+    def recorder(side):
+        if override is None:
+            return None
+
+        def call(role, qid, trav):
+            calls[side].append((role, qid, trav))
+            return override(role, qid, trav)
+        return call
+
+    new = run_svt(queries, cfg, np.random.default_rng(seed), recorder("new"))
+    answers, n_c, n_a, halt, r = reference_run(
+        queries, cfg, np.random.default_rng(seed), recorder("ref"))
+    assert [tuple(a) for a in new.answers] == answers
+    assert new.answer_ids.tolist() == [a[0] for a in answers]
+    assert new.flags.tolist() == [a[1] for a in answers]
+    assert new.traverses.tolist() == [a[2] for a in answers]
+    assert (new.n_c, new.n_a, new.halt_reason) == (n_c, n_a, halt)
+    assert new.correction_used == r
+    assert calls["new"] == calls["ref"]
+    return new
+
+
+def config(**kw) -> SvtConfig:
+    base = dict(delta=1.0, eps1=0.5, eps2=0.5, c=3, k_max=1000,
+                variant=Variant.EXP_MEAN_CORR)
+    base.update(kw)
+    if base["variant"] is Variant.GAU:
+        base.setdefault("delta_dp", 1e-3)
+    return SvtConfig(**base)
+
+
+def near_threshold(n: int, seed: int, spread: float = 8.0) -> QueryStream:
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(np.arange(10, 10 + 3 * n))[:n]
+    return QueryStream.with_threshold(
+        zip(ids.tolist(), (500.0 + spread * rng.standard_normal(n)).tolist()),
+        500.0)
+
+
+def scripted(role, qid, trav):
+    """Deterministic pseudo-noise keyed on the call's arguments."""
+    x = np.sin(12.9898 * (qid + 2) + 78.233 * trav + (role == "query"))
+    return float(((43758.5453 * x) % 1.0 - 0.5) * 20.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(resample=True),
+    dict(append=True, max_traverses=1),
+    dict(append=True, max_traverses=2),
+    dict(append=True, max_traverses=5),
+    dict(append=True, max_traverses=5, resample=True),
+    dict(monotonic=True, append=True, max_traverses=2),
+    dict(variant=Variant.EXP_OPT_CORR, k_est=10, append=True, max_traverses=5),
+    dict(variant=Variant.LAP, append=True, max_traverses=5, c=40),
+    dict(variant=Variant.GAU, append=True, max_traverses=2, c=40),
+    dict(variant=Variant.GUM, resample=True, c=10),
+])
+def test_matches_reference(kw, seed):
+    assert_same_run(near_threshold(40, seed), config(**kw), seed)
+
+
+@pytest.mark.parametrize("k_max", [1, 17, 40, 41, 63, 80, 120, 200])
+def test_k_max_cut_matches_reference(k_max):
+    """k_max inside, at the end of, and past a traverse."""
+    cfg = config(variant=Variant.EXP_NO_CORR, c=40, k_max=k_max, append=True,
+                 max_traverses=5)
+    out = assert_same_run(near_threshold(40, 3, spread=2.0), cfg, 7)
+    assert out.n_a <= k_max
+
+
+def test_k_max_cut_inside_a_traverse_is_a_query_budget_halt():
+    cfg = config(variant=Variant.EXP_NO_CORR, c=40, k_max=50, append=True,
+                 max_traverses=3)
+    out = assert_same_run(near_threshold(40, 3), cfg, 0, lambda *a: 0.0)
+    assert out.halt_reason is HaltReason.QUERY_BUDGET
+    assert out.n_a == 50
+
+
+def test_positive_budget_reached_mid_batch_matches_reference():
+    cfg = config(c=2, append=True, max_traverses=5)
+    out = assert_same_run(near_threshold(40, 4, spread=30.0), cfg, 0,
+                          scripted)
+    assert out.halt_reason is HaltReason.POSITIVE_BUDGET
+    assert out.n_a < 40
+
+
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(resample=True, c=10),
+    dict(append=True, max_traverses=5, c=40),
+    dict(append=True, max_traverses=4, k_max=70, c=40),
+])
+def test_noise_override_matches_reference(kw):
+    assert_same_run(near_threshold(30, 5), config(**kw), 0, scripted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 25), seed=st.integers(0, 2**32 - 1),
+       c=st.integers(1, 30), k_max=st.integers(1, 120),
+       traverses=st.integers(1, 6), append=st.booleans(),
+       resample=st.booleans(), monotonic=st.booleans(),
+       variant=st.sampled_from([Variant.EXP_NO_CORR, Variant.EXP_MEAN_CORR,
+                                Variant.LAP, Variant.GUM]),
+       spread=st.sampled_from([0.0, 2.0, 20.0]), override=st.booleans())
+def test_matches_reference_property(n, seed, c, k_max, traverses, append,
+                                    resample, monotonic, variant, spread,
+                                    override):
+    cfg = config(c=c, k_max=k_max, max_traverses=traverses, append=append,
+                 resample=resample, monotonic=monotonic, variant=variant)
+    assert_same_run(near_threshold(n, seed % 1000, spread), cfg, seed,
+                    scripted if override else None)

@@ -1,0 +1,58 @@
+"""Golden outputs of the harness paths the benchmark's sweep digest misses.
+
+Each case runs one `svtkit` command at a fixed seed and pins the sha256 of
+its CSV, with the nondeterministic wall_time_ms column dropped. A change
+of the random draw order or of any computed bit shows up here.
+"""
+
+import csv
+import hashlib
+import io
+import json
+
+import pytest
+
+from svtkit import cli
+
+GOLDEN = {
+    "accuracy": (["plot-series", "--kind", "accuracy",
+                  "--params", json.dumps({"trials": 300})],
+        "3c457da541a73c46b579c54cb2251b85"
+        "26c08bee037fd33f8c3e98ce8e930b1a"),
+    "traverses": (["plot-series", "--kind", "traverses",
+                   "--params", json.dumps({"repetitions": 3,
+                                           "n_items": 2000})],
+        "a932793ee1931fa3ee73bb37a34913b0"
+        "bfa7a863d4f8d2a1ba422f249301affa"),
+    "resample-append": (["sweep", "--dataset", "binary", "--n-items", "3000",
+                         "--variants", "exp-opt,exp-mean,lap,gau,upper",
+                         "--eps", "0.5,1", "--c", "20", "--traverses", "1,3",
+                         "--reps", "2", "--seed", "5", "--resample",
+                         "--append"],
+        "4f8e6b8f1f4458f79f3797f2e21d220a"
+        "4138d1adc058d2ffa9e2d3bc0a46395c"),
+    "monotonic": (["sweep", "--dataset", "zipf", "--n-items", "500",
+                   "--variants", "exp-opt,exp-mean,exp-none,lap,gau,gum,upper",
+                   "--eps", "0.5,1", "--c", "10", "--reps", "2",
+                   "--seed", "9", "--monotonic"],
+        "5dc37cd6e2a2a3de20020e6016b1f96e"
+        "3babb5b21ec211e21d0aa046286915ca"),
+}
+
+
+def output_digest(argv, tmp_path) -> str:
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if name != "wall_time_ms"]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [row[i] for i in keep] for row in rows)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_output(case, tmp_path):
+    argv, digest = GOLDEN[case]
+    assert output_digest(argv, tmp_path) == digest

@@ -171,3 +171,13 @@ def test_accuracy_bounds_validation():
         metrics.accuracy_alpha_bound(5, 1.0, 1.5)
     with pytest.raises(ValueError):
         metrics.accuracy_beta_bound(5, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_non_finite_alpha_rejected(alpha):
+    truth = GroundTruth.from_items([(1, 1.0)], 0.0, c=1)
+    with pytest.raises(ValueError):
+        metrics.alpha_beta_estimate(lambda rng: None, alpha, truth, 5,
+                                    np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        metrics.accuracy_beta_bound(5, 1.0, alpha)
