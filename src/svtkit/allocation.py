@@ -95,8 +95,9 @@ def optimal_w(variant: Variant, c: int, monotonic: bool = False) -> float:
 def split(eps_total: float, variant: Variant, c: int,
           monotonic: bool = False) -> BudgetSplit:
     """Split a total budget at the variant's optimal ratio."""
-    if not eps_total > 0:
-        raise ValueError(f"eps_total must be positive, got {eps_total}")
+    if not (math.isfinite(eps_total) and eps_total > 0):
+        raise ValueError(f"eps_total must be positive and finite, "
+                         f"got {eps_total}")
     w = optimal_w(variant, c, monotonic)
     eps1 = eps_total / (1.0 + w)
     return BudgetSplit(eps_total=eps_total, w=w, eps1=eps1,

@@ -36,6 +36,8 @@ class GroundTruth(Record):
     def __init__(self, ranked_ids, scores, threshold: float, c: int) -> None:
         vars(self).update(ids=frozen(ranked_ids, np.int64),
                           scores=frozen(scores, float), threshold=threshold, c=c)
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
         if self.c < 1:
             raise ValueError(f"c must be at least 1, got {self.c}")
         check_unique_finite(self.ids, self.scores)
@@ -115,16 +117,16 @@ def alpha_beta_estimate(runner: Callable[[np.random.Generator], SvtOutcome],
         raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
     order = np.argsort(truth.ids)
     ids, scores = truth.ids[order], truth.scores[order]
-    low = truth.threshold - alpha
-    high = truth.threshold + alpha
+    # Row 0: wrong if answered negative; row 1: wrong if answered positive.
+    wrong = np.stack((scores > truth.threshold + alpha,
+                      scores < truth.threshold - alpha))
     failures = 0
     for _ in range(trials):
         outcome = runner(rng)
-        at = np.searchsorted(ids, outcome.answer_ids)
-        if not np.array_equal(ids.take(at, mode="clip"), outcome.answer_ids):
+        at = ids.searchsorted(outcome.answer_ids)
+        if np.count_nonzero(ids.take(at, mode="clip") != outcome.answer_ids):
             raise ValueError("an answered id is missing from the ground truth")
-        score = scores[at]
-        bad = np.where(outcome.flags, score < low, score > high).any()
+        bad = np.count_nonzero(wrong[outcome.flags.view(np.uint8), at])
         # Each query is evaluated in traverse 1 exactly once, so these
         # answers count the distinct queries seen.
         unseen = np.count_nonzero(outcome.traverses == 1) < ids.size

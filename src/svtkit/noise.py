@@ -45,8 +45,9 @@ class NoiseDist:
     location: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be positive and finite, "
+                             f"got {self.scale}")
         if not math.isfinite(self.location):
             raise ValueError(f"location must be finite, got {self.location}")
 
@@ -158,25 +159,27 @@ def log_sf(d: NoiseDist, x) -> float | np.ndarray:
 def quantile(d: NoiseDist, p) -> float | np.ndarray:
     """Inverse cdf of ``d`` at probability ``p`` in the open interval (0, 1)."""
     parr = np.asarray(p, dtype=float)
-    if np.any(parr <= 0.0) or np.any(parr >= 1.0):
+    if not np.all((0.0 < parr) & (parr < 1.0)):
         raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
-    return _as_given(_quantile_core(d, parr), p)
+    return _as_given(d.location + d.scale * _STANDARD_QUANTILE[d.kind](parr), p)
 
 
-def _quantile_core(d: NoiseDist, p: np.ndarray) -> np.ndarray:
-    if d.kind is Kind.LAPLACE:
-        with np.errstate(divide="ignore"):
-            out = np.where(p < 0.5,
-                           np.log(2.0 * p),
-                           -np.log(np.clip(2.0 * (1.0 - p), _TINY_U, None)))
-    elif d.kind is Kind.EXPONENTIAL:
-        out = -np.log1p(-p)
-    elif d.kind is Kind.GAUSSIAN:
-        out = ndtri(p)
-    else:
-        with np.errstate(divide="ignore"):
-            out = -np.log(-np.log(p))
-    return d.location + d.scale * out
+def _laplace_quantile(p):
+    if isinstance(p, float):
+        return np.log(2.0 * p) if p < 0.5 else -np.log(2.0 * (1.0 - p))
+    return np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
+
+
+# Quantile of each law at location 0 and scale 1, for p a float or an array
+# in (0, 1). On that range no logarithm's argument reaches zero (the Laplace
+# 2(1 - p) stays at or above 2**-52), so no law needs clipping or an errstate
+# guard, and the Laplace array form may evaluate both branches everywhere.
+_STANDARD_QUANTILE = {
+    Kind.LAPLACE: _laplace_quantile,
+    Kind.EXPONENTIAL: lambda p: -np.log1p(-p),
+    Kind.GAUSSIAN: ndtri,
+    Kind.GUMBEL: lambda p: -np.log(-np.log(p)),
+}
 
 
 def sample(d: NoiseDist, rng: np.random.Generator,
@@ -185,7 +188,8 @@ def sample(d: NoiseDist, rng: np.random.Generator,
 
     Every law samples through its quantile function from a single
     ``rng.random()`` stream, so a fixed seed fixes the entire draw sequence
-    across all distributions.
+    across all distributions. A draw equals ``quantile(d, u)`` bit for bit,
+    with u the uniform raised to the smallest positive double.
 
     Args:
         d: the law to sample.
@@ -195,9 +199,13 @@ def sample(d: NoiseDist, rng: np.random.Generator,
     Returns:
         A float when ``size`` is None, otherwise an array of length ``size``.
     """
-    u = np.maximum(rng.random(size), _TINY_U)
-    out = _quantile_core(d, np.asarray(u, dtype=float))
-    return float(out) if size is None else out
+    std = _STANDARD_QUANTILE[d.kind]
+    if size is None:
+        return float(d.location + d.scale * std(max(rng.random(), _TINY_U)))
+    out = std(np.maximum(rng.random(size), _TINY_U))
+    out *= d.scale
+    out += d.location
+    return out
 
 
 @dataclass(frozen=True)
@@ -224,10 +232,10 @@ def lipschitz_tail_check(d: NoiseDist, k2: float, shift: float,
     exactly zero in double precision are undefined and reported instead of
     evaluated; if every point is skipped the violation is -inf.
     """
-    if shift == 0:
-        raise ValueError("shift must be nonzero")
-    if not k2 > 0:
-        raise ValueError(f"k2 must be positive, got {k2}")
+    if not (math.isfinite(shift) and shift != 0):
+        raise ValueError(f"shift must be finite and nonzero, got {shift}")
+    if not (math.isfinite(k2) and k2 > 0):
+        raise ValueError(f"k2 must be positive and finite, got {k2}")
     xs = np.asarray(grid, dtype=float)
     left = np.asarray(log_sf(d, xs))
     right = np.asarray(log_sf(d, xs + shift))

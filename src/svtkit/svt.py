@@ -19,7 +19,9 @@ from __future__ import annotations
 import enum
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -167,13 +169,13 @@ class SvtConfig:
         if not all(math.isfinite(x) and x > 0
                    for x in (self.delta, self.eps1, self.eps2)):
             raise ValueError("delta, eps1, eps2 must all be positive and finite")
-        if self.c < 1 or self.k_max < 1 or self.max_traverses < 1:
-            raise ValueError("c, k_max, max_traverses must be at least 1")
+        if not all(isinstance(n, numbers.Integral) and n >= 1
+                   for n in (self.c, self.k_max, self.max_traverses, self.k_est)):
+            raise ValueError("c, k_max, max_traverses, k_est must be integers "
+                             "of at least 1")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError(f"alpha must be finite and nonnegative, "
                              f"got {self.alpha}")
-        if self.k_est < 1:
-            raise ValueError(f"k_est must be at least 1, got {self.k_est}")
         if self.variant.query_family == "gaussian":
             if self.delta_dp is None or not 0.0 < self.delta_dp < 1.0:
                 raise ValueError("the Gaussian variant requires delta_dp "
@@ -263,6 +265,14 @@ def correction_term(cfg: SvtConfig) -> float:
     return optimal_correction(query)[0]
 
 
+@lru_cache(maxsize=256)
+def config_laws(cfg: SvtConfig) -> tuple[NoiseDist, NoiseDist, float]:
+    """(threshold law, query law, correction r) of ``cfg``, as given by
+    :func:`noise_pair` and :func:`correction_term`; computed once per
+    distinct config and kept in a bounded memo."""
+    return noise_pair(cfg) + (correction_term(cfg),)
+
+
 def _check_override(noise_override: Callable) -> None:
     params = list(inspect.signature(noise_override).parameters.values())
     if any(p.kind is p.VAR_POSITIONAL for p in params):
@@ -297,8 +307,10 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     if noise_override is not None:
         _check_override(noise_override)
 
-    thr_dist, qry_dist = noise_pair(cfg)
-    r = correction_term(cfg)
+    thr_dist, qry_dist, r = config_laws(cfg)
+    if cfg.correction_override is not None:
+        # Overrides of -0.0 and 0.0 compare equal and share a memo entry.
+        r = float(cfg.correction_override)
 
     redraws = 0
 
@@ -315,7 +327,7 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         if noise_override is not None:
             return np.array([float(noise_override("query", i, traverse))
                              for i in queries.ids[batch].tolist()])
-        return np.atleast_1d(noise_mod.sample(qry_dist, rng, size=batch.size))
+        return noise_mod.sample(qry_dist, rng, size=batch.size)
 
     gaps = queries.scores - queries.thresholds
     pending = np.arange(len(queries))
@@ -372,9 +384,14 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         pending = batch[~flags] if requeue else batch[:0]
         traverse += 1
 
-    return SvtOutcome.trusted(
-        answer_ids=queries.ids[np.concatenate(evaluated)],
-        flags=np.concatenate(flagged),
-        traverses=np.repeat(np.arange(1, len(evaluated) + 1),
-                            [b.size for b in evaluated]),
-        n_c=n_c, n_a=n_a, halt_reason=halt, correction_used=r)
+    if len(evaluated) == 1:
+        ids, flags = queries.ids[evaluated[0]], flagged[0]
+        traverses = np.ones(flags.size, dtype=np.int64)
+    else:
+        ids = queries.ids[np.concatenate(evaluated)]
+        flags = np.concatenate(flagged)
+        traverses = np.repeat(np.arange(1, len(evaluated) + 1),
+                              [b.size for b in evaluated])
+    return SvtOutcome.trusted(answer_ids=ids, flags=flags, traverses=traverses,
+                              n_c=n_c, n_a=n_a, halt_reason=halt,
+                              correction_used=r)

@@ -143,3 +143,9 @@ def test_query_family_mapping():
     assert Variant.LAP.query_family == "laplace"
     assert Variant.GAU.query_family == "gaussian"
     assert Variant.GUM.query_family == "gumbel"
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
+def test_split_rejects_non_finite_or_non_positive_total(eps):
+    with pytest.raises(ValueError):
+        allocation.split(eps, Variant.EXP_OPT_CORR, 5)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from svtkit import metrics
 from svtkit.allocation import Variant
 from svtkit.metrics import GroundTruth
-from svtkit.svt import QueryStream, SvtConfig, run_svt
+from svtkit.svt import HaltReason, QueryStream, SvtConfig, SvtOutcome, run_svt
 
 ITEMS = [(1, 10.0), (2, 9.0), (3, 8.0), (4, 7.0), (5, 1.0)]
 TRUTH3 = GroundTruth.from_items(ITEMS, threshold=5.0, c=3)
@@ -181,3 +181,43 @@ def test_non_finite_alpha_rejected(alpha):
                                     np.random.default_rng(0))
     with pytest.raises(ValueError):
         metrics.accuracy_beta_bound(5, 1.0, alpha)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_truth_threshold_rejected(threshold):
+    with pytest.raises(ValueError):
+        GroundTruth(ranked_ids=(2, 1), scores=(5.0, 1.0), threshold=threshold, c=1)
+    with pytest.raises(ValueError):
+        GroundTruth.from_items(ITEMS, threshold=threshold, c=1)
+
+
+def _scripted(answers):
+    """A runner returning one fixed outcome of (id, flagged) answers, all in
+    traverse 1."""
+    outcome = SvtOutcome([(i, f, 1) for i, f in answers],
+                         [i for i, f in answers if f], n_c=0,
+                         n_a=len(answers), halt_reason=HaltReason.EXHAUSTED,
+                         correction_used=0.0)
+    return lambda rng: outcome
+
+
+@pytest.mark.parametrize("answers, failed", [
+    ([(1, False), (2, True), (3, False)], 0.0),   # every answer right
+    ([(1, True), (2, True), (3, False)], 1.0),    # a low score flagged
+    ([(1, False), (2, False), (3, False)], 1.0),  # a high score unflagged
+    ([(1, False), (3, True), (2, True)], 0.0),    # near threshold: either way
+    ([(1, False), (2, True)], 1.0),               # query 3 never seen
+])
+def test_alpha_beta_trial_check(answers, failed):
+    truth = GroundTruth.from_items([(1, 0.0), (2, 10.0), (3, 5.5)], 5.0, c=1)
+    beta = metrics.alpha_beta_estimate(_scripted(answers), 1.0, truth, 3,
+                                       np.random.default_rng(0))
+    assert beta == failed
+
+
+@pytest.mark.parametrize("answers", [[(4, False)], [(0, True)], [(1, False), (9, False)]])
+def test_alpha_beta_rejects_ids_missing_from_truth(answers):
+    truth = GroundTruth.from_items([(1, 0.0), (2, 10.0), (3, 5.5)], 5.0, c=1)
+    with pytest.raises(ValueError, match="missing"):
+        metrics.alpha_beta_estimate(_scripted(answers), 1.0, truth, 2,
+                                    np.random.default_rng(0))

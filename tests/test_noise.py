@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from svtkit import noise
 
@@ -177,3 +177,82 @@ def test_laplace_density_lipschitz_property(x, shift, b):
     a = math.log(noise.pdf(d, x))
     bb = math.log(noise.pdf(d, x + shift))
     assert abs(a - bb) <= abs(shift) / b + 1e-9
+
+
+NAN, INF = float("nan"), float("inf")
+LAWS = [noise.laplace(1.7), noise.exponential(2.5, location=-0.3),
+        noise.gaussian(0.9, location=4.0), noise.gumbel(3.0)]
+EDGE_U = [0.5, noise._TINY_U, 1.0 - 2.0**-53]
+
+
+def reference_quantile(d, p):
+    """The clipped, both-branch inverse cdf that sampling used before its
+    per-law paths; kept as the oracle of their output bits."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore"):
+        if d.kind is noise.Kind.LAPLACE:
+            out = np.where(p < 0.5, np.log(2.0 * p),
+                           -np.log(np.clip(2.0 * (1.0 - p), noise._TINY_U, None)))
+        elif d.kind is noise.Kind.EXPONENTIAL:
+            out = -np.log1p(-p)
+        elif d.kind is noise.Kind.GAUSSIAN:
+            out = special.ndtri(p)
+        else:
+            out = -np.log(-np.log(p))
+    return d.location + d.scale * out
+
+
+class FixedUniform:
+    """Stands in for a Generator whose uniform stream is ``values``."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.kind.value)
+def test_sample_paths_bit_identical_to_quantile(d):
+    u = EDGE_U + np.random.default_rng(7).random(10_000).tolist()
+    want = bits(reference_quantile(d, u))
+    assert np.array_equal(bits(noise.quantile(d, u)), want)
+    assert np.array_equal(bits(noise.sample(d, FixedUniform(u), size=len(u))), want)
+    scalars = [noise.sample(d, FixedUniform([x])) for x in u]
+    assert all(type(x) is float for x in scalars)
+    assert np.array_equal(bits(scalars), want)
+    assert np.array_equal(bits([noise.quantile(d, x) for x in EDGE_U]), want[:3])
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.kind.value)
+def test_sample_raises_a_zero_uniform_to_the_smallest_double(d):
+    want = bits(noise.quantile(d, noise._TINY_U))
+    assert bits(noise.sample(d, FixedUniform([0.0]))) == want
+    assert bits(noise.sample(d, FixedUniform([0.0]), size=1)) == want
+
+
+@pytest.mark.parametrize("p", [NAN, [0.5, NAN], INF, -INF])
+def test_quantile_rejects_non_finite(p):
+    with pytest.raises(ValueError):
+        noise.quantile(noise.laplace(1.0), p)
+
+
+@pytest.mark.parametrize("scale", [INF, NAN, -INF])
+def test_scale_must_be_finite(scale):
+    with pytest.raises(ValueError):
+        noise.NoiseDist(noise.Kind.LAPLACE, scale)
+
+
+@pytest.mark.parametrize("k2, shift", [(INF, 1.0), (NAN, 1.0), (1.0, NAN),
+                                       (1.0, INF), (1.0, -INF)])
+def test_tail_check_rejects_non_finite(k2, shift):
+    with pytest.raises(ValueError):
+        noise.lipschitz_tail_check(noise.laplace(1.0), k2=k2, shift=shift,
+                                   grid=[0.0, 1.0])

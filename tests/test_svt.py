@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from svtkit import allocation, correction, noise
+from svtkit import allocation, correction, noise, svt
 from svtkit.allocation import Variant
 from svtkit.svt import (HaltReason, QueryStream, SvtConfig, SvtOutcome,
                         correction_term, effective_lambda, noise_pair,
@@ -378,3 +378,86 @@ def test_empirical_privacy_ratio_single_comparison():
     rel_err = math.sqrt((1 - p_low) / (p_low * n) + (1 - p_high) / (p_high * n))
     bound = math.exp(cfg.eps1 + cfg.eps2 / cfg.c)
     assert ratio <= bound * (1 + 3 * rel_err)
+
+
+@pytest.mark.parametrize("field", ["c", "k_max", "max_traverses", "k_est"])
+@pytest.mark.parametrize("value", [1.5, 2.0, NAN, INF, "3"])
+def test_count_fields_must_be_integers(field, value):
+    with pytest.raises(ValueError):
+        cfg_with(**{field: value})
+
+
+def test_count_fields_accept_numpy_integers():
+    cfg = cfg_with(c=np.int64(2), k_max=np.int32(10), max_traverses=np.int64(3),
+                   k_est=np.uint8(4), append=True)
+    out = run_svt(stream([600.0, 400.0, 550.0]), cfg, np.random.default_rng(0))
+    assert out.n_a <= 10
+
+
+# --- the per-config memo ------------------------------------------------------
+
+MEMO_RUNS = [dict(), dict(resample=True, c=3),
+             dict(append=True, max_traverses=4, c=3),
+             dict(append=True, max_traverses=3, resample=True, c=2)]
+
+
+def memo_cfg(variant, kw):
+    return cfg_with(variant=variant, k_max=60, k_est=20, alpha=2.0,
+                    delta_dp=0.01 if variant is Variant.GAU else None, **kw)
+
+
+def memo_stream():
+    scores = np.random.default_rng(5).normal(500.0, 6.0, 25)
+    return stream(scores.tolist())
+
+
+def evict(cfg):
+    """Fill the memo with other configs until ``cfg`` has been pushed out."""
+    size = svt.config_laws.cache_info().maxsize
+    for k in range(1, size + 1):
+        svt.config_laws(cfg_with(k_max=10_000 + k))
+
+
+@pytest.mark.parametrize("kw", MEMO_RUNS)
+@pytest.mark.parametrize("variant", list(Variant))
+def test_memo_cold_warm_and_evicted_runs_agree(variant, kw):
+    cfg, s = memo_cfg(variant, kw), memo_stream()
+    svt.config_laws.cache_clear()
+    cold = run_svt(s, cfg, np.random.default_rng(11))
+    warm = run_svt(s, cfg, np.random.default_rng(11))
+    evict(cfg)
+    misses = svt.config_laws.cache_info().misses
+    evicted = run_svt(s, cfg, np.random.default_rng(11))
+    assert svt.config_laws.cache_info().misses == misses + 1
+    assert cold == warm == evicted
+    assert cold.correction_used == correction_term(cfg)
+    assert all(o.traverses.dtype == np.int64 for o in (cold, warm, evicted))
+
+
+def test_memo_computes_laws_once_per_config(monkeypatch):
+    cfg = memo_cfg(Variant.EXP_OPT_CORR, {})
+    svt.config_laws.cache_clear()
+    calls = []
+    real = svt.correction_term
+    monkeypatch.setattr(svt, "correction_term",
+                        lambda c: calls.append(c) or real(c))
+    for seed in range(5):
+        run_svt(memo_stream(), cfg, np.random.default_rng(seed))
+    run_svt(memo_stream(), memo_cfg(Variant.EXP_OPT_CORR, {}),
+            np.random.default_rng(0))  # an equal config shares the entry
+    assert calls == [cfg]
+    assert svt.config_laws(cfg) == noise_pair(cfg) + (real(cfg),)
+
+
+def test_memo_keeps_override_zero_apart_from_none():
+    base = dict(variant=Variant.EXP_MEAN_CORR)
+    plain, zero = cfg_with(**base), cfg_with(correction_override=0.0, **base)
+    svt.config_laws.cache_clear()
+    r_plain = run_svt(stream([500.0]), plain, np.random.default_rng(1)).correction_used
+    r_zero = run_svt(stream([500.0]), zero, np.random.default_rng(1)).correction_used
+    assert svt.config_laws.cache_info().currsize == 2
+    assert r_plain == noise_pair(plain)[1].mean() and r_zero == 0.0
+    negative = run_svt(stream([500.0]), cfg_with(correction_override=-0.0, **base),
+                       np.random.default_rng(1)).correction_used
+    assert math.copysign(1.0, negative) == -1.0
+
