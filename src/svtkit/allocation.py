@@ -14,6 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from . import checks
 from .noise import Kind, law_variance
 
 _SPLIT_TOL = 1e-12
@@ -66,8 +67,9 @@ class BudgetSplit:
     monotonic: bool
 
     def __post_init__(self) -> None:
-        if not (self.eps_total > 0 and self.w > 0):
-            raise ValueError("eps_total and w must be positive")
+        checks.positive(eps_total=self.eps_total, w=self.w, eps1=self.eps1,
+                        eps2=self.eps2)
+        checks.flag(monotonic=self.monotonic)
         if abs(self.eps1 + self.eps2 - self.eps_total) > _SPLIT_TOL * self.eps_total:
             raise ValueError("eps1 + eps2 must equal eps_total")
         if abs(self.eps2 - self.w * self.eps1) > _SPLIT_TOL * max(self.eps2, 1.0):
@@ -86,8 +88,8 @@ def optimal_w(variant: Variant, c: int, monotonic: bool = False) -> float:
     Returns:
         The variance-minimizing w for this variant and c.
     """
-    if c < 1:
-        raise ValueError(f"c must be at least 1, got {c}")
+    checks.count(1, c=c)
+    checks.flag(monotonic=monotonic)
     effective = _W_COEFF[variant.query_family] * c * (0.5 if monotonic else 1.0)
     return effective ** (2.0 / 3.0)
 
@@ -95,9 +97,7 @@ def optimal_w(variant: Variant, c: int, monotonic: bool = False) -> float:
 def split(eps_total: float, variant: Variant, c: int,
           monotonic: bool = False) -> BudgetSplit:
     """Split a total budget at the variant's optimal ratio."""
-    if not (math.isfinite(eps_total) and eps_total > 0):
-        raise ValueError(f"eps_total must be positive and finite, "
-                         f"got {eps_total}")
+    checks.positive(eps_total=eps_total)
     w = optimal_w(variant, c, monotonic)
     eps1 = eps_total / (1.0 + w)
     return BudgetSplit(eps_total=eps_total, w=w, eps1=eps1,
@@ -107,13 +107,20 @@ def split(eps_total: float, variant: Variant, c: int,
 
 def gaussian_kappa(delta_dp: float) -> float:
     """Calibration constant for the Gaussian baseline: sigma = kappa*delta/eps."""
-    if delta_dp is None or not 0.0 < delta_dp < 1.0:
-        raise ValueError(f"delta_dp must lie in (0, 1), got {delta_dp}")
+    checks.probability(delta_dp=delta_dp)
     return math.sqrt(2.0 * math.log(1.25 / delta_dp))
 
 
 def query_sensitivity(c: int, delta: float, monotonic: bool = False) -> float:
     """Query-noise sensitivity: 2c*delta, or c*delta when monotonic."""
+    checks.count(1, c=c)
+    checks.positive(delta=delta)
+    checks.flag(monotonic=monotonic)
+    return _sensitivity(c, delta, monotonic)
+
+
+def _sensitivity(c: int, delta: float, monotonic: bool) -> float:
+    """Unchecked: :func:`calibrate` checks these itself, once per call."""
     return (c if monotonic else 2 * c) * delta
 
 
@@ -128,12 +135,10 @@ def calibrate(variant: Variant, eps1: float, eps2: float, c: int, delta: float,
     ignored elsewhere. The query noise comes from the variant's family at
     scale query_sensitivity/eps2, times kappa for the Gaussian.
     """
-    if not (0 < eps1 < math.inf and 0 < eps2 < math.inf
-            and 0 < delta < math.inf):
-        raise ValueError("eps1, eps2, delta must all be positive and finite")
-    if c < 1:
-        raise ValueError(f"c must be at least 1, got {c}")
-    scale = query_sensitivity(c, delta, monotonic) / eps2
+    checks.positive(eps1=eps1, eps2=eps2, delta=delta)
+    checks.count(1, c=c)
+    checks.flag(monotonic=monotonic)
+    scale = _sensitivity(c, delta, monotonic) / eps2
     kind = _QUERY_KIND[variant]
     if kind is Kind.GAUSSIAN:
         kappa = gaussian_kappa(delta_dp)

@@ -1,0 +1,75 @@
+"""The input contract: every public constructor and function checks its
+scalar parameters here, once per call, and raises ``ValueError`` naming the
+field. Each rule takes keyword arguments, as in
+``positive(eps1=eps1, eps2=eps2)``. A ``bool`` is never a number here;
+numpy scalars are. Evaluation points (the arrays a cdf or a success curve
+is read at) are not checked: NaN in gives NaN out.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+from functools import partial
+
+import numpy as np
+
+_BOOLS = (bool, np.bool_)
+
+
+def _real(x) -> bool:
+    """A real number that is not a bool; the rules test ``float`` first, as
+    the common case (numpy float64 included) needs no ABC lookup."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _reject(name: str, x, rule: str):
+    raise ValueError(f"{name} must be {rule}, got {x!r}")
+
+
+def within(low: float, high: float, /, **values) -> None:
+    """Each value is a real number in the open interval (low, high)."""
+    for name, x in values.items():
+        if not ((isinstance(x, float) or _real(x)) and low < x < high):
+            _reject(name, x, f"a number in ({low}, {high})")
+
+
+def positive(**values) -> None:
+    """``within(0, inf)``, spelled out: budget splits call it in tight loops."""
+    for name, x in values.items():
+        if not ((isinstance(x, float) or _real(x)) and 0 < x < math.inf):
+            _reject(name, x, "a number in (0, inf)")
+
+
+def nonnegative(**values) -> None:
+    for name, x in values.items():
+        if not ((isinstance(x, float) or _real(x)) and 0 <= x < math.inf):
+            _reject(name, x, "a number in [0, inf)")
+
+
+finite = partial(within, -math.inf, math.inf)
+probability = partial(within, 0, 1)
+
+
+def count(least: int, /, **values) -> None:
+    """Each value is an integer, numpy ints included, of at least ``least``."""
+    for name, x in values.items():
+        if not (type(x) is int or isinstance(x, numbers.Integral)
+                and not isinstance(x, bool)) or x < least:
+            _reject(name, x, f"an integer of at least {least}")
+
+
+def flag(**values) -> None:
+    for name, x in values.items():
+        if not isinstance(x, _BOOLS):
+            _reject(name, x, "a bool")
+
+
+def unique_finite(ids: np.ndarray, *values: np.ndarray) -> None:
+    """Reject misaligned arrays, repeated ids and NaN or infinite values."""
+    if any(v.size != ids.size for v in values):
+        raise ValueError("ids and their values must align")
+    if ids.size > 1 and np.unique(ids).size != ids.size:
+        raise ValueError("ids must be unique")
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("scores and thresholds must be finite")

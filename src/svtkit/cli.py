@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -29,7 +28,7 @@ from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import allocation, correction, data, metrics, noise
+from . import allocation, checks, correction, data, metrics, noise
 from .allocation import Variant
 from .svt import QueryStream, SvtConfig, run_svt
 
@@ -72,27 +71,28 @@ class ExperimentConfig:
     output: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not self.variants or not self.eps_values:
-            raise ValueError("variants and eps_values must be nonempty")
+        if not (self.variants and self.eps_values and self.traverses):
+            raise ValueError("variants, eps_values and traverses must be "
+                             "nonempty")
         unknown = [v for v in self.variants if v not in VARIANT_TOKENS]
         if unknown:
             raise ValueError(f"unknown variants {unknown}; "
                              f"choose from {VARIANT_TOKENS}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if not all(math.isfinite(x) and x > 0
-                   for x in (*self.eps_values, self.delta)):
-            raise ValueError("eps values and delta must be positive and finite")
+        checks.positive(delta=self.delta)
+        for eps in self.eps_values:
+            checks.positive(eps_values=eps)
+        for trav in self.traverses:
+            checks.count(1, traverses=trav)
+        checks.nonnegative(alpha=self.alpha)
+        checks.count(1, c=self.c, repetitions=self.repetitions,
+                     n_items=self.n_items)
+        checks.count(0, seed=self.seed, n_positive=self.n_positive)
+        if self.k_est is not None:
+            checks.count(1, k_est=self.k_est)
+        checks.flag(resample=self.resample, append=self.append,
+                    monotonic=self.monotonic)
         if len({_eps_key(e) for e in self.eps_values}) < len(self.eps_values):
             raise ValueError("eps values closer than 1e-9 share a random stream")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError("alpha must be finite and nonnegative")
-        if self.c < 1:
-            raise ValueError("c must be at least 1")
-        if not self.traverses or any(t < 1 for t in self.traverses):
-            raise ValueError("traverses must be nonempty, each at least 1")
 
 
 def load_dataset(cfg: ExperimentConfig) -> data.ScoredDataset:
@@ -117,6 +117,9 @@ def cell_rng(seed: int, eps: float, variant: str, traverses: int,
     Keyed by the cell's values (not loop indices), so a single-cell re-run
     of any row reproduces it exactly.
     """
+    checks.count(0, seed=seed, repetition=repetition)
+    checks.count(1, traverses=traverses)
+    checks.positive(eps=eps)
     entropy = (int(seed), _VARIANT_KEY[variant], _eps_key(eps),
                int(traverses), int(repetition))
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))
@@ -217,13 +220,12 @@ def emit_correction_table(eps_values: Sequence[float], c: int, alpha: float,
     rows = []
     for eps in eps_values:
         split = allocation.split(eps, Variant.EXP_OPT_CORR, c, monotonic)
-        lam = split.eps2 / allocation.query_sensitivity(c, delta, monotonic)
-        query = correction.CorrectionQuery(b=delta / split.eps1, lam=lam,
-                                           alpha=alpha, k=k_est, m=m, e=e)
+        query = correction.CorrectionQuery.from_budget(
+            split.eps1, split.eps2, c, delta, monotonic, alpha, k_est, m=m, e=e)
         r_op, p_op = correction.optimal_correction(query)
         rows.append({"eps": eps, "w": split.w, "eps1": split.eps1,
-                     "eps2": split.eps2, "lambda": lam, "k": k_est,
-                     "alpha": alpha, "mean_correction": 1.0 / lam,
+                     "eps2": split.eps2, "lambda": query.lam, "k": k_est,
+                     "alpha": alpha, "mean_correction": 1.0 / query.lam,
                      "optimal_correction": r_op, "success_probability": p_op})
     return rows
 
@@ -312,10 +314,9 @@ def _series_correction_sweep(eps: float = 0.1, c: int = 50,
                              r_max: Optional[float] = None,
                              points: int = 501) -> list[dict]:
     split = allocation.split(eps, Variant.EXP_OPT_CORR, c, monotonic)
-    lam = split.eps2 / allocation.query_sensitivity(c, delta, monotonic)
-    mean = 1.0 / lam
-    query = correction.CorrectionQuery(b=delta / split.eps1, lam=lam,
-                                       alpha=alpha, k=k)
+    query = correction.CorrectionQuery.from_budget(
+        split.eps1, split.eps2, c, delta, monotonic, alpha, k)
+    mean = 1.0 / query.lam
     grid = np.linspace(-2 * mean if r_min is None else r_min,
                        8 * mean if r_max is None else r_max, points)
     return [{"r": r, "p": p} for r, p in correction.correction_sweep(query, grid)]

@@ -28,7 +28,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.signal import fftconvolve
 
-from . import noise
+from . import checks, noise
+from .allocation import query_sensitivity
 from .noise import NoiseDist, _as_given
 
 DEFAULT_MESH_COUNT = 20001
@@ -101,17 +102,22 @@ class CorrectionQuery:
     e: float = DEFAULT_TAIL_MASS
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(x) and x > 0 for x in (self.b, self.lam)):
-            raise ValueError("b and lam must be positive and finite")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be finite and nonnegative, "
-                             f"got {self.alpha}")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.m < 2:
-            raise ValueError(f"m must be at least 2, got {self.m}")
-        if not 0.0 < self.e < 0.5:
-            raise ValueError(f"e must lie in (0, 0.5), got {self.e}")
+        checks.positive(b=self.b, lam=self.lam)
+        checks.nonnegative(alpha=self.alpha)
+        checks.count(1, k=self.k)
+        checks.count(2, m=self.m)
+        checks.within(0.0, 0.5, e=self.e)
+
+    @classmethod
+    def from_budget(cls, eps1: float, eps2: float, c: int, delta: float,
+                    monotonic: bool, alpha: float, k: int,
+                    m: int = DEFAULT_MESH_COUNT,
+                    e: float = DEFAULT_TAIL_MASS) -> "CorrectionQuery":
+        """The query of the optimally corrected exponential variant:
+        b = delta/eps1 and lam = eps2/query_sensitivity(c, delta, monotonic)."""
+        checks.positive(eps1=eps1, eps2=eps2)
+        lam = eps2 / query_sensitivity(c, delta, monotonic)
+        return cls(b=delta / eps1, lam=lam, alpha=alpha, k=k, m=m, e=e)
 
 
 def discretize(d: NoiseDist, m: int, B: float) -> DiscretePmf:
@@ -121,10 +127,8 @@ def discretize(d: NoiseDist, m: int, B: float) -> DiscretePmf:
     -(m-1)u and at or above (m-1)u goes to the brackets. The pieces
     telescope, so total mass is exactly 1 up to float summation.
     """
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
-    if not B > 0:
-        raise ValueError(f"B must be positive, got {B}")
+    checks.count(2, m=m)
+    checks.positive(B=B)
     u = B / (m - 1)
     edges = np.arange(-m + 1, m) * u  # 2m-1 edges for 2m-2 chunks
     cdf_edges = np.asarray(noise.cdf(d, edges))
@@ -182,16 +186,14 @@ def _rate_to_mean(b: float, lam: float) -> float:
 
 def difference_cdf(z, b: float, lam: float) -> float | np.ndarray:
     """Closed-form cdf of Z = X - Y, X ~ Exp(rate lam), Y ~ Laplace(b)."""
-    if not (b > 0 and lam > 0):
-        raise ValueError("b and lam must be positive")
+    checks.positive(b=b, lam=lam)
     cdf, _ = _difference_cdf_sf(z, b, _rate_to_mean(b, lam))
     return _as_given(cdf, z)
 
 
 def difference_sf(z, b: float, lam: float) -> float | np.ndarray:
     """Closed-form survival 1 - cdf of Z = X - Y, cancellation-free tails."""
-    if not (b > 0 and lam > 0):
-        raise ValueError("b and lam must be positive")
+    checks.positive(b=b, lam=lam)
     _, sf = _difference_cdf_sf(z, b, _rate_to_mean(b, lam))
     return _as_given(sf, z)
 
@@ -325,8 +327,9 @@ def correction_sweep(q: CorrectionQuery, r_grid) -> list[tuple[float, float]]:
     Points outside the discretized support are evaluated against the step
     cdf's flat extensions (0 below, 1 minus the bracket above), which is
     the honest reading of the grid; keep the grid inside the support for
-    plot-quality values.
+    plot-quality values. A NaN r gives a NaN p.
     """
     rarr = np.asarray(r_grid, dtype=float)
     p = _grid_success(q, rarr)
+    p[np.isnan(rarr)] = np.nan
     return [(float(r), float(v)) for r, v in zip(rarr, p)]

@@ -10,7 +10,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .svt import QueryStream, Record, check_unique_finite, columns, frozen
+from . import checks
+from .svt import QueryStream, Record, columns, frozen
 
 BINARY_THRESHOLD = 500.0
 ZIPF_THRESHOLD = 200.0
@@ -59,9 +60,8 @@ class ScoredDataset(Record):
                           threshold=threshold)
         if self.ids.size == 0:
             raise ValueError("a dataset needs at least one item")
-        check_unique_finite(self.ids, self.scores)
-        if not np.isfinite(self.threshold):
-            raise ValueError(f"threshold must be finite, got {self.threshold}")
+        checks.unique_finite(self.ids, self.scores)
+        checks.finite(threshold=self.threshold)
 
     @property
     def items(self) -> Items:
@@ -74,10 +74,10 @@ class ScoredDataset(Record):
 
 def gen_binary(n_items: int = 10000, n_positive: int = 100) -> ScoredDataset:
     """Two-level synthetic dataset: n_positive items score 1000, the rest 0."""
+    checks.count(1, n_items=n_items)
+    checks.count(0, n_positive=n_positive)
     if n_positive > n_items:
         raise ValueError(f"n_positive={n_positive} exceeds n_items={n_items}")
-    if n_items < 1 or n_positive < 0:
-        raise ValueError("need n_items >= 1 and n_positive >= 0")
     ids = np.arange(1, n_items + 1)
     return ScoredDataset("binary",
                          Items(ids, np.where(ids <= n_positive, 1000.0, 0.0)),
@@ -86,8 +86,7 @@ def gen_binary(n_items: int = 10000, n_positive: int = 100) -> ScoredDataset:
 
 def gen_zipf(n_items: int = 10000) -> ScoredDataset:
     """Power-law synthetic dataset: item i scores 10000/i."""
-    if n_items < 1:
-        raise ValueError(f"need n_items >= 1, got {n_items}")
+    checks.count(1, n_items=n_items)
     # IEEE division is correctly rounded, so each score is bit-identical
     # to the Python float 10000.0 / i.
     ids = np.arange(1, n_items + 1)
@@ -101,6 +100,7 @@ def ingest_transactions(path: str | Path, threshold: float) -> ScoredDataset:
     nonnegative integer item ids; a duplicated id inside a line still
     counts once. Items come out sorted by id.
     """
+    checks.finite(threshold=threshold)
     path = Path(path)
     counts: Counter[int] = Counter()
     with open(path, "r", encoding="utf-8") as fh:

@@ -15,8 +15,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import checks
 from .data import Items
-from .svt import Record, SvtOutcome, check_unique_finite, frozen
+from .svt import Record, SvtOutcome, frozen
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -34,13 +35,12 @@ class GroundTruth(Record):
     c: int
 
     def __init__(self, ranked_ids, scores, threshold: float, c: int) -> None:
+        checks.finite(threshold=threshold)
+        checks.count(1, c=c)
         vars(self).update(ids=frozen(ranked_ids, np.int64),
-                          scores=frozen(scores, float), threshold=threshold, c=c)
-        if not math.isfinite(self.threshold):
-            raise ValueError(f"threshold must be finite, got {self.threshold}")
-        if self.c < 1:
-            raise ValueError(f"c must be at least 1, got {self.c}")
-        check_unique_finite(self.ids, self.scores)
+                          scores=frozen(scores, float),
+                          threshold=float(threshold), c=c)
+        checks.unique_finite(self.ids, self.scores)
         s, i = self.scores, self.ids
         if not ((s[:-1] > s[1:]) | ((s[:-1] == s[1:]) & (i[:-1] < i[1:]))).all():
             raise ValueError("ranking must be score-descending with "
@@ -52,7 +52,7 @@ class GroundTruth(Record):
         items = Items.of(items)
         order = np.lexsort((items.ids, -items.scores))
         return cls(ranked_ids=items.ids[order], scores=items.scores[order],
-                   threshold=float(threshold), c=c)
+                   threshold=threshold, c=c)
 
     @property
     def ranked_ids(self) -> tuple[int, ...]:
@@ -111,10 +111,8 @@ def alpha_beta_estimate(runner: Callable[[np.random.Generator], SvtOutcome],
     Returns:
         The fraction of failed trials.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    checks.count(1, trials=trials)
+    checks.nonnegative(alpha=alpha)
     order = np.argsort(truth.ids)
     ids, scores = truth.ids[order], truth.scores[order]
     # Row 0: wrong if answered negative; row 1: wrong if answered positive.
@@ -138,15 +136,16 @@ def accuracy_alpha_bound(k: int, eps: float, beta: float) -> float:
     """Tolerance guaranteeing failure rate at most beta for the corrected
     exponential mechanism with c=1, unit sensitivity, and an even split:
     alpha = 4(ln k + ln(2/beta))/eps."""
-    if k < 1 or not (math.isfinite(eps) and eps > 0) or not 0.0 < beta < 1.0:
-        raise ValueError("need k >= 1, eps > 0, beta in (0, 1)")
+    checks.count(1, k=k)
+    checks.positive(eps=eps)
+    checks.probability(beta=beta)
     return 4.0 * (math.log(k) + math.log(2.0 / beta)) / eps
 
 
 def accuracy_beta_bound(k: int, eps: float, alpha: float) -> float:
     """Inverse of :func:`accuracy_alpha_bound`: beta = 2k exp(-alpha eps/4),
     capped at 1."""
-    if k < 1 or not (math.isfinite(eps) and eps > 0
-                     and math.isfinite(alpha) and alpha >= 0):
-        raise ValueError("need k >= 1, finite eps > 0, finite alpha >= 0")
+    checks.count(1, k=k)
+    checks.positive(eps=eps)
+    checks.nonnegative(alpha=alpha)
     return min(1.0, 2.0 * k * math.exp(-alpha * eps / 4.0))

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
+from . import checks
+
 EULER_GAMMA = 0.5772156649015329
 
 # Smallest positive double; keeps inverse-cdf sampling finite if the
@@ -45,11 +47,8 @@ class NoiseDist:
     location: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive and finite, "
-                             f"got {self.scale}")
-        if not math.isfinite(self.location):
-            raise ValueError(f"location must be finite, got {self.location}")
+        checks.positive(scale=self.scale)
+        checks.finite(location=self.location)
 
     def mean(self) -> float:
         if self.kind is Kind.EXPONENTIAL:
@@ -232,10 +231,8 @@ def lipschitz_tail_check(d: NoiseDist, k2: float, shift: float,
     exactly zero in double precision are undefined and reported instead of
     evaluated; if every point is skipped the violation is -inf.
     """
-    if not (math.isfinite(shift) and shift != 0):
-        raise ValueError(f"shift must be finite and nonzero, got {shift}")
-    if not (math.isfinite(k2) and k2 > 0):
-        raise ValueError(f"k2 must be positive and finite, got {k2}")
+    checks.finite(shift=shift)
+    checks.positive(k2=k2, abs_shift=abs(shift))
     xs = np.asarray(grid, dtype=float)
     left = np.asarray(log_sf(d, xs))
     right = np.asarray(log_sf(d, xs + shift))

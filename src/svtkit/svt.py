@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import enum
 import inspect
-import math
-import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import checks
 from . import noise as noise_mod
 from .allocation import Variant, calibrate, query_sensitivity
 from .correction import CorrectionQuery, optimal_correction
@@ -66,16 +65,6 @@ def columns(rows: Iterable[Sequence], dtypes: Sequence) -> list[np.ndarray]:
             for k, dtype in enumerate(dtypes)]
 
 
-def check_unique_finite(ids: np.ndarray, *values: np.ndarray) -> None:
-    """Reject misaligned arrays, repeated ids and NaN or infinite values."""
-    if any(v.size != ids.size for v in values):
-        raise ValueError("ids and their values must align")
-    if np.unique(ids).size != ids.size:
-        raise ValueError("ids must be unique")
-    if not all(np.isfinite(v).all() for v in values):
-        raise ValueError("scores and thresholds must be finite")
-
-
 class Record:
     """Base of the frozen array dataclasses: fields are set once in
     ``__init__`` or ``trusted``, and ``==`` compares each, arrays elementwise."""
@@ -108,13 +97,17 @@ class QueryStream(Record):
     def __init__(self, entries: Iterable[Sequence]) -> None:
         ids, scores, thresholds = columns(entries, (np.int64, float, float))
         vars(self).update(ids=ids, scores=scores, thresholds=thresholds)
-        check_unique_finite(ids, scores, thresholds)
+        checks.unique_finite(ids, scores, thresholds)
 
     @classmethod
     def with_threshold(cls, scored: Iterable[tuple[int, float]],
                        threshold: float) -> "QueryStream":
         """Build a stream where every query shares one threshold."""
-        return cls((i, s, threshold) for i, s in scored)
+        checks.finite(threshold=threshold)
+        ids, scores = columns(scored, (np.int64, float))
+        checks.unique_finite(ids, scores)
+        thresholds = frozen(np.full(ids.size, threshold, dtype=float), float)
+        return cls.trusted(ids=ids, scores=scores, thresholds=thresholds)
 
     def __len__(self) -> int:
         return self.ids.size
@@ -166,20 +159,16 @@ class SvtConfig:
     delta_dp: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(x) and x > 0
-                   for x in (self.delta, self.eps1, self.eps2)):
-            raise ValueError("delta, eps1, eps2 must all be positive and finite")
-        if not all(isinstance(n, numbers.Integral) and n >= 1
-                   for n in (self.c, self.k_max, self.max_traverses, self.k_est)):
-            raise ValueError("c, k_max, max_traverses, k_est must be integers "
-                             "of at least 1")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be finite and nonnegative, "
-                             f"got {self.alpha}")
+        checks.positive(delta=self.delta, eps1=self.eps1, eps2=self.eps2)
+        checks.count(1, c=self.c, k_max=self.k_max,
+                     max_traverses=self.max_traverses, k_est=self.k_est)
+        checks.nonnegative(alpha=self.alpha)
+        checks.flag(resample=self.resample, append=self.append,
+                    monotonic=self.monotonic)
+        if self.correction_override is not None:
+            checks.finite(correction_override=self.correction_override)
         if self.variant.query_family == "gaussian":
-            if self.delta_dp is None or not 0.0 < self.delta_dp < 1.0:
-                raise ValueError("the Gaussian variant requires delta_dp "
-                                 "in (0, 1)")
+            checks.probability(delta_dp=self.delta_dp)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -257,11 +246,10 @@ def correction_term(cfg: SvtConfig) -> float:
     v = cfg.variant
     if v in (Variant.LAP, Variant.GAU, Variant.EXP_NO_CORR):
         return 0.0
-    thr, qry = noise_pair(cfg)
     if v in (Variant.GUM, Variant.EXP_MEAN_CORR):
-        return qry.mean()
-    query = CorrectionQuery(b=thr.scale, lam=effective_lambda(cfg),
-                            alpha=cfg.alpha, k=cfg.k_est)
+        return noise_pair(cfg)[1].mean()
+    query = CorrectionQuery.from_budget(cfg.eps1, cfg.eps2, cfg.c, cfg.delta,
+                                        cfg.monotonic, cfg.alpha, cfg.k_est)
     return optimal_correction(query)[0]
 
 
@@ -274,15 +262,11 @@ def config_laws(cfg: SvtConfig) -> tuple[NoiseDist, NoiseDist, float]:
 
 
 def _check_override(noise_override: Callable) -> None:
-    params = list(inspect.signature(noise_override).parameters.values())
-    if any(p.kind is p.VAR_POSITIONAL for p in params):
-        return
-    positional = [p for p in params
-                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-    required = [p for p in positional if p.default is p.empty]
-    if len(required) > 3 or len(positional) < 3:
+    try:
+        inspect.signature(noise_override).bind("threshold", -1, 0)
+    except TypeError:
         raise ValueError("noise_override must be callable as "
-                         "(role, query_id, traverse)")
+                         "(role, query_id, traverse)") from None
 
 
 def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,

@@ -1,0 +1,368 @@
+"""The input contract: every public parameter is checked by svtkit.checks.
+
+REGISTRY lists each (entry point, field) pair with the rule it follows and
+valid base values for the other fields. Hypothesis draws, per row, values
+the rule rejects (the call must raise ValueError) and values it accepts
+(the call must succeed). ``test_registry_is_complete`` fails when a public
+class or function of ``svtkit`` has neither a row nor an exemption with a
+reason, so a new entry point cannot ship unchecked.
+"""
+
+import functools
+import math
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import svtkit
+from svtkit import allocation, cli, correction, data, metrics, noise
+from svtkit.allocation import Variant
+from svtkit.noise import Kind
+from svtkit.svt import QueryStream, SvtConfig, run_svt
+
+NAN, INF = math.nan, math.inf
+NOT_NUMBERS = (True, False, np.bool_(True), "1", None, [1.0], 1j)
+
+
+def _reals(low, high, **kw):
+    """Floats in [low, high], as Python floats or numpy float64."""
+    floats = st.floats(low, high, allow_nan=False, **kw)
+    return floats | floats.map(np.float64)
+
+
+def _counts(least):
+    ints = st.integers(least, least + 20)
+    return ints | ints.map(np.int64)
+
+
+Rule = namedtuple("Rule", "accepted rejected")
+
+
+FINITE = Rule(_reals(-1e6, 1e6) | st.integers(-10**6, 10**6),
+              st.sampled_from((NAN, INF, -INF, np.float64(NAN)) + NOT_NUMBERS))
+POSITIVE = Rule(_reals(1e-3, 1e3) | st.integers(1, 1000),
+                st.sampled_from((NAN, INF, -INF, 0, 0.0, -0.0) + NOT_NUMBERS)
+                | st.floats(max_value=-1e-300))
+NONNEGATIVE = Rule(_reals(0.0, 1e3) | st.integers(0, 1000),
+                   st.sampled_from((NAN, INF, -INF) + NOT_NUMBERS)
+                   | st.floats(max_value=-1e-300))
+NONZERO = Rule(_reals(1e-3, 1e3) | _reals(-1e3, -1e-3),
+               st.sampled_from((0, 0.0, NAN, INF, -INF) + NOT_NUMBERS))
+PROBABILITY = Rule(_reals(0.0, 1.0, exclude_min=True, exclude_max=True),
+                   st.sampled_from((0, 0.0, 1, 1.0, NAN, INF, -INF)
+                                   + NOT_NUMBERS)
+                   | st.floats(min_value=1.0) | st.floats(max_value=0.0))
+TAIL = Rule(_reals(0.0, 0.5, exclude_min=True, exclude_max=True),
+            st.sampled_from((0.0, 0.5, 1.0, NAN, INF, -1.0) + NOT_NUMBERS))
+FLAG = Rule(st.booleans() | st.booleans().map(np.bool_),
+            st.sampled_from(("no", "", 0, 1, 2, 1.0, NAN, None)))
+# Array elements: ids must be unique and values finite; they are converted
+# with numpy's own casting, so only non-finite values are rejected.
+ELEMENT = Rule(_reals(-1e6, 1e6), st.sampled_from((NAN, INF, -INF)))
+
+
+def count(least):
+    bad = (NAN, INF, -INF, least + 0.5, float(least + 1), least - 1, -1,
+           np.float64(least + 1), "3", None, True, False)
+    return Rule(_counts(least), st.sampled_from(bad)
+                | st.integers(max_value=least - 1))
+
+
+def optional(rule):
+    """A field that also takes None, meaning "not set"."""
+    return Rule(rule.accepted | st.none(),
+                rule.rejected.filter(lambda x: x is not None))
+
+
+def _ingest(**kw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.dat"
+        path.write_text("1 2\n2 3\n")
+        return data.ingest_transactions(path, **kw)
+
+
+def _runner():
+    stream = QueryStream.with_threshold([(1, 2.0), (2, 0.0)], 1.0)
+    cfg = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=1, k_max=2,
+                    variant=Variant.LAP)
+    return lambda rng: run_svt(stream, cfg, rng)
+
+
+TRUTH = metrics.GroundTruth.from_items([(1, 2.0), (2, 0.0)], 1.0, c=1)
+SVT = dict(delta=1.0, eps1=0.5, eps2=0.5, c=2, k_max=10,
+           variant=Variant.EXP_OPT_CORR)
+SVT_GAU = dict(SVT, variant=Variant.GAU, delta_dp=0.01)
+QUERY = dict(b=2.0, lam=0.25, alpha=0.0, k=3)
+BUDGET = dict(eps1=0.5, eps2=0.5, c=2, delta=1.0, monotonic=False, alpha=0.0,
+              k=3)
+SWEEP = dict(dataset="zipf", variants=("lap",), eps_values=(0.5,))
+CALIBRATION = dict(variant=Variant.LAP, eps1=0.5, eps2=0.5, c=2, delta=1.0,
+                   monotonic=False)
+SPLIT = allocation.split(1.0, Variant.LAP, 2)
+SPLIT_FIELDS = {f: getattr(SPLIT, f) for f in
+                ("eps_total", "w", "eps1", "eps2", "variant", "monotonic")}
+
+# (entry point, callable, base keyword arguments, {field: rule}). A lambda
+# row places the fuzzed scalar where the entry point takes it inside a
+# list or tuple. BudgetSplit's fields are tied by eps1 + eps2 = eps_total
+# and eps2 = w * eps1, so only its rejections are fuzzed.
+ENTRIES = [
+    ("SvtConfig", SvtConfig, SVT, dict(
+        delta=POSITIVE, eps1=POSITIVE, eps2=POSITIVE, c=count(1),
+        k_max=count(1), max_traverses=count(1), k_est=count(1),
+        alpha=NONNEGATIVE, resample=FLAG, append=FLAG, monotonic=FLAG,
+        correction_override=optional(FINITE))),
+    ("SvtConfig", SvtConfig, SVT_GAU, dict(delta_dp=PROBABILITY)),
+    ("CorrectionQuery", correction.CorrectionQuery, QUERY, dict(
+        b=POSITIVE, lam=POSITIVE, alpha=NONNEGATIVE, k=count(1), m=count(2),
+        e=TAIL)),
+    ("CorrectionQuery.from_budget", correction.CorrectionQuery.from_budget,
+     BUDGET, dict(eps1=POSITIVE, eps2=POSITIVE, c=count(1), delta=POSITIVE,
+                  monotonic=FLAG, alpha=NONNEGATIVE, k=count(1),
+                  m=count(2), e=TAIL)),
+    ("ExperimentConfig", cli.ExperimentConfig, SWEEP, dict(
+        c=count(1), alpha=NONNEGATIVE, k_est=optional(count(1)),
+        repetitions=count(1),
+        seed=count(0), resample=FLAG, append=FLAG, monotonic=FLAG,
+        delta=POSITIVE, n_items=count(1), n_positive=count(0))),
+    ("ExperimentConfig",
+     lambda eps, **kw: cli.ExperimentConfig(eps_values=(eps,), **kw),
+     dict(dataset="zipf", variants=("lap",)), dict(eps=POSITIVE)),
+    ("ExperimentConfig",
+     lambda trav, **kw: cli.ExperimentConfig(traverses=(trav,), **kw),
+     dict(SWEEP), dict(trav=count(1))),
+    ("cell_rng", cli.cell_rng,
+     dict(seed=0, eps=0.5, variant="lap", traverses=1, repetition=0),
+     dict(seed=count(0), eps=POSITIVE, traverses=count(1),
+          repetition=count(0))),
+    ("GroundTruth", metrics.GroundTruth,
+     dict(ranked_ids=[1, 2], scores=[2.0, 1.0], threshold=1.5, c=1),
+     dict(threshold=FINITE, c=count(1))),
+    ("GroundTruth", lambda s, **kw: metrics.GroundTruth([1], [s], **kw),
+     dict(threshold=1.5, c=1), dict(s=ELEMENT)),
+    ("GroundTruth.from_items", metrics.GroundTruth.from_items,
+     dict(items=[(1, 2.0)], threshold=1.5, c=1),
+     dict(threshold=FINITE, c=count(1))),
+    ("ScoredDataset", data.ScoredDataset,
+     dict(name="d", items=[(1, 2.0)], threshold=1.0), dict(threshold=FINITE)),
+    ("ScoredDataset",
+     lambda s, **kw: data.ScoredDataset("d", [(1, 0.0), (2, s)], **kw),
+     dict(threshold=1.0), dict(s=ELEMENT)),
+    ("QueryStream", lambda s, t: QueryStream([(1, s, t)]),
+     dict(s=1.0, t=0.0), dict(s=ELEMENT, t=ELEMENT)),
+    ("QueryStream.with_threshold", QueryStream.with_threshold,
+     dict(scored=[(1, 2.0)], threshold=1.0), dict(threshold=FINITE)),
+    ("QueryStream.with_threshold",
+     lambda s, **kw: QueryStream.with_threshold([(1, s)], **kw),
+     dict(threshold=1.0), dict(s=ELEMENT)),
+    ("NoiseDist", noise.NoiseDist, dict(kind=Kind.LAPLACE, scale=1.0),
+     dict(scale=POSITIVE, location=FINITE)),
+    ("laplace", noise.laplace, dict(scale=1.0),
+     dict(scale=POSITIVE, location=FINITE)),
+    ("exponential", noise.exponential, dict(mean=1.0),
+     dict(mean=POSITIVE, location=FINITE)),
+    ("gaussian", noise.gaussian, dict(sigma=1.0),
+     dict(sigma=POSITIVE, location=FINITE)),
+    ("gumbel", noise.gumbel, dict(beta=1.0),
+     dict(beta=POSITIVE, location=FINITE)),
+    ("BudgetSplit", allocation.BudgetSplit, SPLIT_FIELDS, dict(
+        eps_total=POSITIVE, w=POSITIVE, eps1=POSITIVE, eps2=POSITIVE,
+        monotonic=FLAG)),
+    ("optimal_w", allocation.optimal_w,
+     dict(variant=Variant.LAP, c=2, monotonic=False),
+     dict(c=count(1), monotonic=FLAG)),
+    ("split", allocation.split,
+     dict(eps_total=1.0, variant=Variant.LAP, c=2, monotonic=False),
+     dict(eps_total=POSITIVE, c=count(1), monotonic=FLAG)),
+    ("calibrate", allocation.calibrate, CALIBRATION, dict(
+        eps1=POSITIVE, eps2=POSITIVE, c=count(1), delta=POSITIVE,
+        monotonic=FLAG)),
+    ("calibrate", allocation.calibrate,
+     dict(CALIBRATION, variant=Variant.GAU, delta_dp=0.01),
+     dict(delta_dp=PROBABILITY)),
+    ("comparison_variance", allocation.comparison_variance, CALIBRATION, dict(
+        eps1=POSITIVE, eps2=POSITIVE, c=count(1), delta=POSITIVE,
+        monotonic=FLAG)),
+    ("comparison_variance", allocation.comparison_variance,
+     dict(CALIBRATION, variant=Variant.GAU, delta_dp=0.01),
+     dict(delta_dp=PROBABILITY)),
+    ("gaussian_kappa", allocation.gaussian_kappa, dict(delta_dp=0.01),
+     dict(delta_dp=PROBABILITY)),
+    ("query_sensitivity", allocation.query_sensitivity,
+     dict(c=2, delta=1.0, monotonic=False),
+     dict(c=count(1), delta=POSITIVE, monotonic=FLAG)),
+    ("discretize", correction.discretize,
+     dict(d=noise.laplace(1.0), m=5, B=3.0), dict(m=count(2), B=POSITIVE)),
+    ("difference_cdf", correction.difference_cdf,
+     dict(z=0.5, b=2.0, lam=0.25), dict(b=POSITIVE, lam=POSITIVE)),
+    ("difference_sf", correction.difference_sf,
+     dict(z=0.5, b=2.0, lam=0.25), dict(b=POSITIVE, lam=POSITIVE)),
+    ("alpha_beta_estimate", metrics.alpha_beta_estimate,
+     dict(runner=_runner(), alpha=0.5, truth=TRUTH, trials=2,
+          rng=np.random.default_rng(0)),
+     dict(alpha=NONNEGATIVE, trials=count(1))),
+    ("accuracy_alpha_bound", metrics.accuracy_alpha_bound,
+     dict(k=5, eps=1.0, beta=0.1),
+     dict(k=count(1), eps=POSITIVE, beta=PROBABILITY)),
+    ("accuracy_beta_bound", metrics.accuracy_beta_bound,
+     dict(k=5, eps=1.0, alpha=1.0),
+     dict(k=count(1), eps=POSITIVE, alpha=NONNEGATIVE)),
+    ("gen_zipf", data.gen_zipf, dict(n_items=10), dict(n_items=count(1))),
+    ("gen_binary", data.gen_binary, dict(n_items=30, n_positive=0),
+     dict(n_items=count(1), n_positive=count(0))),
+    ("ingest_transactions", _ingest, dict(threshold=1.0),
+     dict(threshold=FINITE)),
+    ("lipschitz_tail_check", noise.lipschitz_tail_check,
+     dict(d=noise.laplace(1.0), k2=1.0, shift=0.5, grid=[0.0, 1.0]),
+     dict(k2=POSITIVE, shift=NONZERO)),
+]
+
+REGISTRY = [pytest.param(fn, base, field, rule, id=f"{name}.{field}")
+            for name, fn, base, rules in ENTRIES
+            for field, rule in rules.items()]
+
+# Public names with no scalar parameter of their own, and why.
+EXEMPT = {
+    "HaltReason": "an enumeration",
+    "Variant": "an enumeration",
+    "SvtOutcome": "a result record: run_svt writes its counts",
+    "run_svt": "takes a checked QueryStream and SvtConfig; its hot path "
+               "adds no check",
+    "shuffle_and_stream": "takes a checked ScoredDataset and a Generator",
+    "optimal_correction": "takes a checked CorrectionQuery",
+    "correction_sweep": "evaluation points: NaN in gives NaN out",
+    "success_probability_analytical": "evaluation points: NaN in gives "
+                                      "NaN out",
+    "effective_lambda": "reads a checked SvtConfig",
+    "privacy_cost": "reads a checked SvtConfig",
+    "ncr": "scores emitted ids against a checked GroundTruth",
+    "f1": "scores emitted ids against a checked GroundTruth",
+}
+
+FUZZ = settings(max_examples=6, deadline=None, database=None,
+                derandomize=True,
+                suppress_health_check=list(HealthCheck))
+
+
+@pytest.mark.parametrize("fn, base, field, rule", REGISTRY)
+@FUZZ
+@given(data=st.data())
+def test_field_follows_its_rule(fn, base, field, rule, data):
+    bad = data.draw(rule.rejected, label="rejected")
+    with pytest.raises(ValueError):
+        fn(**{**base, field: bad})
+    if fn is not allocation.BudgetSplit:
+        fn(**{**base, field: data.draw(rule.accepted, label="accepted")})
+
+
+def test_registry_is_complete():
+    covered = {name.split(".")[0] for name, *_ in ENTRIES}
+    public = {name for name in svtkit.__all__
+              if callable(getattr(svtkit, name))}
+    assert not set(EXEMPT) - public, "stale exemptions"
+    assert not set(EXEMPT) & covered, "exempt names that have rows"
+    assert public - covered - set(EXEMPT) == set(), "entry points with no row"
+
+
+PROBES = {
+    "SvtConfig(correction_override=nan)":
+        lambda: SvtConfig(**SVT, correction_override=NAN),
+    "SvtConfig(correction_override=-inf)":
+        lambda: SvtConfig(**SVT, correction_override=-INF),
+    "SvtConfig(resample='no')": lambda: SvtConfig(**SVT, resample="no"),
+    "SvtConfig(append=2)": lambda: SvtConfig(**SVT, append=2),
+    "SvtConfig(c=True)": lambda: SvtConfig(**dict(SVT, c=True)),
+    "CorrectionQuery(k=nan)":
+        lambda: correction.CorrectionQuery(**dict(QUERY, k=NAN)),
+    "CorrectionQuery(k=1.5)":
+        lambda: correction.CorrectionQuery(**dict(QUERY, k=1.5)),
+    "CorrectionQuery(m=2.5)":
+        lambda: correction.CorrectionQuery(**QUERY, m=2.5),
+    "optimal_w(c=nan)": lambda: allocation.optimal_w(Variant.LAP, NAN),
+    "split(c=1.5)": lambda: allocation.split(1.0, Variant.LAP, 1.5),
+    "calibrate(c=1.5)":
+        lambda: allocation.calibrate(Variant.LAP, 0.5, 0.5, 1.5, 1.0),
+    "query_sensitivity(c=nan)":
+        lambda: allocation.query_sensitivity(NAN, 1.0),
+    "GroundTruth(c=nan)": lambda: metrics.GroundTruth([1], [1.0], 0.0, NAN),
+    "GroundTruth(c=1.5)": lambda: metrics.GroundTruth([1], [1.0], 0.0, 1.5),
+    "ExperimentConfig(seed=1.5)":
+        lambda: cli.ExperimentConfig(**SWEEP, seed=1.5),
+    "cell_rng(seed=1.5)": lambda: cli.cell_rng(1.5, 0.5, "lap", 1, 0),
+    "ExperimentConfig(traverses=(1.5,))":
+        lambda: cli.ExperimentConfig(**SWEEP, traverses=(1.5,)),
+    "gen_zipf(2.5)": lambda: data.gen_zipf(2.5),
+    "gen_binary(2.5, 1)": lambda: data.gen_binary(2.5, 1),
+    "alpha_beta_estimate(trials=nan)":
+        lambda: metrics.alpha_beta_estimate(_runner(), 0.0, TRUTH, NAN,
+                                            np.random.default_rng(0)),
+    "accuracy_alpha_bound(k=nan)":
+        lambda: metrics.accuracy_alpha_bound(NAN, 1.0, 0.1),
+    "accuracy_beta_bound(k=nan)":
+        lambda: metrics.accuracy_beta_bound(NAN, 1.0, 1.0),
+    "discretize(m=2.5)":
+        lambda: correction.discretize(noise.laplace(1.0), 2.5, 3.0),
+    "discretize(B=inf)":
+        lambda: correction.discretize(noise.laplace(1.0), 5, INF),
+    "lipschitz_tail_check(shift=True)":
+        lambda: noise.lipschitz_tail_check(noise.laplace(1.0), 1.0, True,
+                                           [0.0]),
+}
+
+
+@pytest.mark.parametrize("probe", PROBES.values(), ids=PROBES.keys())
+def test_formerly_accepted_input_is_rejected(probe):
+    """Inputs that were accepted, returned NaN or raised TypeError."""
+    with pytest.raises(ValueError):
+        probe()
+
+
+QUERY_OBJ = correction.CorrectionQuery(**QUERY)
+EVALUATIONS = {
+    **{f"{f.__name__}[{d.kind.value}]": functools.partial(f, d)
+       for f in (noise.pdf, noise.cdf, noise.log_sf)
+       for d in (noise.laplace(1.0), noise.exponential(2.0),
+                 noise.gaussian(1.0), noise.gumbel(1.0))},
+    "difference_cdf": lambda z: correction.difference_cdf(z, 2.0, 0.25),
+    "difference_sf": lambda z: correction.difference_sf(z, 2.0, 0.25),
+    "success_probability_analytical":
+        lambda r: correction.success_probability_analytical(r, QUERY_OBJ),
+    "correction_sweep": lambda r: np.array(
+        [p for _, p in correction.correction_sweep(QUERY_OBJ, np.atleast_1d(r))]),
+}
+
+
+@pytest.mark.parametrize("evaluate", EVALUATIONS.values(),
+                         ids=EVALUATIONS.keys())
+def test_nan_evaluation_point_gives_nan(evaluate):
+    out = np.asarray(evaluate(np.array([NAN, 0.5, NAN])))
+    assert np.isnan(out[[0, 2]]).all() and np.isfinite(out[1])
+    assert math.isnan(float(np.asarray(evaluate(NAN)).ravel()[0]))
+
+
+def test_with_threshold_matches_row_constructor():
+    pairs = [(3, 1.5), (1, -2.0), (2, 0.0)]
+    built = QueryStream.with_threshold(pairs, 7)
+    assert built == QueryStream((i, s, 7) for i, s in pairs)
+    assert built.thresholds.dtype == np.float64
+    assert not built.thresholds.flags.writeable
+    assert len(QueryStream.with_threshold([], 1.0)) == 0
+    with pytest.raises(ValueError):
+        QueryStream.with_threshold([(1, 0.0), (1, 1.0)], 1.0)
+    with pytest.raises(ValueError):
+        QueryStream.with_threshold([(1, NAN)], 1.0)
+
+
+@pytest.mark.parametrize("monotonic", [False, True])
+def test_from_budget_matches_hand_built_query(monotonic):
+    eps1, eps2, c, delta = 0.3, 0.7, 5, 2.0
+    hand = correction.CorrectionQuery(
+        b=delta / eps1, lam=eps2 / ((c if monotonic else 2 * c) * delta),
+        alpha=1.0, k=7, m=101, e=1e-6)
+    assert correction.CorrectionQuery.from_budget(
+        eps1, eps2, c, delta, monotonic, 1.0, 7, m=101, e=1e-6) == hand
