@@ -47,14 +47,11 @@ _QUERY_KIND = {Variant.LAP: Kind.LAPLACE, Variant.GAU: Kind.GAUSSIAN,
                Variant.EXP_OPT_CORR: Kind.EXPONENTIAL}
 
 
-# Coefficient a such that the optimal w is (a * c)^(2/3) in the
-# non-monotonic setting; the monotonic setting halves a*c.
-_W_COEFF = {
-    "exponential": math.sqrt(2.0),
-    "gumbel": math.pi / math.sqrt(3.0),
-    "laplace": 2.0,
-    "gaussian": 2.0,
-}
+def _law_kinds(variant: Variant) -> tuple[Kind, Kind]:
+    """(threshold, query) noise kinds: Laplace threshold noise but for GAU."""
+    checks.instance(Variant, variant=variant)
+    kind = _QUERY_KIND[variant]
+    return (kind if kind is Kind.GAUSSIAN else Kind.LAPLACE), kind
 
 
 @dataclass(frozen=True)
@@ -70,6 +67,7 @@ class BudgetSplit:
         checks.positive(eps_total=self.eps_total, w=self.w, eps1=self.eps1,
                         eps2=self.eps2)
         checks.flag(monotonic=self.monotonic)
+        checks.instance(Variant, variant=self.variant)
         if abs(self.eps1 + self.eps2 - self.eps_total) > _SPLIT_TOL * self.eps_total:
             raise ValueError("eps1 + eps2 must equal eps_total")
         if abs(self.eps2 - self.w * self.eps1) > _SPLIT_TOL * max(self.eps2, 1.0):
@@ -80,18 +78,19 @@ def optimal_w(variant: Variant, c: int, monotonic: bool = False) -> float:
     """Closed-form budget ratio w = eps2/eps1 minimizing the comparison variance.
 
     Args:
-        variant: mechanism variant (only its noise family matters).
+        variant: mechanism variant (only its two noise kinds matter).
         c: positive-answer budget.
         monotonic: True when neighboring datasets move all query results the
             same way, which halves the query-noise scale.
 
     Returns:
-        The variance-minimizing w for this variant and c.
+        w = (a*c)^(2/3), a = 2*sqrt(Vqry/Vthr) from the laws' unit variances.
     """
+    thr, qry = _law_kinds(variant)
     checks.count(1, c=c)
     checks.flag(monotonic=monotonic)
-    effective = _W_COEFF[variant.query_family] * c * (0.5 if monotonic else 1.0)
-    return effective ** (2.0 / 3.0)
+    a = 2.0 * math.sqrt(law_variance(qry, 1.0) / law_variance(thr, 1.0))
+    return (a * c * (0.5 if monotonic else 1.0)) ** (2.0 / 3.0)
 
 
 def split(eps_total: float, variant: Variant, c: int,
@@ -135,15 +134,15 @@ def calibrate(variant: Variant, eps1: float, eps2: float, c: int, delta: float,
     ignored elsewhere. The query noise comes from the variant's family at
     scale query_sensitivity/eps2, times kappa for the Gaussian.
     """
+    thr, qry = _law_kinds(variant)
     checks.positive(eps1=eps1, eps2=eps2, delta=delta)
     checks.count(1, c=c)
     checks.flag(monotonic=monotonic)
     scale = _sensitivity(c, delta, monotonic) / eps2
-    kind = _QUERY_KIND[variant]
-    if kind is Kind.GAUSSIAN:
+    if qry is Kind.GAUSSIAN:
         kappa = gaussian_kappa(delta_dp)
-        return (kind, kappa * delta / eps1), (kind, kappa * scale)
-    return (Kind.LAPLACE, delta / eps1), (kind, scale)
+        return (thr, kappa * delta / eps1), (qry, kappa * scale)
+    return (thr, delta / eps1), (qry, scale)
 
 
 def comparison_variance(variant: Variant, eps1: float, eps2: float, c: int,

@@ -65,6 +65,15 @@ def flag(**values) -> None:
             _reject(name, x, "a bool")
 
 
+def instance(cls: type, /, **values) -> None:
+    """Each value is a ``cls``, or array-like with elements of that type: a
+    ``Variant`` rather than its token, real numbers rather than a string."""
+    for name, x in values.items():
+        if not (isinstance(x, cls)
+                or issubclass(np.asarray(x).dtype.type, cls)):
+            _reject(name, x, f"a {cls.__name__}")
+
+
 def unique_finite(ids: np.ndarray, *values: np.ndarray) -> None:
     """Reject misaligned arrays, repeated ids and NaN or infinite values."""
     if any(v.size != ids.size for v in values):

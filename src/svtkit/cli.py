@@ -257,6 +257,8 @@ _FAMILY_VARIANT = {"exp": Variant.EXP_OPT_CORR, "gum": Variant.GUM,
 def _series_variance(c: int = 50, delta: float = 1.0, monotonic: bool = False,
                      delta_dp: float = 1e-4, eps_min: float = 0.01,
                      eps_max: float = 2.0, points: int = 50) -> list[dict]:
+    checks.positive(eps_min=eps_min, eps_max=eps_max)
+    checks.count(1, points=points)
     rows = []
     for eps in np.geomspace(eps_min, eps_max, points):
         for family, variant in _FAMILY_VARIANT.items():
@@ -273,6 +275,10 @@ def near_threshold_stream(k: int, threshold: float, alpha: float,
                           margin: float = 1e-6):
     """Worst-case accuracy stream: k negatives just below threshold - alpha,
     then one positive just above threshold + alpha, queried last."""
+    checks.count(1, k=k)
+    checks.finite(threshold=threshold)
+    checks.nonnegative(alpha=alpha)
+    checks.positive(margin=margin)
     scored = [(i, threshold - alpha - margin) for i in range(1, k + 1)]
     scored.append((k + 1, threshold + alpha + margin))
     return QueryStream.with_threshold(scored, threshold)
@@ -287,6 +293,8 @@ def _series_accuracy(k: int = 50, eps: float = 1.0, delta: float = 1.0,
                      threshold: float = 1000.0) -> list[dict]:
     # Even split: the convention of the accuracy bound this series is
     # compared against.
+    checks.count(1, k=k)
+    checks.positive(eps=eps)
     rows = []
     for token in variants:
         variant = Variant(token)
@@ -313,6 +321,11 @@ def _series_correction_sweep(eps: float = 0.1, c: int = 50,
                              r_min: Optional[float] = None,
                              r_max: Optional[float] = None,
                              points: int = 501) -> list[dict]:
+    checks.count(1, points=points)
+    if r_min is not None:
+        checks.finite(r_min=r_min)
+    if r_max is not None:
+        checks.finite(r_max=r_max)
     split = allocation.split(eps, Variant.EXP_OPT_CORR, c, monotonic)
     query = correction.CorrectionQuery.from_budget(
         split.eps1, split.eps2, c, delta, monotonic, alpha, k)

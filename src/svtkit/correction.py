@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 from . import checks, noise
 from .allocation import query_sensitivity
@@ -154,7 +154,10 @@ def convolve_difference(x: DiscretePmf, y: DiscretePmf) -> DiscretePmf:
     r_origin = -(y.origin_index + len(y.mass) - 1)
     r_neg, r_pos = y.pos_inf_mass, y.neg_inf_mass
 
-    z_mass = np.maximum(fftconvolve(x.mass, r_mass), 0.0)
+    n = len(x.mass) + len(r_mass) - 1
+    nf = fft.next_fast_len(n, True)
+    z = fft.irfft(fft.rfft(x.mass, nf) * fft.rfft(r_mass, nf), nf)
+    z_mass = np.maximum(z[:n], 0.0)
     x_fin = float(x.mass.sum())
     y_fin = float(r_mass.sum())
     opposing = 0.5 * (x.pos_inf_mass * r_neg + x.neg_inf_mass * r_pos)
@@ -280,10 +283,8 @@ def success_probability_analytical(r, q: CorrectionQuery) -> float | np.ndarray:
     return _as_given(out, r)
 
 
-@lru_cache(maxsize=32)
 def _difference_grid(q: CorrectionQuery) -> DiscretePmf:
-    """Discretized law of Z = Exp - Lap for q, cached per query; an entry
-    holds about 1.9 MB at the default mesh (pmf plus its step cdf)."""
+    """Discretized Z = Exp - Lap for q: about 1.9 MB, built once per call."""
     exp_d = noise.exponential(1.0 / q.lam)
     lap_d = noise.laplace(q.b)
     B = max(noise.quantile(exp_d, 1.0 - q.e),
@@ -293,8 +294,7 @@ def _difference_grid(q: CorrectionQuery) -> DiscretePmf:
                                discretize(lap_d, q.m, B))
 
 
-def _grid_success(q: CorrectionQuery, r: np.ndarray) -> np.ndarray:
-    z = _difference_grid(q)
+def _grid_success(q: CorrectionQuery, z: DiscretePmf, r) -> np.ndarray:
     gamma_plus = pmf_cdf(z, r + q.alpha)
     gamma_minus = pmf_cdf(z, r - q.alpha)
     with np.errstate(divide="ignore"):
@@ -309,14 +309,15 @@ def optimal_correction(q: CorrectionQuery) -> tuple[float, float]:
     Discretizes both laws out to the boundary where each leaves at most
     ``q.e`` mass behind, convolves to the law of Z = Exp - Lap, and
     maximizes p(r) over the chunk grid. Ties break toward the smaller r.
-    Cached like the grid itself: a simulation re-runs one configuration
-    many times and the argmax is pure.
+    The result is memoized (the grid is not): a simulation re-runs one
+    configuration many times and the argmax is pure.
 
     Returns:
         (r_op, p_at_r_op): the maximizing grid value and p there.
     """
-    values, _ = _difference_grid(q)._steps
-    p = _grid_success(q, values)
+    z = _difference_grid(q)
+    values, _ = z._steps
+    p = _grid_success(q, z, values)
     best = int(np.argmax(p))
     return float(values[best]), float(p[best])
 
@@ -330,6 +331,6 @@ def correction_sweep(q: CorrectionQuery, r_grid) -> list[tuple[float, float]]:
     plot-quality values. A NaN r gives a NaN p.
     """
     rarr = np.asarray(r_grid, dtype=float)
-    p = _grid_success(q, rarr)
+    p = _grid_success(q, _difference_grid(q), rarr)
     p[np.isnan(rarr)] = np.nan
     return [(float(r), float(v)) for r, v in zip(rarr, p)]

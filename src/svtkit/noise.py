@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +158,7 @@ def log_sf(d: NoiseDist, x) -> float | np.ndarray:
 
 def quantile(d: NoiseDist, p) -> float | np.ndarray:
     """Inverse cdf of ``d`` at probability ``p`` in the open interval (0, 1)."""
+    checks.instance(numbers.Real, p=p)
     parr = np.asarray(p, dtype=float)
     if not np.all((0.0 < parr) & (parr < 1.0)):
         raise ValueError(f"quantile probability must lie in (0, 1), got {p}")

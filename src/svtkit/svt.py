@@ -165,6 +165,7 @@ class SvtConfig:
         checks.nonnegative(alpha=self.alpha)
         checks.flag(resample=self.resample, append=self.append,
                     monotonic=self.monotonic)
+        checks.instance(Variant, variant=self.variant)
         if self.correction_override is not None:
             checks.finite(correction_override=self.correction_override)
         if self.variant.query_family == "gaussian":

@@ -24,6 +24,23 @@ def test_optimal_w_closed_forms():
     assert allocation.optimal_w(Variant.GAU, c, monotonic=True) == pytest.approx(c ** (2 / 3))
 
 
+# The w coefficient a of each variant, w = (a * c)^(2/3), as literals.
+W_COEFF = {Variant.LAP: 2.0, Variant.GAU: 2.0,
+           Variant.GUM: math.pi / math.sqrt(3.0),
+           Variant.EXP_NO_CORR: SQRT2, Variant.EXP_MEAN_CORR: SQRT2,
+           Variant.EXP_OPT_CORR: SQRT2}
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("monotonic", [False, True])
+def test_optimal_w_equals_literal_coefficients_exactly(variant, monotonic):
+    """optimal_w derives a from the laws' variances; it must equal the
+    literal coefficient bit for bit."""
+    for c in (1, 5, 50, 500):
+        want = (W_COEFF[variant] * c * (0.5 if monotonic else 1.0)) ** (2.0 / 3.0)
+        assert allocation.optimal_w(variant, c, monotonic) == want
+
+
 def test_optimal_w_frozen_value():
     # (sqrt(2) * 50)^(2/3), computed once by hand
     assert allocation.optimal_w(Variant.EXP_OPT_CORR, 50) == pytest.approx(17.09975946676697, abs=1e-12)

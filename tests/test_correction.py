@@ -6,13 +6,20 @@ Carlo sampling) before it serves as the oracle for the discretize /
 convolve / argmax pipeline.
 """
 
+import gc
 import math
+import os
+import subprocess
+import sys
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import svtkit
 from svtkit import allocation, correction, noise
 from svtkit.allocation import Variant
 from svtkit.correction import CorrectionQuery, DiscretePmf
@@ -332,3 +339,72 @@ def test_singular_query_warns_once_and_stays_continuous():
     near = correction.success_probability_analytical(
         2.0, CorrectionQuery(b=4.0, lam=0.25 * (1 + 1e-7), alpha=0.0, k=3))
     assert p == pytest.approx(near, abs=1e-5)
+
+
+def test_import_loads_neither_scipy_signal_nor_stats():
+    """A fresh interpreter: this test process has scipy.stats loaded."""
+    code = ("import sys, svtkit; print(sorted(m for m in sys.modules if "
+            "m.startswith(('scipy.signal', 'scipy.stats'))))")
+    src = str(Path(svtkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def _discretized_pair(q: CorrectionQuery) -> tuple[DiscretePmf, DiscretePmf]:
+    exp_d, lap_d = noise.exponential(1.0 / q.lam), noise.laplace(q.b)
+    B = max(noise.quantile(exp_d, 1 - q.e), noise.quantile(lap_d, 1 - q.e),
+            abs(noise.quantile(lap_d, q.e)))
+    return (correction.discretize(exp_d, q.m, B),
+            correction.discretize(lap_d, q.m, B))
+
+
+@pytest.mark.parametrize("q", [
+    CorrectionQuery(b=2.0, lam=0.25, alpha=0.0, k=200),
+    CorrectionQuery(b=20.0, lam=0.003, alpha=3.0, k=200),
+    CorrectionQuery(b=1.5, lam=0.7, alpha=0.5, k=4, m=13),
+], ids=["default", "wide", "small-odd-mesh"])
+def test_convolve_difference_matches_fftconvolve_bit_for_bit(q):
+    from scipy.signal import fftconvolve
+    x, y = _discretized_pair(q)
+    want = np.maximum(fftconvolve(x.mass, y.mass[::-1]), 0.0)
+    got = correction.convolve_difference(x, y).mass
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def grids(monkeypatch):
+    """Weak references to every difference grid built while it is active."""
+    built = []
+
+    def recording(x, y):
+        z = convolve(x, y)
+        built.append(weakref.ref(z))
+        return z
+
+    convolve = correction.convolve_difference
+    monkeypatch.setattr(correction, "convolve_difference", recording)
+    correction.optimal_correction.cache_clear()
+    return built
+
+
+def test_one_grid_per_optimizer_call(grids):
+    q = CorrectionQuery(b=3.25, lam=0.125, alpha=1.0, k=9, m=2001)
+    correction.optimal_correction(q)
+    assert len(grids) == 1
+    correction.optimal_correction(q)  # a hit builds nothing
+    assert len(grids) == 1
+    correction.correction_sweep(q, [0.0, 1.0])
+    correction.correction_sweep(q, [2.0])
+    assert len(grids) == 3
+
+
+def test_no_grid_outlives_its_call(grids):
+    q = CorrectionQuery(b=3.5, lam=0.125, alpha=1.0, k=9, m=2001)
+    for call in (correction.optimal_correction,
+                 lambda q: correction.correction_sweep(q, [0.0, 1.0])):
+        call(q)
+        gc.collect()
+        assert grids[-1]() is None
+    assert len(grids) == 2

@@ -10,6 +10,7 @@ reason, so a new entry point cannot ship unchecked.
 
 import functools
 import math
+import re
 import tempfile
 from collections import namedtuple
 from pathlib import Path
@@ -61,6 +62,9 @@ TAIL = Rule(_reals(0.0, 0.5, exclude_min=True, exclude_max=True),
             st.sampled_from((0.0, 0.5, 1.0, NAN, INF, -1.0) + NOT_NUMBERS))
 FLAG = Rule(st.booleans() | st.booleans().map(np.bool_),
             st.sampled_from(("no", "", 0, 1, 2, 1.0, NAN, None)))
+VARIANT = Rule(st.sampled_from(list(Variant)),
+               st.sampled_from(("lap", "exp-opt", None, 0, 1.0, True,
+                                Kind.LAPLACE)))
 # Array elements: ids must be unique and values finite; they are converted
 # with numpy's own casting, so only non-finite values are rejected.
 ELEMENT = Rule(_reals(-1e6, 1e6), st.sampled_from((NAN, INF, -INF)))
@@ -84,6 +88,11 @@ def _ingest(**kw):
         path = Path(tmp) / "t.dat"
         path.write_text("1 2\n2 3\n")
         return data.ingest_transactions(path, **kw)
+
+
+def _series(kind):
+    """A plot-series kind as a callable of its keyword parameters."""
+    return functools.partial(cli.emit_plot_series, kind)
 
 
 def _runner():
@@ -117,7 +126,8 @@ ENTRIES = [
         k_max=count(1), max_traverses=count(1), k_est=count(1),
         alpha=NONNEGATIVE, resample=FLAG, append=FLAG, monotonic=FLAG,
         correction_override=optional(FINITE))),
-    ("SvtConfig", SvtConfig, SVT_GAU, dict(delta_dp=PROBABILITY)),
+    ("SvtConfig", SvtConfig, SVT_GAU,
+     dict(delta_dp=PROBABILITY, variant=VARIANT)),
     ("CorrectionQuery", correction.CorrectionQuery, QUERY, dict(
         b=POSITIVE, lam=POSITIVE, alpha=NONNEGATIVE, k=count(1), m=count(2),
         e=TAIL)),
@@ -172,25 +182,25 @@ ENTRIES = [
      dict(beta=POSITIVE, location=FINITE)),
     ("BudgetSplit", allocation.BudgetSplit, SPLIT_FIELDS, dict(
         eps_total=POSITIVE, w=POSITIVE, eps1=POSITIVE, eps2=POSITIVE,
-        monotonic=FLAG)),
+        variant=VARIANT, monotonic=FLAG)),
     ("optimal_w", allocation.optimal_w,
      dict(variant=Variant.LAP, c=2, monotonic=False),
-     dict(c=count(1), monotonic=FLAG)),
+     dict(variant=VARIANT, c=count(1), monotonic=FLAG)),
     ("split", allocation.split,
      dict(eps_total=1.0, variant=Variant.LAP, c=2, monotonic=False),
-     dict(eps_total=POSITIVE, c=count(1), monotonic=FLAG)),
+     dict(eps_total=POSITIVE, variant=VARIANT, c=count(1), monotonic=FLAG)),
     ("calibrate", allocation.calibrate, CALIBRATION, dict(
         eps1=POSITIVE, eps2=POSITIVE, c=count(1), delta=POSITIVE,
         monotonic=FLAG)),
     ("calibrate", allocation.calibrate,
      dict(CALIBRATION, variant=Variant.GAU, delta_dp=0.01),
-     dict(delta_dp=PROBABILITY)),
+     dict(delta_dp=PROBABILITY, variant=VARIANT)),
     ("comparison_variance", allocation.comparison_variance, CALIBRATION, dict(
         eps1=POSITIVE, eps2=POSITIVE, c=count(1), delta=POSITIVE,
         monotonic=FLAG)),
     ("comparison_variance", allocation.comparison_variance,
      dict(CALIBRATION, variant=Variant.GAU, delta_dp=0.01),
-     dict(delta_dp=PROBABILITY)),
+     dict(delta_dp=PROBABILITY, variant=VARIANT)),
     ("gaussian_kappa", allocation.gaussian_kappa, dict(delta_dp=0.01),
      dict(delta_dp=PROBABILITY)),
     ("query_sensitivity", allocation.query_sensitivity,
@@ -217,6 +227,19 @@ ENTRIES = [
      dict(n_items=count(1), n_positive=count(0))),
     ("ingest_transactions", _ingest, dict(threshold=1.0),
      dict(threshold=FINITE)),
+    ("quantile", noise.quantile, dict(d=noise.laplace(1.0), p=0.5),
+     dict(p=PROBABILITY)),
+    ("near_threshold_stream", cli.near_threshold_stream,
+     dict(k=2, threshold=10.0, alpha=1.0),
+     dict(k=count(1), threshold=FINITE, alpha=NONNEGATIVE, margin=POSITIVE)),
+    ("emit_plot_series(variance)", _series("variance"), dict(points=2),
+     dict(points=count(1), eps_min=POSITIVE, eps_max=POSITIVE)),
+    ("emit_plot_series(accuracy)", _series("accuracy"),
+     dict(k=2, trials=1, alphas=(5.0,), variants=("lap",)),
+     dict(k=count(1), eps=POSITIVE)),
+    ("emit_plot_series(correction-sweep)", _series("correction-sweep"),
+     dict(points=3), dict(points=count(1), r_min=optional(FINITE),
+                          r_max=optional(FINITE))),
     ("lipschitz_tail_check", noise.lipschitz_tail_check,
      dict(d=noise.laplace(1.0), k2=1.0, shift=0.5, grid=[0.0, 1.0]),
      dict(k2=POSITIVE, shift=NONZERO)),
@@ -312,13 +335,29 @@ PROBES = {
     "lipschitz_tail_check(shift=True)":
         lambda: noise.lipschitz_tail_check(noise.laplace(1.0), 1.0, True,
                                            [0.0]),
+    "plot-series(kind=correction-sweep, points=1.5)":
+        lambda: cli.emit_plot_series("correction-sweep", points=1.5),
+    "plot-series(kind=accuracy, k=1.5)":
+        lambda: cli.emit_plot_series("accuracy", k=1.5),
+    "plot-series(kind=variance, points=0)":
+        lambda: cli.emit_plot_series("variance", points=0),
+    "SvtConfig(variant='lap')":
+        lambda: SvtConfig(**dict(SVT, variant="lap")),
+    "split(variant='lap')": lambda: allocation.split(1.0, "lap", 1),
+    "optimal_w(variant='lap')": lambda: allocation.optimal_w("lap", 1),
+    "calibrate(variant='lap')":
+        lambda: allocation.calibrate("lap", 0.5, 0.5, 1, 1.0),
+    "quantile(p='0.5')": lambda: noise.quantile(noise.laplace(1.0), "0.5"),
 }
 
 
-@pytest.mark.parametrize("probe", PROBES.values(), ids=PROBES.keys())
-def test_formerly_accepted_input_is_rejected(probe):
-    """Inputs that were accepted, returned NaN or raised TypeError."""
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("key, probe", PROBES.items(), ids=PROBES.keys())
+def test_formerly_accepted_input_is_rejected(key, probe):
+    """Inputs that were accepted, returned NaN or raised TypeError. Where
+    the probe names a field (``name=value``), the message names it too."""
+    field = re.findall(r"(\w+)=", key)
+    named = rf"\b{field[-1]}\b" if field else None
+    with pytest.raises(ValueError, match=named):
         probe()
 
 
