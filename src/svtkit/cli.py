@@ -24,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +39,6 @@ VARIANT_TOKENS = tuple(v.value for v in Variant) + (UPPER_BOUND,)
 SWEEP_COLUMNS = ("dataset", "variant", "eps", "eps1", "eps2", "c", "alpha",
                  "k_est", "traverses", "repetition", "seed", "ncr", "f1",
                  "n_c", "n_a", "halt_reason", "r_op", "wall_time_ms")
-
-PLOT_KINDS = ("variance", "accuracy", "correction-sweep", "traverses")
 
 
 @dataclass(frozen=True)
@@ -120,6 +118,9 @@ def cell_rng(seed: int, eps: float, variant: str, traverses: int,
     checks.count(0, seed=seed, repetition=repetition)
     checks.count(1, traverses=traverses)
     checks.positive(eps=eps)
+    if variant not in VARIANT_TOKENS:
+        raise ValueError(f"variant must be one of {VARIANT_TOKENS}, "
+                         f"got {variant!r}")
     entropy = (int(seed), _VARIANT_KEY[variant], _eps_key(eps),
                int(traverses), int(repetition))
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))
@@ -181,19 +182,19 @@ def run_sweep(cfg: ExperimentConfig, out: Optional[IO[str]] = None) -> list[dict
 def _run_cell(cfg: ExperimentConfig, ds: data.ScoredDataset,
               truth: metrics.GroundTruth, k_est: int, eps: float, token: str,
               trav: int, rep: int, rng: np.random.Generator) -> dict:
-    base = {"dataset": ds.name, "variant": token, "eps": eps, "c": cfg.c,
+    # The upper reference ranks with the exp-opt split's query budget.
+    variant = Variant.EXP_OPT_CORR if token == UPPER_BOUND else Variant(token)
+    split = allocation.split(eps, variant, cfg.c, cfg.monotonic)
+    base = {"dataset": ds.name, "variant": token, "eps": eps,
+            "eps1": split.eps1, "eps2": split.eps2, "c": cfg.c,
             "alpha": cfg.alpha, "k_est": k_est, "traverses": trav,
             "repetition": rep, "seed": cfg.seed}
     if token == UPPER_BOUND:
-        split = allocation.split(eps, Variant.EXP_OPT_CORR, cfg.c,
-                                 cfg.monotonic)
         ncr_val, f1_val = _noisy_ranking(ds, split.eps2, cfg.delta, cfg.c,
                                          truth, rng)
-        base.update(eps1=split.eps1, eps2=split.eps2, ncr=ncr_val, f1=f1_val,
-                    n_c=cfg.c, n_a=ds.n_items, halt_reason="", r_op="")
+        base.update(ncr=ncr_val, f1=f1_val, n_c=cfg.c, n_a=ds.n_items,
+                    halt_reason="", r_op="")
         return base
-    variant = Variant(token)
-    split = allocation.split(eps, variant, cfg.c, cfg.monotonic)
     svt_cfg = SvtConfig(
         delta=cfg.delta, eps1=split.eps1, eps2=split.eps2, c=cfg.c,
         k_max=ds.n_items * trav, variant=variant, resample=cfg.resample,
@@ -202,8 +203,7 @@ def _run_cell(cfg: ExperimentConfig, ds: data.ScoredDataset,
         delta_dp=1.0 / ds.n_items if variant is Variant.GAU else None)
     stream = data.shuffle_and_stream(ds, rng)
     outcome = run_svt(stream, svt_cfg, rng)
-    base.update(eps1=split.eps1, eps2=split.eps2,
-                ncr=metrics.ncr(outcome.positives, truth),
+    base.update(ncr=metrics.ncr(outcome.positives, truth),
                 f1=metrics.f1(outcome.positives, truth),
                 n_c=outcome.n_c, n_a=outcome.n_a,
                 halt_reason=outcome.halt_reason.value,
@@ -214,14 +214,13 @@ def _run_cell(cfg: ExperimentConfig, ds: data.ScoredDataset,
 def emit_correction_table(eps_values: Sequence[float], c: int, alpha: float,
                           k_est: int = 200, delta: float = 1.0,
                           monotonic: bool = False,
-                          m: int = correction.DEFAULT_MESH_COUNT,
-                          e: float = correction.DEFAULT_TAIL_MASS) -> list[dict]:
+                          m: int = correction.DEFAULT_MESH_COUNT) -> list[dict]:
     """Optimal vs mean correction terms per epsilon, fully parameterized."""
     rows = []
     for eps in eps_values:
         split = allocation.split(eps, Variant.EXP_OPT_CORR, c, monotonic)
         query = correction.CorrectionQuery.from_budget(
-            split.eps1, split.eps2, c, delta, monotonic, alpha, k_est, m=m, e=e)
+            split.eps1, split.eps2, c, delta, monotonic, alpha, k_est, m=m)
         r_op, p_op = correction.optimal_correction(query)
         rows.append({"eps": eps, "w": split.w, "eps1": split.eps1,
                      "eps2": split.eps2, "lambda": query.lam, "k": k_est,
@@ -239,15 +238,9 @@ def emit_plot_series(kind: str, **params) -> list[dict]:
     probability vs correction term), "traverses" (mean ncr vs traverse
     budget per variant).
     """
-    if kind == "variance":
-        return _series_variance(**params)
-    if kind == "accuracy":
-        return _series_accuracy(**params)
-    if kind == "correction-sweep":
-        return _series_correction_sweep(**params)
-    if kind == "traverses":
-        return _series_traverses(**params)
-    raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
+    if kind not in _SERIES:
+        raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
+    return _SERIES[kind](**params)
 
 
 _FAMILY_VARIANT = {"exp": Variant.EXP_OPT_CORR, "gum": Variant.GUM,
@@ -301,7 +294,7 @@ def _series_accuracy(k: int = 50, eps: float = 1.0, delta: float = 1.0,
         for alpha in alphas:
             stream = near_threshold_stream(k, threshold, alpha)
             truth = metrics.GroundTruth.from_items(
-                [(e.query_id, e.score) for e in stream], threshold, c=1)
+                data.Items(stream.ids, stream.scores), threshold, c=1)
             cfg = SvtConfig(
                 delta=delta, eps1=eps / 2, eps2=eps / 2, c=1, k_max=k + 1,
                 variant=variant, alpha=alpha, k_est=k,
@@ -342,6 +335,7 @@ def _series_traverses(dataset: str = "zipf", eps: float = 0.5, c: int = 50,
                       alpha: float = 0.0, delta: float = 1.0,
                       n_items: int = 10000,
                       n_positive: int = 100) -> list[dict]:
+    checks.count(2, repetitions=repetitions)  # the stderr needs two
     cfg = ExperimentConfig(dataset=dataset, variants=tuple(variants),
                            eps_values=(eps,), c=c, alpha=alpha,
                            traverses=tuple(traverses),
@@ -363,16 +357,19 @@ def _series_traverses(dataset: str = "zipf", eps: float = 0.5, c: int = 50,
     return rows
 
 
-def _write_rows(rows: list[dict], out_path: Optional[str],
-                columns: Optional[Sequence[str]] = None) -> None:
+_SERIES = {"variance": _series_variance, "accuracy": _series_accuracy,
+           "correction-sweep": _series_correction_sweep,
+           "traverses": _series_traverses}
+PLOT_KINDS = tuple(_SERIES)
+
+
+def _write_rows(rows: list[dict], out_path: Optional[str]) -> None:
     if not rows:
         raise ValueError("nothing to write")
-    if columns is None:
-        columns = list(rows[0].keys())
     handle = sys.stdout if out_path in (None, "-") else open(
         out_path, "w", encoding="utf-8", newline="")
     try:
-        writer = csv.DictWriter(handle, fieldnames=columns)
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     finally:
@@ -477,10 +474,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             data.write_scores(ds, args.out)
         elif args.command == "sweep":
             cfg = _sweep_config(args)
-            if cfg.output:
-                run_sweep(cfg)
-            else:
-                _write_rows(run_sweep(cfg), None, columns=SWEEP_COLUMNS)
+            run_sweep(cfg, out=sys.stdout if cfg.output in (None, "-")
+                      else None)
         elif args.command == "correction-table":
             rows = emit_correction_table(args.eps_values, args.c, args.alpha,
                                          k_est=args.k_est, delta=args.delta,

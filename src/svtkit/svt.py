@@ -337,15 +337,13 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         base = gaps[batch] + v - r
 
         if cfg.resample:
-            flags = np.empty(take, dtype=bool)
+            flags = np.zeros(take, dtype=bool)
             i = 0
             while i < take:
                 above = base[i:] >= rho
                 if not above.any():
-                    flags[i:] = False
                     break
                 hit = i + int(np.argmax(above))
-                flags[i:hit] = False
                 flags[hit] = True
                 rho = draw_threshold()
                 i = hit + 1

@@ -249,6 +249,50 @@ def test_main_sweep_stdout(capsys):
     assert header == ",".join(SWEEP_COLUMNS)
 
 
+SWEEP_ARGV = ["sweep", "--dataset", "zipf", "--n-items", "300",
+              "--variants", "exp-opt,lap,upper", "--eps", "0.5,1", "--c", "5",
+              "--traverses", "1,2", "--append", "--reps", "2", "--seed", "4"]
+
+
+def without_timing(text):
+    rows = list(csv.reader(text.splitlines()))
+    col = rows[0].index("wall_time_ms")
+    return [row[:col] + row[col + 1:] for row in rows]
+
+
+@pytest.mark.parametrize("dash", [False, True])
+def test_main_sweep_stdout_matches_out_file(dash, tmp_path, monkeypatch,
+                                            capsys):
+    out = tmp_path / "rows.csv"
+    assert cli.main([*SWEEP_ARGV, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SWEEP_ARGV + ["--out", "-"] * dash) == 0
+    printed = capsys.readouterr().out
+    assert without_timing(printed) == without_timing(out.read_text())
+    assert len(printed.splitlines()) == 1 + 3 * 2 * 2 * 2
+    assert not (tmp_path / "-").exists()
+
+
+def test_main_sweep_aborted_keeps_finished_rows(monkeypatch, capsys):
+    run_cell, calls = cli._run_cell, []
+
+    def failing_second_cell(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("cell failed")
+        return run_cell(*args)
+
+    monkeypatch.setattr(cli, "_run_cell", failing_second_cell)
+    assert cli.main(SWEEP_ARGV) == 1
+    captured = capsys.readouterr()
+    assert "cell failed" in captured.err
+    lines = captured.out.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == ",".join(SWEEP_COLUMNS)
+    assert lines[1].startswith("zipf,exp-opt,0.5,")
+
+
 def test_main_sweep_config_file_with_flag_override(tmp_path):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps({

@@ -37,6 +37,25 @@ GOLDEN = {
                    "--seed", "9", "--monotonic"],
         "5dc37cd6e2a2a3de20020e6016b1f96e"
         "3babb5b21ec211e21d0aa046286915ca"),
+    "correction-table": (["correction-table"],
+        "46abe53d05a01dccc5d400853ea4b0c8"
+        "622b9743d388d8c7dd8ae3bc1e3cc558"),
+    "correction-table-monotonic": (["correction-table", "--monotonic",
+                                    "--alpha", "3"],
+        "0699e98b8f3ea91085bd1ddc21abf4a3"
+        "4c0608edaf683939b729df627c2850b5"),
+    "variance": (["plot-series", "--kind", "variance"],
+        "9805deba5d0cee1275bd6a4c76520cd6"
+        "cdf31df83365d7c145958b4538da402b"),
+    "correction-sweep": (["plot-series", "--kind", "correction-sweep"],
+        "62fa154a513d9c1a258f622c362570d8"
+        "029876f3b2d98d33a5577638dca3f6b6"),
+    "correction-sweep-monotonic": (["plot-series", "--kind",
+                                    "correction-sweep", "--params",
+                                    json.dumps({"monotonic": True,
+                                                "alpha": 2})],
+        "85087b2aefc5066b48fc4e5ba4aa11cd"
+        "013abbedab882b91d8c23cc868bd41c2"),
 }
 
 

@@ -240,6 +240,9 @@ ENTRIES = [
     ("emit_plot_series(correction-sweep)", _series("correction-sweep"),
      dict(points=3), dict(points=count(1), r_min=optional(FINITE),
                           r_max=optional(FINITE))),
+    ("emit_plot_series(traverses)", _series("traverses"),
+     dict(n_items=50, c=2, traverses=(1,), variants=("lap",)),
+     dict(repetitions=count(2))),
     ("lipschitz_tail_check", noise.lipschitz_tail_check,
      dict(d=noise.laplace(1.0), k2=1.0, shift=0.5, grid=[0.0, 1.0]),
      dict(k2=POSITIVE, shift=NONZERO)),
@@ -341,6 +344,13 @@ PROBES = {
         lambda: cli.emit_plot_series("accuracy", k=1.5),
     "plot-series(kind=variance, points=0)":
         lambda: cli.emit_plot_series("variance", points=0),
+    "plot-series(kind=traverses, repetitions=1)":
+        lambda: cli.emit_plot_series("traverses", repetitions=1,
+                                     traverses=[1], variants=["lap"],
+                                     n_items=200),
+    "cell_rng(variant='warp')": lambda: cli.cell_rng(0, 0.5, "warp", 1, 0),
+    "cell_rng(variant=Variant.LAP)":
+        lambda: cli.cell_rng(0, 0.5, Variant.LAP, 1, 0),
     "SvtConfig(variant='lap')":
         lambda: SvtConfig(**dict(SVT, variant="lap")),
     "split(variant='lap')": lambda: allocation.split(1.0, "lap", 1),
