@@ -115,11 +115,6 @@ def query_sensitivity(c: int, delta: float, monotonic: bool = False) -> float:
     checks.count(1, c=c)
     checks.positive(delta=delta)
     checks.flag(monotonic=monotonic)
-    return _sensitivity(c, delta, monotonic)
-
-
-def _sensitivity(c: int, delta: float, monotonic: bool) -> float:
-    """Unchecked: :func:`calibrate` checks these itself, once per call."""
     return (c if monotonic else 2 * c) * delta
 
 
@@ -135,10 +130,8 @@ def calibrate(variant: Variant, eps1: float, eps2: float, c: int, delta: float,
     scale query_sensitivity/eps2, times kappa for the Gaussian.
     """
     thr, qry = _law_kinds(variant)
-    checks.positive(eps1=eps1, eps2=eps2, delta=delta)
-    checks.count(1, c=c)
-    checks.flag(monotonic=monotonic)
-    scale = _sensitivity(c, delta, monotonic) / eps2
+    checks.positive(eps1=eps1, eps2=eps2)
+    scale = query_sensitivity(c, delta, monotonic) / eps2
     if qry is Kind.GAUSSIAN:
         kappa = gaussian_kappa(delta_dp)
         return (thr, kappa * delta / eps1), (qry, kappa * scale)

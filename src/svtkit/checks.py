@@ -34,13 +34,6 @@ def within(low: float, high: float, /, **values) -> None:
             _reject(name, x, f"a number in ({low}, {high})")
 
 
-def positive(**values) -> None:
-    """``within(0, inf)``, spelled out: budget splits call it in tight loops."""
-    for name, x in values.items():
-        if not ((isinstance(x, float) or _real(x)) and 0 < x < math.inf):
-            _reject(name, x, "a number in (0, inf)")
-
-
 def nonnegative(**values) -> None:
     for name, x in values.items():
         if not ((isinstance(x, float) or _real(x)) and 0 <= x < math.inf):
@@ -48,6 +41,7 @@ def nonnegative(**values) -> None:
 
 
 finite = partial(within, -math.inf, math.inf)
+positive = partial(within, 0, math.inf)
 probability = partial(within, 0, 1)
 
 

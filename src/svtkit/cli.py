@@ -18,6 +18,7 @@ wall_time_ms column.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -93,11 +94,13 @@ class ExperimentConfig:
             raise ValueError("eps values closer than 1e-9 share a random stream")
 
 
+_GENERATORS = {"binary": data.gen_binary,
+               "zipf": lambda n_items, n_positive: data.gen_zipf(n_items)}
+
+
 def load_dataset(cfg: ExperimentConfig) -> data.ScoredDataset:
-    if cfg.dataset == "binary":
-        return data.gen_binary(cfg.n_items, cfg.n_positive)
-    if cfg.dataset == "zipf":
-        return data.gen_zipf(cfg.n_items)
+    if cfg.dataset in _GENERATORS:
+        return _GENERATORS[cfg.dataset](cfg.n_items, cfg.n_positive)
     return data.read_scores(cfg.dataset)
 
 
@@ -140,25 +143,23 @@ def _noisy_ranking(ds: data.ScoredDataset, eps2: float, delta: float, c: int,
 def run_sweep(cfg: ExperimentConfig, out: Optional[IO[str]] = None) -> list[dict]:
     """Run every sweep cell, returning (and optionally writing) result rows.
 
-    Rows stream to ``out`` (or to ``cfg.output`` when set) as they finish,
-    flushed per row so an aborted sweep keeps its partial results.
+    Rows stream to ``out`` (or to ``cfg.output`` when set, ``-`` meaning
+    stdout) as they finish, flushed per row so an aborted sweep keeps its
+    partial results.
     """
     ds = load_dataset(cfg)
     truth = metrics.GroundTruth.from_items(ds.items, ds.threshold, cfg.c)
     k_est = cfg.k_est if cfg.k_est is not None else max(1, ds.n_items // cfg.c)
 
-    close_out = False
-    if out is None and cfg.output:
-        out = open(cfg.output, "w", encoding="utf-8", newline="")
-        close_out = True
-    writer = None
-    if out is not None:
-        writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        out.flush()
-
     rows: list[dict] = []
-    try:
+    with contextlib.ExitStack() as stack:
+        if out is None and cfg.output:
+            out = _open_out(cfg.output, stack)
+        writer = None
+        if out is not None:
+            writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS)
+            writer.writeheader()
+            out.flush()
         for eps in cfg.eps_values:
             for token in cfg.variants:
                 for trav in cfg.traverses:
@@ -173,9 +174,6 @@ def run_sweep(cfg: ExperimentConfig, out: Optional[IO[str]] = None) -> list[dict
                         if writer is not None:
                             writer.writerow(row)
                             out.flush()
-    finally:
-        if close_out:
-            out.close()
     return rows
 
 
@@ -199,8 +197,7 @@ def _run_cell(cfg: ExperimentConfig, ds: data.ScoredDataset,
         delta=cfg.delta, eps1=split.eps1, eps2=split.eps2, c=cfg.c,
         k_max=ds.n_items * trav, variant=variant, resample=cfg.resample,
         append=cfg.append, max_traverses=trav, monotonic=cfg.monotonic,
-        alpha=cfg.alpha, k_est=k_est,
-        delta_dp=1.0 / ds.n_items if variant is Variant.GAU else None)
+        alpha=cfg.alpha, k_est=k_est, delta_dp=1.0 / ds.n_items)
     stream = data.shuffle_and_stream(ds, rng)
     outcome = run_svt(stream, svt_cfg, rng)
     base.update(ncr=metrics.ncr(outcome.positives, truth),
@@ -257,8 +254,7 @@ def _series_variance(c: int = 50, delta: float = 1.0, monotonic: bool = False,
         for family, variant in _FAMILY_VARIANT.items():
             split = allocation.split(float(eps), variant, c, monotonic)
             v = allocation.comparison_variance(
-                variant, split.eps1, split.eps2, c, delta, monotonic,
-                delta_dp=delta_dp if family == "gau" else None)
+                variant, split.eps1, split.eps2, c, delta, monotonic, delta_dp)
             rows.append({"kind": "variance", "variant": family,
                          "eps": float(eps), "variance": v})
     return rows
@@ -297,8 +293,7 @@ def _series_accuracy(k: int = 50, eps: float = 1.0, delta: float = 1.0,
                 data.Items(stream.ids, stream.scores), threshold, c=1)
             cfg = SvtConfig(
                 delta=delta, eps1=eps / 2, eps2=eps / 2, c=1, k_max=k + 1,
-                variant=variant, alpha=alpha, k_est=k,
-                delta_dp=1.0 / (k + 1) if variant is Variant.GAU else None)
+                variant=variant, alpha=alpha, k_est=k, delta_dp=1.0 / (k + 1))
             rng = cell_rng(seed, eps, token, 1, 0)
             beta_hat = metrics.alpha_beta_estimate(
                 lambda r: run_svt(stream, cfg, r), alpha, truth, trials, rng)
@@ -363,18 +358,21 @@ _SERIES = {"variance": _series_variance, "accuracy": _series_accuracy,
 PLOT_KINDS = tuple(_SERIES)
 
 
+def _open_out(path: Optional[str], stack: contextlib.ExitStack) -> IO[str]:
+    """stdout for ``None`` or ``-``; otherwise ``path``, closed by ``stack``."""
+    if path in (None, "-"):
+        return sys.stdout
+    return stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+
+
 def _write_rows(rows: list[dict], out_path: Optional[str]) -> None:
     if not rows:
         raise ValueError("nothing to write")
-    handle = sys.stdout if out_path in (None, "-") else open(
-        out_path, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+    with contextlib.ExitStack() as stack:
+        writer = csv.DictWriter(_open_out(out_path, stack),
+                                fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -396,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="write a synthetic dataset")
-    p_gen.add_argument("--dataset", choices=("binary", "zipf"), required=True)
+    p_gen.add_argument("--dataset", choices=tuple(_GENERATORS), required=True)
     p_gen.add_argument("--n-items", type=int, default=10000)
     p_gen.add_argument("--n-positive", type=int, default=100)
     p_gen.add_argument("--out", required=True)
@@ -466,16 +464,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gen":
-            ds = (data.gen_binary(args.n_items, args.n_positive)
-                  if args.dataset == "binary" else data.gen_zipf(args.n_items))
+            ds = _GENERATORS[args.dataset](args.n_items, args.n_positive)
             data.write_scores(ds, args.out)
         elif args.command == "ingest":
             ds = data.ingest_transactions(args.path, args.threshold)
             data.write_scores(ds, args.out)
         elif args.command == "sweep":
             cfg = _sweep_config(args)
-            run_sweep(cfg, out=sys.stdout if cfg.output in (None, "-")
-                      else None)
+            run_sweep(cfg, out=sys.stdout if cfg.output is None else None)
         elif args.command == "correction-table":
             rows = emit_correction_table(args.eps_values, args.c, args.alpha,
                                          k_est=args.k_est, delta=args.delta,

@@ -104,10 +104,7 @@ class QueryStream(Record):
                        threshold: float) -> "QueryStream":
         """Build a stream where every query shares one threshold."""
         checks.finite(threshold=threshold)
-        ids, scores = columns(scored, (np.int64, float))
-        checks.unique_finite(ids, scores)
-        thresholds = frozen(np.full(ids.size, threshold, dtype=float), float)
-        return cls.trusted(ids=ids, scores=scores, thresholds=thresholds)
+        return cls((i, s, threshold) for i, s in scored)
 
     def __len__(self) -> int:
         return self.ids.size

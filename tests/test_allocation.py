@@ -166,3 +166,12 @@ def test_query_family_mapping():
 def test_split_rejects_non_finite_or_non_positive_total(eps):
     with pytest.raises(ValueError):
         allocation.split(eps, Variant.EXP_OPT_CORR, 5)
+
+
+def test_budget_split_rejects_inconsistent_parts():
+    with pytest.raises(ValueError, match="eps1 \\+ eps2 must equal eps_total"):
+        allocation.BudgetSplit(eps_total=1, w=1, eps1=0.3, eps2=0.3,
+                               variant=Variant.LAP, monotonic=False)
+    with pytest.raises(ValueError, match="eps2 must equal w \\* eps1"):
+        allocation.BudgetSplit(eps_total=1, w=2, eps1=0.5, eps2=0.5,
+                               variant=Variant.LAP, monotonic=False)

@@ -345,3 +345,26 @@ def test_token_parsers():
 def test_config_rejects_empty_traverses():
     with pytest.raises(ValueError):
         small_sweep(traverses=())
+
+
+def test_run_sweep_dash_output_means_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rows = cli.run_sweep(small_sweep(output="-"))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(SWEEP_COLUMNS)
+    assert len(lines) == 1 + len(rows) == 1 + 2 * 2
+    assert not (tmp_path / "-").exists()
+
+
+def test_sweep_over_written_scores_file_matches_generator(tmp_path):
+    path = tmp_path / "zipf.scores"
+    assert cli.main(["gen", "--dataset", "zipf", "--n-items", "300",
+                     "--out", str(path)]) == 0
+    from_file = cli.run_sweep(small_sweep(dataset=str(path)))
+    assert strip_timing(from_file) == strip_timing(cli.run_sweep(small_sweep()))
+
+
+def test_main_plot_series_with_no_rows_is_an_error(capsys):
+    assert cli.main(["plot-series", "--kind", "accuracy",
+                     "--params", json.dumps({"alphas": []})]) == 1
+    assert "error: nothing to write" in capsys.readouterr().err

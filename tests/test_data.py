@@ -125,3 +125,10 @@ def test_dataset_validation():
         data.ScoredDataset(name="x", items=((1, 1.0), (1, 2.0)), threshold=1.0)
     with pytest.raises(ValueError):
         data.ScoredDataset(name="x", items=((1, 1.0),), threshold=float("nan"))
+
+
+def test_read_scores_requires_header(tmp_path):
+    path = tmp_path / "bare.scores"
+    path.write_text("1,2.0\n")
+    with pytest.raises(ValueError, match="missing scores header"):
+        data.read_scores(path)

@@ -56,6 +56,13 @@ GOLDEN = {
                                                 "alpha": 2})],
         "85087b2aefc5066b48fc4e5ba4aa11cd"
         "013abbedab882b91d8c23cc868bd41c2"),
+    "gen-binary": (["gen", "--dataset", "binary", "--n-items", "500",
+                    "--n-positive", "20"],
+        "dd74878a1fbf4c4dcd1e40ba3583e212"
+        "6e92c66a19688aaf0d6001facae03121"),
+    "gen-zipf": (["gen", "--dataset", "zipf", "--n-items", "500"],
+        "0c9ee0a85b289ea22d14b3b387c6b10f"
+        "21da9fc71cdeadf670cecad703028ec6"),
 }
 
 

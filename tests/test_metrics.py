@@ -221,3 +221,9 @@ def test_alpha_beta_rejects_ids_missing_from_truth(answers):
     with pytest.raises(ValueError, match="missing"):
         metrics.alpha_beta_estimate(_scripted(answers), 1.0, truth, 2,
                                     np.random.default_rng(0))
+
+
+def test_ground_truth_rejects_nested_arrays():
+    with pytest.raises(ValueError, match="expected a 1-d array"):
+        GroundTruth(ranked_ids=[[1, 2]], scores=[[2.0, 1.0]], threshold=0.0,
+                    c=1)

@@ -256,3 +256,9 @@ def test_tail_check_rejects_non_finite(k2, shift):
     with pytest.raises(ValueError):
         noise.lipschitz_tail_check(noise.laplace(1.0), k2=k2, shift=shift,
                                    grid=[0.0, 1.0])
+
+
+def test_tail_check_with_every_point_skipped():
+    result = noise.lipschitz_tail_check(noise.gumbel(1.0), 1.0, 1.0, [1000.0])
+    assert result.max_violation == -INF
+    assert result.skipped == (1000.0,)

@@ -461,3 +461,21 @@ def test_memo_keeps_override_zero_apart_from_none():
                        np.random.default_rng(1)).correction_used
     assert math.copysign(1.0, negative) == -1.0
 
+
+
+def test_outcome_rejects_positives_that_are_not_the_flagged_ids():
+    with pytest.raises(ValueError, match="positives must be the flagged"):
+        SvtOutcome([(1, True, 1)], [2], n_c=1, n_a=1,
+                   halt_reason=HaltReason.EXHAUSTED, correction_used=0.0)
+
+
+@pytest.mark.parametrize("variant",
+                         [v for v in Variant if v is not Variant.GAU])
+def test_delta_dp_ignored_outside_the_gaussian(variant):
+    kw = dict(variant=variant, c=3, k_max=40, k_est=10)
+    plain, given = cfg_with(**kw), cfg_with(delta_dp=0.5, **kw)
+    assert noise_pair(given) == noise_pair(plain)
+    assert correction_term(given) == correction_term(plain)
+    scores = list(np.linspace(480, 520, 20))
+    assert (run_svt(stream(scores), given, np.random.default_rng(3))
+            == run_svt(stream(scores), plain, np.random.default_rng(3)))
