@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -70,6 +71,9 @@ class ExperimentConfig:
     output: Optional[str] = None
 
     def __post_init__(self) -> None:
+        checks.instance(str, dataset=self.dataset)
+        checks.instance(tuple, variants=self.variants,
+                        eps_values=self.eps_values, traverses=self.traverses)
         if not (self.variants and self.eps_values and self.traverses):
             raise ValueError("variants, eps_values and traverses must be "
                              "nonempty")
@@ -79,7 +83,7 @@ class ExperimentConfig:
                              f"choose from {VARIANT_TOKENS}")
         checks.positive(delta=self.delta)
         for eps in self.eps_values:
-            checks.positive(eps_values=eps)
+            checks.within(0, _EPS_LIMIT, eps_values=eps)
         for trav in self.traverses:
             checks.count(1, traverses=trav)
         checks.nonnegative(alpha=self.alpha)
@@ -111,6 +115,10 @@ def _eps_key(eps: float) -> int:
     return int(round(eps * 1e9))
 
 
+# The least eps whose stream key overflows: eps * 1e9 is inf from here on.
+_EPS_LIMIT = math.nextafter(sys.float_info.max / 1e9, math.inf)
+
+
 def cell_rng(seed: int, eps: float, variant: str, traverses: int,
              repetition: int) -> np.random.Generator:
     """Independent stream for one sweep cell, derived from its identity.
@@ -120,7 +128,7 @@ def cell_rng(seed: int, eps: float, variant: str, traverses: int,
     """
     checks.count(0, seed=seed, repetition=repetition)
     checks.count(1, traverses=traverses)
-    checks.positive(eps=eps)
+    checks.within(0, _EPS_LIMIT, eps=eps)
     if variant not in VARIANT_TOKENS:
         raise ValueError(f"variant must be one of {VARIANT_TOKENS}, "
                          f"got {variant!r}")
@@ -453,7 +461,7 @@ def _sweep_config(args: argparse.Namespace) -> ExperimentConfig:
         if flag is not None:
             values[f.name] = flag
     for key in ("variants", "eps_values", "traverses"):
-        if key in values and values[key] is not None:
+        if isinstance(values.get(key), list):
             values[key] = tuple(values[key])
     if "dataset" not in values:
         raise ValueError("a dataset is required (flag --dataset or config)")

@@ -134,9 +134,9 @@ def read_scores(path: str | Path) -> ScoredDataset:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if not header.startswith("# name="):
+        meta, sep, thr = header[2:].rpartition(" threshold=")
+        if not (header.startswith("# name=") and sep):
             raise ValueError(f"{path}: missing scores header, got {header!r}")
-        meta, _, thr = header[2:].rpartition(" threshold=")
         name = meta[len("name="):]
         body = fh.tell()
         try:

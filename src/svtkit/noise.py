@@ -1,11 +1,11 @@
 """Calibrated noise distributions with seeded sampling and tail diagnostics.
 
-All four laws used by the mechanism variants live here: Laplace (threshold
-noise and one query-noise baseline), exponential (the one-sided query noise),
-Gaussian, and Gumbel. Each is described by a kind, a scale, and a location,
-and exposes pdf, cdf, quantile, and inverse-cdf sampling from a single
-uniform stream. The log-survival helpers back the tail Lipschitz check that
-decides whether a law is eligible as pure-DP query noise.
+All four laws used by the mechanism variants live here, one row each of the
+law table ``_LAWS``: Laplace (threshold noise and one query-noise baseline),
+exponential (the one-sided query noise), Gaussian, and Gumbel. Each has a kind,
+a scale and a location, and exposes pdf, cdf, quantile, and inverse-cdf
+sampling from a single uniform stream. The log-survival helpers back the tail
+Lipschitz check that decides whether a law is eligible as pure-DP query noise.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
@@ -52,24 +53,15 @@ class NoiseDist:
         checks.finite(location=self.location)
 
     def mean(self) -> float:
-        if self.kind is Kind.EXPONENTIAL:
-            return self.location + self.scale
-        if self.kind is Kind.GUMBEL:
-            return self.location + EULER_GAMMA * self.scale
-        return self.location
+        return self.location + _LAWS[self.kind].mean * self.scale
 
     def variance(self) -> float:
         return law_variance(self.kind, self.scale)
 
 
-# Variance of each law per unit of scale squared.
-_VARIANCE_COEFF = {Kind.LAPLACE: 2.0, Kind.EXPONENTIAL: 1.0,
-                   Kind.GAUSSIAN: 1.0, Kind.GUMBEL: math.pi**2 / 6.0}
-
-
 def law_variance(kind: Kind, scale: float) -> float:
     """Variance of the ``kind`` law at ``scale``; the location plays no part."""
-    return _VARIANCE_COEFF[kind] * scale**2
+    return _LAWS[kind].variance * scale**2
 
 
 def laplace(scale: float, location: float = 0.0) -> NoiseDist:
@@ -106,31 +98,12 @@ def pdf(d: NoiseDist, x) -> float | np.ndarray:
     Zero below the location for the exponential law, which is supported on
     [location, infinity).
     """
-    z = _standardize(d, x)
-    if d.kind is Kind.LAPLACE:
-        out = np.exp(-np.abs(z)) / (2.0 * d.scale)
-    elif d.kind is Kind.EXPONENTIAL:
-        out = np.where(z < 0, 0.0, np.exp(-np.clip(z, 0, None)) / d.scale)
-    elif d.kind is Kind.GAUSSIAN:
-        out = np.exp(-0.5 * z * z) / (d.scale * math.sqrt(2.0 * math.pi))
-    else:
-        out = np.exp(-z - np.exp(-z)) / d.scale
-    return _as_given(out, x)
+    return _as_given(_LAWS[d.kind].pdf(_standardize(d, x), d.scale), x)
 
 
 def cdf(d: NoiseDist, x) -> float | np.ndarray:
     """P[X <= x] for ``d`` at ``x`` (scalar or array)."""
-    z = _standardize(d, x)
-    if d.kind is Kind.LAPLACE:
-        out = np.where(z < 0, 0.5 * np.exp(np.clip(z, None, 0)),
-                       1.0 - 0.5 * np.exp(-np.clip(z, 0, None)))
-    elif d.kind is Kind.EXPONENTIAL:
-        out = np.where(z < 0, 0.0, -np.expm1(-np.clip(z, 0, None)))
-    elif d.kind is Kind.GAUSSIAN:
-        out = ndtr(z)
-    else:
-        out = np.exp(-np.exp(-z))
-    return _as_given(out, x)
+    return _as_given(_LAWS[d.kind].cdf(_standardize(d, x)), x)
 
 
 def log_sf(d: NoiseDist, x) -> float | np.ndarray:
@@ -140,20 +113,7 @@ def log_sf(d: NoiseDist, x) -> float | np.ndarray:
     double precision; callers probing tails should treat such points as
     "cdf is exactly 1 here" (see :func:`lipschitz_tail_check`).
     """
-    z = _standardize(d, x)
-    if d.kind is Kind.LAPLACE:
-        lower = np.log1p(-0.5 * np.exp(np.clip(z, None, 0)))
-        upper = math.log(0.5) - z
-        out = np.where(z < 0, lower, upper)
-    elif d.kind is Kind.EXPONENTIAL:
-        out = np.where(z < 0, 0.0, -np.clip(z, 0, None))
-    elif d.kind is Kind.GAUSSIAN:
-        out = log_ndtr(-z)
-    else:
-        # 1 - exp(-exp(-z)); -expm1 keeps precision while exp(-z) > 0.
-        with np.errstate(divide="ignore"):
-            out = np.log(-np.expm1(-np.exp(-z)))
-    return _as_given(out, x)
+    return _as_given(_LAWS[d.kind].log_sf(_standardize(d, x)), x)
 
 
 def quantile(d: NoiseDist, p) -> float | np.ndarray:
@@ -162,7 +122,27 @@ def quantile(d: NoiseDist, p) -> float | np.ndarray:
     parr = np.asarray(p, dtype=float)
     if not np.all((0.0 < parr) & (parr < 1.0)):
         raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
-    return _as_given(d.location + d.scale * _STANDARD_QUANTILE[d.kind](parr), p)
+    return _as_given(d.location + d.scale * _LAWS[d.kind].quantile(parr), p)
+
+
+class _Law(NamedTuple):
+    """One law at location 0 and scale 1, at the standardized point z.
+
+    ``mean`` and ``variance`` are per unit of scale and of scale squared
+    (the symmetric laws' -0.0 keeps location + mean * scale the location,
+    bit for bit); ``pdf`` divides by the scale inside its own expression.
+    ``quantile`` takes p, a float or an array, in (0, 1), where no
+    logarithm's argument reaches zero (the Laplace 2(1 - p) stays at or
+    above 2**-52): no law needs clipping or an errstate guard, and the
+    Laplace array form may evaluate both branches everywhere.
+    """
+
+    mean: float
+    variance: float
+    pdf: Callable
+    cdf: Callable
+    log_sf: Callable
+    quantile: Callable
 
 
 def _laplace_quantile(p):
@@ -171,15 +151,34 @@ def _laplace_quantile(p):
     return np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
 
 
-# Quantile of each law at location 0 and scale 1, for p a float or an array
-# in (0, 1). On that range no logarithm's argument reaches zero (the Laplace
-# 2(1 - p) stays at or above 2**-52), so no law needs clipping or an errstate
-# guard, and the Laplace array form may evaluate both branches everywhere.
-_STANDARD_QUANTILE = {
-    Kind.LAPLACE: _laplace_quantile,
-    Kind.EXPONENTIAL: lambda p: -np.log1p(-p),
-    Kind.GAUSSIAN: ndtri,
-    Kind.GUMBEL: lambda p: -np.log(-np.log(p)),
+def _gumbel_log_sf(z):
+    # 1 - exp(-exp(-z)); -expm1 keeps precision while exp(-z) > 0.
+    with np.errstate(divide="ignore"):
+        return np.log(-np.expm1(-np.exp(-z)))
+
+
+_LAWS = {
+    Kind.LAPLACE: _Law(
+        -0.0, 2.0, lambda z, s: np.exp(-np.abs(z)) / (2.0 * s),
+        lambda z: np.where(z < 0, 0.5 * np.exp(np.clip(z, None, 0)),
+                           1.0 - 0.5 * np.exp(-np.clip(z, 0, None))),
+        lambda z: np.where(z < 0, np.log1p(-0.5 * np.exp(np.clip(z, None, 0))),
+                           math.log(0.5) - z), _laplace_quantile),
+    Kind.EXPONENTIAL: _Law(
+        1.0, 1.0,
+        lambda z, s: np.where(z < 0, 0.0, np.exp(-np.clip(z, 0, None)) / s),
+        lambda z: np.where(z < 0, 0.0, -np.expm1(-np.clip(z, 0, None))),
+        lambda z: np.where(z < 0, 0.0, -np.clip(z, 0, None)),
+        lambda p: -np.log1p(-p)),
+    Kind.GAUSSIAN: _Law(
+        -0.0, 1.0,
+        lambda z, s: np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi)),
+        ndtr, lambda z: log_ndtr(-z), ndtri),
+    Kind.GUMBEL: _Law(
+        EULER_GAMMA, math.pi**2 / 6.0,
+        lambda z, s: np.exp(-z - np.exp(-z)) / s,
+        lambda z: np.exp(-np.exp(-z)), _gumbel_log_sf,
+        lambda p: -np.log(-np.log(p))),
 }
 
 
@@ -200,7 +199,7 @@ def sample(d: NoiseDist, rng: np.random.Generator,
     Returns:
         A float when ``size`` is None, otherwise an array of length ``size``.
     """
-    std = _STANDARD_QUANTILE[d.kind]
+    std = _LAWS[d.kind].quantile
     if size is None:
         return float(d.location + d.scale * std(max(rng.random(), _TINY_U)))
     out = std(np.maximum(rng.random(size), _TINY_U))

@@ -50,7 +50,17 @@ class Answer(NamedTuple):
 
 
 def frozen(values, dtype) -> np.ndarray:
-    """A read-only one-dimensional view of ``values`` as ``dtype``."""
+    """A read-only one-dimensional view of ``values`` as ``dtype``. An
+    integer ``dtype`` takes only integers within its range and rejects
+    anything else with ``ValueError``: a float id is never truncated."""
+    if np.issubdtype(dtype, np.integer):
+        values = np.asarray(values)
+        if values.size and not (values.dtype.kind in "iu" and (
+                np.can_cast(values.dtype, dtype)
+                or values.max() <= np.iinfo(dtype).max)):
+            raise ValueError(f"ids and other integer columns must be "
+                             f"integers within {np.dtype(dtype)}, got "
+                             f"{values.dtype} values")
     array = np.asarray(values, dtype=dtype).view()
     if array.ndim != 1:
         raise ValueError(f"expected a 1-d array, got shape {array.shape}")

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -368,3 +370,27 @@ def test_main_plot_series_with_no_rows_is_an_error(capsys):
     assert cli.main(["plot-series", "--kind", "accuracy",
                      "--params", json.dumps({"alphas": []})]) == 1
     assert "error: nothing to write" in capsys.readouterr().err
+
+
+def test_eps_range_ends_where_the_stream_key_overflows():
+    top = sys.float_info.max / 1e9
+    assert math.isfinite(top * 1e9)
+    small_sweep(eps_values=(top,))
+    cli.cell_rng(0, top, "lap", 1, 0)
+    beyond = math.nextafter(top, INF)
+    with pytest.raises(ValueError, match="eps_values"):
+        small_sweep(eps_values=(beyond,))
+    with pytest.raises(ValueError, match="eps"):
+        cli.cell_rng(0, beyond, "lap", 1, 0)
+
+
+@pytest.mark.parametrize("field, value", [("eps_values", 0.5),
+                                          ("variants", "lap"),
+                                          ("traverses", 2)])
+def test_main_sweep_config_file_scalar_for_a_list(field, value, tmp_path,
+                                                  capsys):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"dataset": "zipf", "variants": ["lap"],
+                                    "eps_values": [0.5], field: value}))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 1
+    assert f"error: {field} must be a tuple" in capsys.readouterr().err

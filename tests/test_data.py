@@ -132,3 +132,11 @@ def test_read_scores_requires_header(tmp_path):
     path.write_text("1,2.0\n")
     with pytest.raises(ValueError, match="missing scores header"):
         data.read_scores(path)
+
+
+def test_read_scores_header_without_threshold_names_file_and_header(tmp_path):
+    path = tmp_path / "bare.scores"
+    path.write_text("# name=s\n1,2.0\n")
+    with pytest.raises(ValueError) as err:
+        data.read_scores(path)
+    assert str(path) in str(err.value) and "'# name=s'" in str(err.value)

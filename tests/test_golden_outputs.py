@@ -3,6 +3,9 @@
 Each case runs one `svtkit` command at a fixed seed and pins the sha256 of
 its CSV, with the nondeterministic wall_time_ms column dropped. A change
 of the random draw order or of any computed bit shows up here.
+
+The ingest case reads TRANSACTIONS, written to a fixed file name in the
+test's temporary directory and passed where its argv says TRANSACTIONS_PATH.
 """
 
 import csv
@@ -13,6 +16,9 @@ import json
 import pytest
 
 from svtkit import cli
+
+TRANSACTIONS = "3 1 4 1 5\n9 2 6\n\n5 3 5\n8 9 7 9 3\n2 3 8 4 6\n  \n26 4 3\n"
+TRANSACTIONS_PATH = "<transactions>"
 
 GOLDEN = {
     "accuracy": (["plot-series", "--kind", "accuracy",
@@ -63,6 +69,9 @@ GOLDEN = {
     "gen-zipf": (["gen", "--dataset", "zipf", "--n-items", "500"],
         "0c9ee0a85b289ea22d14b3b387c6b10f"
         "21da9fc71cdeadf670cecad703028ec6"),
+    "ingest": (["ingest", "--path", TRANSACTIONS_PATH, "--threshold", "2.5"],
+        "d87e7579dad5fb3c08fe8eb7ae0b8646"
+        "afadd5d6f24bb2f7f654083475a8731f"),
 }
 
 
@@ -81,4 +90,7 @@ def output_digest(argv, tmp_path) -> str:
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_output(case, tmp_path):
     argv, digest = GOLDEN[case]
+    transactions = tmp_path / "transactions.txt"
+    transactions.write_text(TRANSACTIONS)
+    argv = [str(transactions) if a == TRANSACTIONS_PATH else a for a in argv]
     assert output_digest(argv, tmp_path) == digest

@@ -90,6 +90,14 @@ def _ingest(**kw):
         return data.ingest_transactions(path, **kw)
 
 
+def _read(reader, text):
+    """``reader`` applied to a temporary file holding ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.dat"
+        path.write_text(text)
+        return reader(path)
+
+
 def _series(kind):
     """A plot-series kind as a callable of its keyword parameters."""
     return functools.partial(cli.emit_plot_series, kind)
@@ -358,6 +366,38 @@ PROBES = {
     "calibrate(variant='lap')":
         lambda: allocation.calibrate("lap", 0.5, 0.5, 1, 1.0),
     "quantile(p='0.5')": lambda: noise.quantile(noise.laplace(1.0), "0.5"),
+    "ExperimentConfig(eps_values=(1e300,))":
+        lambda: cli.ExperimentConfig(**dict(SWEEP, eps_values=(1e300,))),
+    "cell_rng(eps=1e300)": lambda: cli.cell_rng(0, 1e300, "lap", 1, 0),
+    "ExperimentConfig(eps_values=0.5)":
+        lambda: cli.ExperimentConfig(**dict(SWEEP, eps_values=0.5)),
+    "ExperimentConfig(traverses=2)":
+        lambda: cli.ExperimentConfig(**SWEEP, traverses=2),
+    "ExperimentConfig(variants='lap')":
+        lambda: cli.ExperimentConfig(**dict(SWEEP, variants="lap")),
+    "ExperimentConfig(dataset=None)":
+        lambda: cli.ExperimentConfig(**dict(SWEEP, dataset=None)),
+    "ExperimentConfig(dataset=3)":
+        lambda: cli.ExperimentConfig(**dict(SWEEP, dataset=3)),
+    # Ids: integers within int64, neither truncated nor an OverflowError.
+    "ScoredDataset, id 1.5":
+        lambda: data.ScoredDataset("x", [(1.5, 1.0)], 0.0),
+    "QueryStream, id 1.5": lambda: QueryStream([(1.5, 1.0, 0.0)]),
+    "GroundTruth.from_items, id 1.7":
+        lambda: metrics.GroundTruth.from_items([(1.7, 1.0)], 0.0, 1),
+    "ScoredDataset, id 10**20":
+        lambda: data.ScoredDataset("x", [(10**20, 1.0)], 0.0),
+    "QueryStream, id 10**20": lambda: QueryStream([(10**20, 1.0, 0.0)]),
+    "GroundTruth, id 10**20":
+        lambda: metrics.GroundTruth([10**20], [1.0], 0.0, 1),
+    "GroundTruth, uint64 id 2**63": lambda: metrics.GroundTruth(
+        np.array([2**63], dtype=np.uint64), [1.0], 0.0, 1),
+    "ingest_transactions, id 10**20": lambda: _read(
+        functools.partial(data.ingest_transactions, threshold=1.0),
+        "1 2\n100000000000000000000 3\n"),
+    "read_scores, id 10**20": lambda: _read(
+        data.read_scores,
+        "# name=s threshold=1.0\n1,2.0\n100000000000000000000,3.0\n"),
 }
 
 
@@ -392,6 +432,16 @@ def test_nan_evaluation_point_gives_nan(evaluate):
     out = np.asarray(evaluate(np.array([NAN, 0.5, NAN])))
     assert np.isnan(out[[0, 2]]).all() and np.isfinite(out[1])
     assert math.isnan(float(np.asarray(evaluate(NAN)).ravel()[0]))
+
+
+def test_ids_within_int64_are_kept():
+    top = np.iinfo(np.int64)
+    ids = np.array([top.min, 0, top.max])
+    truth = metrics.GroundTruth(ids, [3.0, 2.0, 1.0], 0.0, 1)
+    assert truth.ids.tolist() == ids.tolist()
+    small = np.array([5, 1], dtype=np.uint64)
+    assert QueryStream([(i, 0.0, 0.0) for i in small]).ids.tolist() == [5, 1]
+    assert len(QueryStream([])) == 0
 
 
 def test_with_threshold_matches_row_constructor():

@@ -262,3 +262,77 @@ def test_tail_check_with_every_point_skipped():
     result = noise.lipschitz_tail_check(noise.gumbel(1.0), 1.0, 1.0, [1000.0])
     assert result.max_violation == -INF
     assert result.skipped == (1000.0,)
+
+
+# --- law table: pdf, cdf, log_sf, mean and variance bit for bit -------------
+
+def reference_law(d, x):
+    """(pdf, cdf, log_sf) of ``d`` at ``x`` by the per-kind formulas the
+    module used before its law table; kept as the oracle of their bits."""
+    z = (np.asarray(x, dtype=float) - d.location) / d.scale
+    with np.errstate(all="ignore"):
+        if d.kind is noise.Kind.LAPLACE:
+            pdf = np.exp(-np.abs(z)) / (2.0 * d.scale)
+            cdf = np.where(z < 0, 0.5 * np.exp(np.clip(z, None, 0)),
+                           1.0 - 0.5 * np.exp(-np.clip(z, 0, None)))
+            log_sf = np.where(z < 0,
+                              np.log1p(-0.5 * np.exp(np.clip(z, None, 0))),
+                              math.log(0.5) - z)
+        elif d.kind is noise.Kind.EXPONENTIAL:
+            pdf = np.where(z < 0, 0.0, np.exp(-np.clip(z, 0, None)) / d.scale)
+            cdf = np.where(z < 0, 0.0, -np.expm1(-np.clip(z, 0, None)))
+            log_sf = np.where(z < 0, 0.0, -np.clip(z, 0, None))
+        elif d.kind is noise.Kind.GAUSSIAN:
+            pdf = np.exp(-0.5 * z * z) / (d.scale * math.sqrt(2.0 * math.pi))
+            cdf = special.ndtr(z)
+            log_sf = special.log_ndtr(-z)
+        else:
+            pdf = np.exp(-z - np.exp(-z)) / d.scale
+            cdf = np.exp(-np.exp(-z))
+            log_sf = np.log(-np.expm1(-np.exp(-z)))
+    return pdf, cdf, log_sf
+
+
+def reference_moments(d):
+    """(mean, variance) of ``d`` by the formulas before the law table."""
+    if d.kind is noise.Kind.EXPONENTIAL:
+        mean = d.location + d.scale
+    elif d.kind is noise.Kind.GUMBEL:
+        mean = d.location + noise.EULER_GAMMA * d.scale
+    else:
+        mean = d.location
+    coeff = {noise.Kind.LAPLACE: 2.0, noise.Kind.EXPONENTIAL: 1.0,
+             noise.Kind.GAUSSIAN: 1.0, noise.Kind.GUMBEL: math.pi**2 / 6.0}
+    return mean, coeff[d.kind] * d.scale**2
+
+
+TABLE_LAWS = LAWS + ALL_DISTS + [
+    noise.NoiseDist(kind, 0.8, location=-0.0) for kind in noise.Kind]
+# Standardized points: both sides of 0, signed zeros, and tails deep
+# enough that exp, expm1 and log_ndtr underflow or overflow.
+TABLE_Z = [-1000.0, -745.0, -40.0, -1.5, -1e-300, -0.0, 0.0, 1e-300, 0.5,
+           1.5, 40.0, 745.0, 1000.0]
+
+
+@pytest.mark.parametrize("d", TABLE_LAWS,
+                         ids=lambda d: f"{d.kind.value}@{d.location}")
+def test_law_table_bit_identical_to_per_kind_formulas(d):
+    xs = [d.location + d.scale * z for z in TABLE_Z] + [d.location]
+    xs += (d.location + 30.0 * np.random.default_rng(3).standard_normal(
+        200)).tolist()
+    funcs = (noise.pdf, noise.cdf, noise.log_sf)
+    with np.errstate(all="ignore"):
+        for f, want in zip(funcs, reference_law(d, xs)):
+            got = f(d, np.array(xs))
+            assert type(got) is np.ndarray
+            assert np.array_equal(bits(got), bits(want)), f.__name__
+        for x in xs[:len(TABLE_Z) + 1]:
+            for value in (x, np.float64(x), np.array(x)):
+                for f, want in zip(funcs, reference_law(d, x)):
+                    got = f(d, value)
+                    assert type(got) is float
+                    assert bits(got) == bits(want), (f.__name__, x)
+    mean, variance = reference_moments(d)
+    assert bits(d.mean()) == bits(mean)
+    assert bits(d.variance()) == bits(variance)
+    assert bits(noise.law_variance(d.kind, d.scale)) == bits(variance)
