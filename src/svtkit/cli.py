@@ -25,7 +25,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import IO, Optional, Sequence
 
 import numpy as np

@@ -15,6 +15,7 @@ from .svt import QueryStream, Record, columns, frozen
 
 BINARY_THRESHOLD = 500.0
 ZIPF_THRESHOLD = 200.0
+_INT64 = np.iinfo(np.int64)
 
 
 class Items(Sequence):
@@ -114,8 +115,9 @@ def ingest_transactions(path: str | Path, threshold: float) -> ScoredDataset:
                 raise ValueError(
                     f"{path}: line {lineno}: malformed transaction "
                     f"{line.strip()!r}") from None
-            if any(i < 0 for i in ids):
-                raise ValueError(f"{path}: line {lineno}: negative item id")
+            if any(not 0 <= i <= _INT64.max for i in ids):
+                raise ValueError(f"{path}: line {lineno}: item ids must lie "
+                                 f"in [0, {_INT64.max}]")
             counts.update(ids)
     if not counts:
         raise ValueError(f"{path}: no transactions found")
@@ -137,6 +139,11 @@ def read_scores(path: str | Path) -> ScoredDataset:
         meta, sep, thr = header[2:].rpartition(" threshold=")
         if not (header.startswith("# name=") and sep):
             raise ValueError(f"{path}: missing scores header, got {header!r}")
+        try:
+            threshold = float(thr)
+        except ValueError:
+            raise ValueError(f"{path}: line 1: threshold must be a number, "
+                             f"got {thr!r}") from None
         name = meta[len("name="):]
         body = fh.tell()
         try:
@@ -148,7 +155,7 @@ def read_scores(path: str | Path) -> ScoredDataset:
             # names the line of a malformed row.
             fh.seek(body)
             items = Items.of(_score_rows(fh, path))
-    return ScoredDataset(name, items, float(thr))
+    return ScoredDataset(name, items, threshold)
 
 
 def _score_rows(lines: Iterable[str], path: Path) -> Iterator[tuple[int, float]]:
@@ -157,10 +164,14 @@ def _score_rows(lines: Iterable[str], path: Path) -> Iterator[tuple[int, float]]
             continue
         try:
             item, score = line.split(",")
-            yield int(item), float(score)
+            item, score = int(item), float(score)
         except ValueError:
             raise ValueError(
                 f"{path}: line {lineno}: expected id,score") from None
+        if not _INT64.min <= item <= _INT64.max:
+            raise ValueError(f"{path}: line {lineno}: id {item} is outside "
+                             f"int64")
+        yield item, score
 
 
 def shuffle_and_stream(ds: ScoredDataset, rng: np.random.Generator) -> QueryStream:

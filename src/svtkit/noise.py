@@ -151,10 +151,17 @@ def _laplace_quantile(p):
     return np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
 
 
+def _gumbel_exp(z):
+    # exp(-z) overflows to inf below z of about -709; every Gumbel
+    # expression built on it still reaches its limit there.
+    with np.errstate(over="ignore"):
+        return np.exp(-z)
+
+
 def _gumbel_log_sf(z):
     # 1 - exp(-exp(-z)); -expm1 keeps precision while exp(-z) > 0.
     with np.errstate(divide="ignore"):
-        return np.log(-np.expm1(-np.exp(-z)))
+        return np.log(-np.expm1(-_gumbel_exp(z)))
 
 
 _LAWS = {
@@ -176,8 +183,8 @@ _LAWS = {
         ndtr, lambda z: log_ndtr(-z), ndtri),
     Kind.GUMBEL: _Law(
         EULER_GAMMA, math.pi**2 / 6.0,
-        lambda z, s: np.exp(-z - np.exp(-z)) / s,
-        lambda z: np.exp(-np.exp(-z)), _gumbel_log_sf,
+        lambda z, s: np.exp(-z - _gumbel_exp(z)) / s,
+        lambda z: np.exp(-_gumbel_exp(z)), _gumbel_log_sf,
         lambda p: -np.log(-np.log(p))),
 }
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import enum
 import inspect
+import itertools
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -282,14 +283,14 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     """Run one mechanism invocation over a query stream.
 
     Each loop step evaluates one traverse as a vector: the whole queue on
-    the first, the negatives re-appended by the previous one after that,
-    cut short by k_max. Draw order is fixed for reproducibility: one
-    threshold draw up front, then query noise for each traverse in
-    evaluation order; under ``resample``, threshold redraws happen per
-    positive after the traverse's query draws. A ``noise_override``
-    replaces both noise sources with a deterministic callable
-    ``(role, query_id, traverse) -> float`` where role is "threshold"
-    (query_id -1, traverse = redraw index) or "query".
+    the first, the negatives re-appended by the previous one after that, cut
+    short by k_max, for at most ``max_traverses`` steps (one without
+    ``append``). Draw order is fixed for reproducibility: one threshold draw
+    up front, then query noise for each traverse in evaluation order; under
+    ``resample``, threshold redraws happen per positive after the traverse's
+    query draws. A ``noise_override`` replaces both noise sources with a
+    deterministic callable ``(role, query_id, traverse) -> float`` where
+    role is "threshold" (query_id -1, traverse = redraw index) or "query".
 
     Ties (noisy score exactly equal to the corrected noisy threshold) are
     answered positively.
@@ -304,49 +305,39 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         # Overrides of -0.0 and 0.0 compare equal and share a memo entry.
         r = float(cfg.correction_override)
 
-    redraws = 0
+    if noise_override is None:
+        draw_threshold = partial(noise_mod.sample, thr_dist, rng)
 
-    def draw_threshold() -> float:
-        nonlocal redraws
-        if noise_override is not None:
-            value = float(noise_override("threshold", -1, redraws))
-        else:
-            value = noise_mod.sample(thr_dist, rng)
-        redraws += 1
-        return value
+        def draw_query(batch: np.ndarray, traverse: int) -> np.ndarray:
+            return noise_mod.sample(qry_dist, rng, size=batch.size)
+    else:
+        redraws = (float(noise_override("threshold", -1, k))
+                   for k in itertools.count())
+        draw_threshold = partial(next, redraws)
 
-    def draw_query(batch: np.ndarray, traverse: int) -> np.ndarray:
-        if noise_override is not None:
+        def draw_query(batch: np.ndarray, traverse: int) -> np.ndarray:
             return np.array([float(noise_override("query", i, traverse))
                              for i in queries.ids[batch].tolist()])
-        return noise_mod.sample(qry_dist, rng, size=batch.size)
 
     gaps = queries.scores - queries.thresholds
-    pending = np.arange(len(queries))
+    batch = np.arange(len(queries))
     evaluated: list[np.ndarray] = []
     flagged: list[np.ndarray] = []
-    n_a = 0
-    n_c = 0
-    traverse = 1
+    n_a = n_c = 0
     rho = draw_threshold()
-    halt: Optional[HaltReason] = None
+    halt = HaltReason.EXHAUSTED
+    last = cfg.max_traverses if cfg.append else 1
 
-    while halt is None:
-        if pending.size == 0:
-            halt = HaltReason.EXHAUSTED
-            break
-        if n_a >= cfg.k_max:
-            halt = HaltReason.QUERY_BUDGET
-            break
-        take = min(pending.size, cfg.k_max - n_a)
-        batch = pending[:take]
-        v = draw_query(batch, traverse)
-        base = gaps[batch] + v - r
+    for traverse in range(1, last + 1):
+        if batch.size > cfg.k_max - n_a:
+            batch, halt = batch[:cfg.k_max - n_a], HaltReason.QUERY_BUDGET
+        # Draw first: the sampler's temporaries are freed before gaps[batch].
+        base = draw_query(batch, traverse) + gaps[batch] - r
 
         if cfg.resample:
-            flags = np.zeros(take, dtype=bool)
+            flags = np.zeros(batch.size, dtype=bool)
             i = 0
-            while i < take:
+            while i < batch.size:
                 above = base[i:] >= rho
                 if not above.any():
                     break
@@ -359,20 +350,17 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
 
         flag_pos = flags.nonzero()[0]
         room = cfg.c - n_c
-        used = take
-        if len(flag_pos) >= room:
-            used = int(flag_pos[room - 1]) + 1
+        if flag_pos.size >= room:
+            end = int(flag_pos[room - 1]) + 1
+            batch, flags = batch[:end], flags[:end]
             halt = HaltReason.POSITIVE_BUDGET
-        elif take < pending.size:
-            halt = HaltReason.QUERY_BUDGET
-        batch, flags = batch[:used], flags[:used]
         evaluated.append(batch)
         flagged.append(flags)
         n_c += min(flag_pos.size, room)
-        n_a += used
-        requeue = cfg.append and traverse < cfg.max_traverses
-        pending = batch[~flags] if requeue else batch[:0]
-        traverse += 1
+        n_a += batch.size
+        if halt is not HaltReason.EXHAUSTED or traverse == last:
+            break
+        batch = batch[~flags]
 
     if len(evaluated) == 1:
         ids, flags = queries.ids[evaluated[0]], flagged[0]

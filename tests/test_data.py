@@ -1,5 +1,8 @@
 """Dataset generation, transaction ingestion, and the scores file format."""
 
+import functools
+import re
+
 import numpy as np
 import pytest
 
@@ -140,3 +143,17 @@ def test_read_scores_header_without_threshold_names_file_and_header(tmp_path):
     with pytest.raises(ValueError) as err:
         data.read_scores(path)
     assert str(path) in str(err.value) and "'# name=s'" in str(err.value)
+
+
+@pytest.mark.parametrize("reader, text, line", [
+    (data.read_scores, "# name=s threshold=abc\n1,2.0\n", "line 1"),
+    (data.read_scores, "# name=s threshold=1.0\n1,2.0\n"
+                       "100000000000000000000,3.0\n", "line 3"),
+    (functools.partial(data.ingest_transactions, threshold=1.0),
+     "1 2\n\n100000000000000000000 3\n", "line 3"),
+], ids=["threshold", "read_scores id", "ingest id"])
+def test_file_errors_name_the_file_and_line(tmp_path, reader, text, line):
+    path = tmp_path / "bad.dat"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {line}:"):
+        reader(path)

@@ -207,3 +207,27 @@ def test_matches_reference_property(n, seed, c, k_max, traverses, append,
                  resample=resample, monotonic=monotonic, variant=variant)
     assert_same_run(near_threshold(n, seed % 1000, spread), cfg, seed,
                     scripted if override else None)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("resample", [False, True])
+@pytest.mark.parametrize("traverses", [dict(), dict(append=True,
+                                                     max_traverses=3)])
+@pytest.mark.parametrize("k_max", [1000, 45])
+def test_generator_end_state_matches_reference(variant, c, resample,
+                                               traverses, k_max):
+    """``run_svt`` consumes exactly the oracle's draws: the generator ends
+    in the same state, so a caller's next draw is the same. Scores sit
+    below the threshold, so the runs halt for each of the three reasons,
+    some after a second or third traverse."""
+    cfg = config(variant=variant, c=c, resample=resample, k_max=k_max,
+                 k_est=10, **traverses)
+    for seed in (0, 1, 2):
+        near = near_threshold(40, seed, spread=2.0)
+        queries = QueryStream.with_threshold(
+            zip(near.ids.tolist(), near.scores.tolist()), 530.0)
+        new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        run_svt(queries, cfg, new)
+        reference_run(queries, cfg, ref)
+        assert new.bit_generator.state == ref.bit_generator.state

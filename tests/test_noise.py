@@ -3,6 +3,7 @@ quadrature and round-trip identities, and the log-tail Lipschitz diagnostic.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,3 +337,32 @@ def test_law_table_bit_identical_to_per_kind_formulas(d):
     assert bits(d.mean()) == bits(mean)
     assert bits(d.variance()) == bits(variance)
     assert bits(noise.law_variance(d.kind, d.scale)) == bits(variance)
+
+
+@pytest.mark.parametrize("d", ALL_DISTS,
+                         ids=lambda d: f"{d.kind.value}@{d.location}")
+def test_scalar_draw_is_first_of_a_batch(d):
+    """A scalar draw equals the first draw of a batch from the same seed,
+    bit for bit: a per-call threshold draw may come from either path.
+    The seeds' first uniforms fall on both sides of 0.5, the two branches
+    of the Laplace quantile."""
+    seeds = range(3000)
+    first = [np.random.default_rng(s).random() for s in seeds]
+    assert min(first) < 0.5 <= max(first)
+    scalars = [noise.sample(d, np.random.default_rng(s)) for s in seeds]
+    batches = [noise.sample(d, np.random.default_rng(s), size=3)[0]
+               for s in seeds]
+    assert np.array_equal(bits(scalars), bits(batches))
+
+
+def test_gumbel_far_lower_tail_is_quiet():
+    """exp(-z) overflows to inf below z of about -709, where the Gumbel
+    density, cdf and log-survival still reach their limits: no warning."""
+    d = noise.gumbel(1.0)
+    xs = np.array([-1000.0, -710.0, 0.0, 1000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (noise.pdf, noise.cdf, noise.log_sf):
+            assert f(d, -1000.0) == 0.0
+            out = f(d, xs)
+            assert out[0] == 0.0 and np.isfinite(out[2])
