@@ -21,37 +21,34 @@ _SPLIT_TOL = 1e-12
 
 
 class Variant(enum.Enum):
-    """Mechanism variants: three baselines and the exponential family.
+    """Mechanism variants, one row each: token, threshold noise kind, query
+    noise kind and threshold-correction rule ("none", "mean" for the
+    query-noise mean, or "optimal" for the numerical optimizer's argmax).
 
-    The exponential variants differ only in their threshold-correction
-    rule (none, noise mean, numerically optimized); they share one noise
-    family and one budget-allocation rule.
+    Following Lyu, Su & Li 2017, the threshold noise is Laplace for every
+    variant except the Gaussian baseline. The member order keys each sweep
+    cell's random stream, so new rows go last.
     """
 
-    LAP = "lap"
-    GAU = "gau"
-    GUM = "gum"
-    EXP_NO_CORR = "exp-none"
-    EXP_MEAN_CORR = "exp-mean"
-    EXP_OPT_CORR = "exp-opt"
+    LAP = "lap", Kind.LAPLACE, Kind.LAPLACE, "none"
+    GAU = "gau", Kind.GAUSSIAN, Kind.GAUSSIAN, "none"
+    GUM = "gum", Kind.LAPLACE, Kind.GUMBEL, "mean"
+    EXP_NO_CORR = "exp-none", Kind.LAPLACE, Kind.EXPONENTIAL, "none"
+    EXP_MEAN_CORR = "exp-mean", Kind.LAPLACE, Kind.EXPONENTIAL, "mean"
+    EXP_OPT_CORR = "exp-opt", Kind.LAPLACE, Kind.EXPONENTIAL, "optimal"
+
+    def __new__(cls, token: str, threshold_kind: Kind, query_kind: Kind,
+                correction: str) -> "Variant":
+        member = object.__new__(cls)
+        member._value_ = token
+        member.threshold_kind, member.query_kind = threshold_kind, query_kind
+        member.correction = correction
+        return member
 
     @property
     def query_family(self) -> str:
         """The query-noise family behind this variant."""
-        return _QUERY_KIND[self].value
-
-
-_QUERY_KIND = {Variant.LAP: Kind.LAPLACE, Variant.GAU: Kind.GAUSSIAN,
-               Variant.GUM: Kind.GUMBEL, Variant.EXP_NO_CORR: Kind.EXPONENTIAL,
-               Variant.EXP_MEAN_CORR: Kind.EXPONENTIAL,
-               Variant.EXP_OPT_CORR: Kind.EXPONENTIAL}
-
-
-def _law_kinds(variant: Variant) -> tuple[Kind, Kind]:
-    """(threshold, query) noise kinds: Laplace threshold noise but for GAU."""
-    checks.instance(Variant, variant=variant)
-    kind = _QUERY_KIND[variant]
-    return (kind if kind is Kind.GAUSSIAN else Kind.LAPLACE), kind
+        return self.query_kind.value
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,8 @@ def optimal_w(variant: Variant, c: int, monotonic: bool = False) -> float:
     Returns:
         w = (a*c)^(2/3), a = 2*sqrt(Vqry/Vthr) from the laws' unit variances.
     """
-    thr, qry = _law_kinds(variant)
+    checks.instance(Variant, variant=variant)
+    thr, qry = variant.threshold_kind, variant.query_kind
     checks.count(1, c=c)
     checks.flag(monotonic=monotonic)
     a = 2.0 * math.sqrt(law_variance(qry, 1.0) / law_variance(thr, 1.0))
@@ -123,19 +121,17 @@ def calibrate(variant: Variant, eps1: float, eps2: float, c: int, delta: float,
               ) -> tuple[tuple[Kind, float], tuple[Kind, float]]:
     """The (kind, scale) of a variant's threshold and query noise laws.
 
-    The threshold noise is Laplace(delta/eps1) for every variant except the
-    Gaussian one, which uses sigma = kappa*delta/eps1 with
-    kappa = sqrt(2 ln(1.25/delta_dp)); delta_dp is required there and
-    ignored elsewhere. The query noise comes from the variant's family at
-    scale query_sensitivity/eps2, times kappa for the Gaussian.
+    The kinds come from the variant's row. The threshold scale is
+    delta/eps1 and the query scale query_sensitivity/eps2, both times
+    kappa = sqrt(2 ln(1.25/delta_dp)) for the Gaussian baseline; delta_dp
+    is required there and ignored elsewhere.
     """
-    thr, qry = _law_kinds(variant)
+    checks.instance(Variant, variant=variant)
+    thr, qry = variant.threshold_kind, variant.query_kind
     checks.positive(eps1=eps1, eps2=eps2)
     scale = query_sensitivity(c, delta, monotonic) / eps2
-    if qry is Kind.GAUSSIAN:
-        kappa = gaussian_kappa(delta_dp)
-        return (thr, kappa * delta / eps1), (qry, kappa * scale)
-    return (thr, delta / eps1), (qry, scale)
+    kappa = gaussian_kappa(delta_dp) if qry is Kind.GAUSSIAN else 1.0
+    return (thr, kappa * delta / eps1), (qry, kappa * scale)
 
 
 def comparison_variance(variant: Variant, eps1: float, eps2: float, c: int,

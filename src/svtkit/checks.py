@@ -59,6 +59,14 @@ def flag(**values) -> None:
             _reject(name, x, "a bool")
 
 
+def sequence(**values) -> None:
+    """Each value is a list or a tuple, as JSON gives them: a string or a
+    number is not a sequence of values here."""
+    for name, x in values.items():
+        if not isinstance(x, (list, tuple)):
+            _reject(name, x, "a list or tuple")
+
+
 def instance(cls: type, /, **values) -> None:
     """Each value is a ``cls``, or array-like with elements of that type: a
     ``Variant`` rather than its token, real numbers rather than a string."""

@@ -35,7 +35,8 @@ from .svt import QueryStream, SvtConfig, run_svt
 
 UPPER_BOUND = "upper"  # pseudo-variant: rank by exponentially perturbed scores
 
-VARIANT_TOKENS = tuple(v.value for v in Variant) + (UPPER_BOUND,)
+_SVT_TOKENS = tuple(v.value for v in Variant)
+VARIANT_TOKENS = _SVT_TOKENS + (UPPER_BOUND,)
 
 SWEEP_COLUMNS = ("dataset", "variant", "eps", "eps1", "eps2", "c", "alpha",
                  "k_est", "traverses", "repetition", "seed", "ncr", "f1",
@@ -76,10 +77,7 @@ class ExperimentConfig:
         if not (self.variants and self.eps_values and self.traverses):
             raise ValueError("variants, eps_values and traverses must be "
                              "nonempty")
-        unknown = [v for v in self.variants if v not in VARIANT_TOKENS]
-        if unknown:
-            raise ValueError(f"unknown variants {unknown}; "
-                             f"choose from {VARIANT_TOKENS}")
+        _check_variants(self.variants, VARIANT_TOKENS)
         checks.positive(delta=self.delta)
         for eps in self.eps_values:
             checks.within(0, _EPS_LIMIT, eps_values=eps)
@@ -95,6 +93,13 @@ class ExperimentConfig:
                     monotonic=self.monotonic)
         if len({_eps_key(e) for e in self.eps_values}) < len(self.eps_values):
             raise ValueError("eps values closer than 1e-9 share a random stream")
+
+
+def _check_variants(variants: Sequence[str], choices: tuple[str, ...]) -> None:
+    checks.sequence(variants=variants)
+    unknown = [v for v in variants if v not in choices]
+    if unknown:
+        raise ValueError(f"unknown variants {unknown}; choose from {choices}")
 
 
 _GENERATORS = {"binary": data.gen_binary,
@@ -197,8 +202,8 @@ def _run_cell(cfg: ExperimentConfig, ds: data.ScoredDataset,
     if token == UPPER_BOUND:
         ncr_val, f1_val = _noisy_ranking(ds, split.eps2, cfg.delta, cfg.c,
                                          truth, rng)
-        base.update(ncr=ncr_val, f1=f1_val, n_c=cfg.c, n_a=ds.n_items,
-                    halt_reason="", r_op="")
+        base.update(ncr=ncr_val, f1=f1_val, n_c=min(cfg.c, ds.n_items),
+                    n_a=ds.n_items, halt_reason="", r_op="")
         return base
     svt_cfg = SvtConfig(
         delta=cfg.delta, eps1=split.eps1, eps2=split.eps2, c=cfg.c,
@@ -275,8 +280,12 @@ def near_threshold_stream(k: int, threshold: float, alpha: float,
     checks.finite(threshold=threshold)
     checks.nonnegative(alpha=alpha)
     checks.positive(margin=margin)
-    scored = [(i, threshold - alpha - margin) for i in range(1, k + 1)]
-    scored.append((k + 1, threshold + alpha + margin))
+    low, high = threshold - alpha, threshold + alpha
+    if low - margin == low or high + margin == high:
+        raise ValueError(f"margin={margin} rounds away at "
+                         f"threshold={threshold} and alpha={alpha}")
+    scored = [(i, low - margin) for i in range(1, k + 1)]
+    scored.append((k + 1, high + margin))
     return QueryStream.with_threshold(scored, threshold)
 
 
@@ -291,6 +300,8 @@ def _series_accuracy(k: int = 50, eps: float = 1.0, delta: float = 1.0,
     # compared against.
     checks.count(1, k=k)
     checks.positive(eps=eps)
+    checks.sequence(alphas=alphas)
+    _check_variants(variants, _SVT_TOKENS)
     rows = []
     for token in variants:
         variant = Variant(token)
@@ -338,6 +349,7 @@ def _series_traverses(dataset: str = "zipf", eps: float = 0.5, c: int = 50,
                       n_items: int = 10000,
                       n_positive: int = 100) -> list[dict]:
     checks.count(2, repetitions=repetitions)  # the stderr needs two
+    checks.sequence(variants=variants, traverses=traverses)
     cfg = ExperimentConfig(dataset=dataset, variants=tuple(variants),
                            eps_values=(eps,), c=c, alpha=alpha,
                            traverses=tuple(traverses),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -147,15 +148,22 @@ def read_scores(path: str | Path) -> ScoredDataset:
         name = meta[len("name="):]
         body = fh.tell()
         try:
-            rows = np.loadtxt(fh, dtype=[("id", np.int64), ("score", float)],
-                              delimiter=",", comments=None, ndmin=1)
+            with warnings.catch_warnings():
+                # An empty body is reported below, with the file's name.
+                warnings.filterwarnings("ignore", "loadtxt: input contained")
+                rows = np.loadtxt(fh, dtype=[("id", np.int64),
+                                             ("score", float)],
+                                  delimiter=",", comments=None, ndmin=1)
             items = Items(rows["id"], rows["score"])
         except ValueError:
             # The line-by-line parser accepts blank lines with spaces and
             # names the line of a malformed row.
             fh.seek(body)
             items = Items.of(_score_rows(fh, path))
-    return ScoredDataset(name, items, threshold)
+    try:
+        return ScoredDataset(name, items, threshold)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _score_rows(lines: Iterable[str], path: Path) -> Iterator[tuple[int, float]]:

@@ -1,13 +1,13 @@
 """Sparse Vector Technique engines.
 
-One engine runs every variant: Laplace threshold noise (Gaussian for the
-Gaussian baseline) drawn once -- or redrawn after each positive when
-``resample`` is on -- plus fresh per-evaluation query noise. A query is
-answered positively when
+One engine runs every variant: threshold noise drawn once -- or redrawn
+after each positive when ``resample`` is on -- plus fresh per-evaluation
+query noise, of the kinds in the variant's row (:class:`Variant`). A query
+is answered positively when
 
     score + query_noise >= threshold + threshold_noise + r
 
-with r the active threshold correction. The run halts once c positives
+with r the row's threshold correction. The run halts once c positives
 were emitted, once k_max evaluations were spent, or when the queue drains.
 With ``append`` on, negatively answered queries re-enter the queue tail
 until their per-query evaluation cap is reached, consuming no extra
@@ -29,7 +29,7 @@ from . import checks
 from . import noise as noise_mod
 from .allocation import Variant, calibrate, query_sensitivity
 from .correction import CorrectionQuery, optimal_correction
-from .noise import NoiseDist
+from .noise import Kind, NoiseDist
 
 
 class HaltReason(enum.Enum):
@@ -176,7 +176,7 @@ class SvtConfig:
         checks.instance(Variant, variant=self.variant)
         if self.correction_override is not None:
             checks.finite(correction_override=self.correction_override)
-        if self.variant.query_family == "gaussian":
+        if self.variant.query_kind is Kind.GAUSSIAN:
             checks.probability(delta_dp=self.delta_dp)
 
 
@@ -217,7 +217,7 @@ class SvtOutcome(Record):
 def effective_lambda(cfg: SvtConfig) -> float:
     """Rate of the exponential query noise: eps2/(2c*delta), halved denominator
     when monotonic."""
-    if cfg.variant.query_family != "exponential":
+    if cfg.variant.query_kind is not Kind.EXPONENTIAL:
         raise ValueError(f"variant {cfg.variant.value} has no exponential rate")
     return cfg.eps2 / query_sensitivity(cfg.c, cfg.delta, cfg.monotonic)
 
@@ -230,7 +230,7 @@ def privacy_cost(cfg: SvtConfig, outcome: SvtOutcome) -> tuple[float, float]:
     baseline, which reports its calibration failure probability.
     """
     eps = (cfg.c * cfg.eps1 if cfg.resample else cfg.eps1) + cfg.eps2
-    dp = cfg.delta_dp if cfg.variant.query_family == "gaussian" else 0.0
+    dp = cfg.delta_dp if cfg.variant.query_kind is Kind.GAUSSIAN else 0.0
     return eps, float(dp)
 
 
@@ -244,18 +244,15 @@ def noise_pair(cfg: SvtConfig) -> tuple[NoiseDist, NoiseDist]:
 def correction_term(cfg: SvtConfig) -> float:
     """The threshold correction a run of ``cfg`` will use.
 
-    The override wins when set; otherwise the variant's rule applies:
-    nothing for the Laplace/Gaussian baselines and the uncorrected
-    exponential, the query-noise mean for the mean-corrected exponential
-    and the Gumbel baseline, and the numerical optimizer's argmax for the
-    optimally corrected exponential.
+    The override wins when set; otherwise the rule in the variant's row
+    applies (:class:`Variant`): nothing, the query-noise mean, or the
+    numerical optimizer's argmax.
     """
     if cfg.correction_override is not None:
         return float(cfg.correction_override)
-    v = cfg.variant
-    if v in (Variant.LAP, Variant.GAU, Variant.EXP_NO_CORR):
+    if cfg.variant.correction == "none":
         return 0.0
-    if v in (Variant.GUM, Variant.EXP_MEAN_CORR):
+    if cfg.variant.correction == "mean":
         return noise_pair(cfg)[1].mean()
     query = CorrectionQuery.from_budget(cfg.eps1, cfg.eps2, cfg.c, cfg.delta,
                                         cfg.monotonic, cfg.alpha, cfg.k_est)

@@ -134,6 +134,13 @@ def test_upper_bound_row_shape():
     assert row["n_a"] == 300
 
 
+def test_upper_bound_n_c_counts_only_existing_items():
+    rows = cli.run_sweep(small_sweep(variants=("upper", "lap"), c=50,
+                                     n_items=10, repetitions=1))
+    assert [(r["variant"], r["n_c"], r["n_a"]) for r in rows] == [
+        ("upper", 10, 10), ("lap", 10, 10)]
+
+
 # --- correction table --------------------------------------------------
 
 def test_correction_table_columns_and_mean_rule():
@@ -394,3 +401,20 @@ def test_main_sweep_config_file_scalar_for_a_list(field, value, tmp_path,
                                     "eps_values": [0.5], field: value}))
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 1
     assert f"error: {field} must be a tuple" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("accuracy", {"alphas": 5}, "alphas must be a list or tuple, got 5"),
+    ("accuracy", {"variants": "lap"},
+     "variants must be a list or tuple, got 'lap'"),
+    ("accuracy", {"variants": ["upper"]}, "unknown variants ['upper']"),
+    ("traverses", {"variants": "lap"},
+     "variants must be a list or tuple, got 'lap'"),
+    ("traverses", {"traverses": 3}, "traverses must be a list or tuple, got 3"),
+    ("accuracy", {"threshold": 1e11}, "margin=1e-06 rounds away"),
+])
+def test_main_plot_series_rejects_malformed_params(capsys, kind, params,
+                                                   message):
+    assert cli.main(["plot-series", "--kind", kind,
+                     "--params", json.dumps(params)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")

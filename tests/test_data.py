@@ -2,6 +2,7 @@
 
 import functools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -157,3 +158,21 @@ def test_file_errors_name_the_file_and_line(tmp_path, reader, text, line):
     path.write_text(text)
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {line}:"):
         reader(path)
+
+
+@pytest.mark.parametrize("text", [
+    "# name=s threshold=nan\n1,2.0\n",
+    "# name=s threshold=inf\n1,2.0\n",
+    "# name=s threshold=1.0\n1,2.0\n1,3.0\n",
+    "# name=s threshold=1.0\n1,nan\n",
+    "# name=s threshold=1.0\n",
+    "# name=s threshold=1.0\n\n\n",
+], ids=["threshold nan", "threshold inf", "repeated id", "nan score",
+        "header only", "blank body"])
+def test_read_scores_content_errors_name_the_file(tmp_path, text):
+    path = tmp_path / "bad.scores"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "):
+            data.read_scores(path)

@@ -77,6 +77,17 @@ def count(least):
                 | st.integers(max_value=least - 1))
 
 
+SVT_TOKENS = tuple(v.value for v in Variant)
+
+
+def sequence(elements, rejected=()):
+    """A list or tuple field of one or two distinct ``elements``: strings,
+    numbers, None and the ``rejected`` sequences are refused."""
+    lists = st.lists(elements, min_size=1, max_size=2, unique=True)
+    bad = ("lap", "5", 5, 5.0, NAN, None, True) + tuple(rejected)
+    return Rule(lists | lists.map(tuple), st.sampled_from(bad))
+
+
 def optional(rule):
     """A field that also takes None, meaning "not set"."""
     return Rule(rule.accepted | st.none(),
@@ -254,6 +265,16 @@ ENTRIES = [
     ("lipschitz_tail_check", noise.lipschitz_tail_check,
      dict(d=noise.laplace(1.0), k2=1.0, shift=0.5, grid=[0.0, 1.0]),
      dict(k2=POSITIVE, shift=NONZERO)),
+    ("emit_plot_series(accuracy)", _series("accuracy"),
+     dict(k=2, trials=1, alphas=(5.0,), variants=("lap",)),
+     dict(alphas=sequence(_reals(0.0, 50.0)),
+          variants=sequence(st.sampled_from(SVT_TOKENS),
+                            (["upper"], ("lap", "warp"))))),
+    ("emit_plot_series(traverses)", _series("traverses"),
+     dict(n_items=50, c=2, repetitions=2, traverses=(1,), variants=("lap",)),
+     dict(variants=sequence(st.sampled_from(SVT_TOKENS + ("upper",)),
+                            (["warp"],)),
+          traverses=sequence(st.integers(1, 3), ([0], (1.5,))))),
 ]
 
 REGISTRY = [pytest.param(fn, base, field, rule, id=f"{name}.{field}")
@@ -398,6 +419,24 @@ PROBES = {
     "read_scores, id 10**20": lambda: _read(
         data.read_scores,
         "# name=s threshold=1.0\n1,2.0\n100000000000000000000,3.0\n"),
+    # Sequence parameters of plot-series: a JSON list or a tuple only.
+    "plot-series(kind=accuracy, alphas=5)":
+        lambda: cli.emit_plot_series("accuracy", alphas=5),
+    "plot-series(kind=accuracy, variants='lap')":
+        lambda: cli.emit_plot_series("accuracy", variants="lap"),
+    "plot-series(kind=accuracy, variants=['upper'])":
+        lambda: cli.emit_plot_series("accuracy", variants=["upper"]),
+    "plot-series(kind=traverses, variants='lap')":
+        lambda: cli.emit_plot_series("traverses", variants="lap"),
+    "plot-series(kind=traverses, traverses=3)":
+        lambda: cli.emit_plot_series("traverses", traverses=3),
+    # The stream's margin must survive rounding at the threshold.
+    "near_threshold_stream(threshold=1e11, margin=1e-6)":
+        lambda: cli.near_threshold_stream(2, 1e11, 5.0, margin=1e-6),
+    "near_threshold_stream(alpha=1e11, margin=1e-6)":
+        lambda: cli.near_threshold_stream(2, 0.0, 1e11, margin=1e-6),
+    "plot-series(kind=accuracy, threshold=1e11)":
+        lambda: cli.emit_plot_series("accuracy", threshold=1e11),
 }
 
 
