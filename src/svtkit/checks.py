@@ -80,7 +80,9 @@ def unique_finite(ids: np.ndarray, *values: np.ndarray) -> None:
     """Reject misaligned arrays, repeated ids and NaN or infinite values."""
     if any(v.size != ids.size for v in values):
         raise ValueError("ids and their values must align")
-    if ids.size > 1 and np.unique(ids).size != ids.size:
-        raise ValueError("ids must be unique")
+    if ids.size > 1:
+        ordered = np.sort(ids)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("ids must be unique")
     if not all(np.isfinite(v).all() for v in values):
         raise ValueError("scores and thresholds must be finite")

@@ -93,6 +93,11 @@ class ExperimentConfig:
                     monotonic=self.monotonic)
         if len({_eps_key(e) for e in self.eps_values}) < len(self.eps_values):
             raise ValueError("eps values closer than 1e-9 share a random stream")
+        for name in ("variants", "traverses"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeat a value, and each repeat "
+                                 f"reruns one random stream: {values}")
 
 
 def _check_variants(variants: Sequence[str], choices: tuple[str, ...]) -> None:
@@ -147,9 +152,19 @@ def _noisy_ranking(ds: data.ScoredDataset, eps2: float, delta: float, c: int,
     """Non-interactive reference: top-c of scores + Exp(delta/eps2) noise."""
     perturbed = ds.scores + noise.sample(noise.exponential(delta / eps2), rng,
                                          size=ds.n_items)
-    order = np.argsort(-perturbed, kind="stable")[:c]
-    chosen = ds.ids[order].tolist()
+    chosen = ds.ids[_top(perturbed, c)].tolist()
     return metrics.ncr(chosen, truth), metrics.f1(chosen, truth)
+
+
+def _top(values: np.ndarray, c: int) -> np.ndarray:
+    """Positions of the c largest values, largest first and ties in position
+    order: ``np.argsort(-values, kind="stable")[:c]`` without sorting the
+    values below the c-th."""
+    keys = -values
+    if c >= keys.size:
+        return np.argsort(keys, kind="stable")
+    candidates = np.flatnonzero(keys <= np.partition(keys, c - 1)[c - 1])
+    return candidates[np.lexsort((candidates, keys[candidates]))[:c]]
 
 
 def run_sweep(cfg: ExperimentConfig, out: Optional[IO[str]] = None) -> list[dict]:

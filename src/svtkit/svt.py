@@ -96,18 +96,24 @@ class Record:
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class QueryStream(Record):
+class QueryStream:
     """An ordered stream of queries: unique int64 ids with finite float64
-    scores and thresholds. It is built from (id, score, threshold) rows and
-    iterates as :class:`QueryEntry` tuples."""
+    scores and thresholds. It is built from (id, score, threshold) rows, or
+    by :meth:`permuted` as a view of a dataset's columns read in a given
+    order. ``ids``, ``scores`` and ``thresholds`` read the stream in order
+    and ``==`` compares them; it iterates as :class:`QueryEntry` tuples.
 
-    ids: np.ndarray
-    scores: np.ndarray
-    thresholds: np.ndarray
+    ``columns`` holds the source (ids, scores, thresholds) and ``order`` the
+    source row of each stream position, None when they are the same, so the
+    engine gathers only the rows it evaluates.
+    """
+
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray]
+    order: Optional[np.ndarray]
 
     def __init__(self, entries: Iterable[Sequence]) -> None:
         ids, scores, thresholds = columns(entries, (np.int64, float, float))
-        vars(self).update(ids=ids, scores=scores, thresholds=thresholds)
+        vars(self).update(columns=(ids, scores, thresholds), order=None)
         checks.unique_finite(ids, scores, thresholds)
 
     @classmethod
@@ -117,12 +123,37 @@ class QueryStream(Record):
         checks.finite(threshold=threshold)
         return cls((i, s, threshold) for i, s in scored)
 
+    @classmethod
+    def permuted(cls, ids: np.ndarray, scores: np.ndarray, threshold: float,
+                 order: np.ndarray) -> "QueryStream":
+        """The rows ``order`` of id and score columns that already meet the
+        class's invariants, each query with ``threshold``; nothing is copied
+        or checked."""
+        stream = cls.__new__(cls)
+        thresholds = np.broadcast_to(np.float64(threshold), ids.shape)
+        vars(stream).update(columns=(ids, scores, thresholds), order=order)
+        return stream
+
+    def _read(self, column: int) -> np.ndarray:
+        values = self.columns[column]
+        return values if self.order is None else values[self.order]
+
+    ids = property(lambda self: self._read(0))
+    scores = property(lambda self: self._read(1))
+    thresholds = property(lambda self: self._read(2))
+
     def __len__(self) -> int:
-        return self.ids.size
+        return (self.columns[0] if self.order is None else self.order).size
 
     def __iter__(self):
         return map(QueryEntry, self.ids.tolist(), self.scores.tolist(),
                    self.thresholds.tolist())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("ids", "scores", "thresholds"))
 
 
 @dataclass(frozen=True)
@@ -275,24 +306,51 @@ def _check_override(noise_override: Callable) -> None:
                          "(role, query_id, traverse)") from None
 
 
+# The first chunk of a long stream's traverse; later chunk ends double, so
+# a run that halts early draws at most max(this, 2 n_a) query noises, not
+# the whole traverse's.
+_FIRST_CHUNK = 4096
+
+# Bit generators whose ``advance(k)`` lands where k more float64 draws
+# would: each such draw takes one 64-bit output. Philox's advance counts
+# blocks of four outputs, and MT19937 and SFC64 have none.
+_SKIPPABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _skip_draws(rng: np.random.Generator, k: int) -> None:
+    """Move ``rng`` past k float64 draws. ``advance`` also clears the spare
+    32-bit output, which float draws leave alone, so it is put back."""
+    bits = rng.bit_generator
+    before = bits.state
+    bits.advance(k)
+    bits.state = {**bits.state, "has_uint32": before["has_uint32"],
+                  "uinteger": before["uinteger"]}
+
+
 def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
             noise_override: Optional[Callable] = None) -> SvtOutcome:
     """Run one mechanism invocation over a query stream.
 
-    Each loop step evaluates one traverse as a vector: the whole queue on
-    the first, the negatives re-appended by the previous one after that, cut
-    short by k_max, for at most ``max_traverses`` steps (one without
-    ``append``). Draw order is fixed for reproducibility: one threshold draw
-    up front, then query noise for each traverse in evaluation order; under
-    ``resample``, threshold redraws happen per positive after the traverse's
-    query draws. A ``noise_override`` replaces both noise sources with a
+    Each loop step evaluates one chunk of a traverse as a vector. A
+    traverse is the whole queue on the first, the negatives re-appended by
+    the previous one after that, cut short by k_max, for at most
+    ``max_traverses`` traverses (one without ``append``). A chunk is the
+    whole traverse, except on streams longer than ``_FIRST_CHUNK`` run on a
+    PCG64 generator without ``resample`` or ``noise_override``: there the
+    chunk ends double, and the query draws a halt leaves unmade are skipped
+    with ``advance``, so outcome and generator state are the same. Draw
+    order is fixed for reproducibility: one threshold draw up front, then
+    query noise for each traverse in evaluation order; under ``resample``,
+    threshold redraws happen per positive after the traverse's query
+    draws. A ``noise_override`` replaces both noise sources with a
     deterministic callable ``(role, query_id, traverse) -> float`` where
     role is "threshold" (query_id -1, traverse = redraw index) or "query".
 
     Ties (noisy score exactly equal to the corrected noisy threshold) are
     answered positively.
     """
-    if len(queries) == 0:
+    n = len(queries)
+    if n == 0:
         raise ValueError("empty query stream")
     if noise_override is not None:
         _check_override(noise_override)
@@ -302,6 +360,7 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         # Overrides of -0.0 and 0.0 compare equal and share a memo entry.
         r = float(cfg.correction_override)
 
+    ids, scores, thresholds = queries.columns
     if noise_override is None:
         draw_threshold = partial(noise_mod.sample, thr_dist, rng)
 
@@ -314,27 +373,41 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
 
         def draw_query(batch: np.ndarray, traverse: int) -> np.ndarray:
             return np.array([float(noise_override("query", i, traverse))
-                             for i in queries.ids[batch].tolist()])
+                             for i in ids[batch].tolist()])
 
-    gaps = queries.scores - queries.thresholds
-    batch = np.arange(len(queries))
+    # batch holds the source rows of the current traverse, chunk the rows
+    # of batch[lo:hi] that this step evaluates.
+    batch = np.arange(n) if queries.order is None else queries.order
     evaluated: list[np.ndarray] = []
     flagged: list[np.ndarray] = []
+    passes: list[int] = []
     n_a = n_c = 0
     rho = draw_threshold()
     halt = HaltReason.EXHAUSTED
     last = cfg.max_traverses if cfg.append else 1
+    # Chunks of a traverse end at first, 2 first, 4 first, ... Only a long
+    # stream on a generator with an exact skip is chunked: under resample
+    # the threshold redraws follow the traverse's query draws, and an
+    # override draws nothing to skip. Elsewhere first is k_max, which bounds
+    # every traverse, so each traverse is one chunk.
+    first = (_FIRST_CHUNK if n > _FIRST_CHUNK and not cfg.resample
+             and noise_override is None
+             and type(rng.bit_generator) in _SKIPPABLE else cfg.k_max)
+    traverse, lo, start = 1, 0, 0
 
-    for traverse in range(1, last + 1):
-        if batch.size > cfg.k_max - n_a:
+    while True:
+        if lo == 0 and batch.size > cfg.k_max - n_a:
             batch, halt = batch[:cfg.k_max - n_a], HaltReason.QUERY_BUDGET
-        # Draw first: the sampler's temporaries are freed before gaps[batch].
-        base = draw_query(batch, traverse) + gaps[batch] - r
+        hi = max(2 * lo, first)
+        chunk = batch[lo:hi]
+        # Draw first: the sampler's temporaries are freed before the gather.
+        base = draw_query(chunk, traverse) + (scores[chunk]
+                                              - thresholds[chunk]) - r
 
         if cfg.resample:
-            flags = np.zeros(batch.size, dtype=bool)
+            flags = np.zeros(chunk.size, dtype=bool)
             i = 0
-            while i < batch.size:
+            while i < chunk.size:
                 above = base[i:] >= rho
                 if not above.any():
                     break
@@ -349,24 +422,33 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         room = cfg.c - n_c
         if flag_pos.size >= room:
             end = int(flag_pos[room - 1]) + 1
-            batch, flags = batch[:end], flags[:end]
+            chunk, flags = chunk[:end], flags[:end]
             halt = HaltReason.POSITIVE_BUDGET
-        evaluated.append(batch)
+        evaluated.append(chunk)
         flagged.append(flags)
+        passes.append(traverse)
         n_c += min(flag_pos.size, room)
-        n_a += batch.size
-        if halt is not HaltReason.EXHAUSTED or traverse == last:
+        n_a += chunk.size
+        if hi < batch.size and halt is not HaltReason.POSITIVE_BUDGET:
+            lo = hi
+        elif halt is not HaltReason.EXHAUSTED or traverse == last:
             break
-        batch = batch[~flags]
+        else:
+            parts = flagged[start:]
+            batch = batch[~(parts[0] if len(parts) == 1
+                            else np.concatenate(parts))]
+            traverse, lo, start = traverse + 1, 0, len(evaluated)
+    if hi < batch.size:
+        _skip_draws(rng, batch.size - hi)
 
     if len(evaluated) == 1:
-        ids, flags = queries.ids[evaluated[0]], flagged[0]
+        answer_ids, flags = ids[evaluated[0]], flagged[0]
         traverses = np.ones(flags.size, dtype=np.int64)
     else:
-        ids = queries.ids[np.concatenate(evaluated)]
+        answer_ids = ids[np.concatenate(evaluated)]
         flags = np.concatenate(flagged)
-        traverses = np.repeat(np.arange(1, len(evaluated) + 1),
+        traverses = np.repeat(np.array(passes, dtype=np.int64),
                               [b.size for b in evaluated])
-    return SvtOutcome.trusted(answer_ids=ids, flags=flags, traverses=traverses,
-                              n_c=n_c, n_a=n_a, halt_reason=halt,
-                              correction_used=r)
+    return SvtOutcome.trusted(answer_ids=answer_ids, flags=flags,
+                              traverses=traverses, n_c=n_c, n_a=n_a,
+                              halt_reason=halt, correction_used=r)

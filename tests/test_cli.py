@@ -141,6 +141,29 @@ def test_upper_bound_n_c_counts_only_existing_items():
         ("upper", 10, 10), ("lap", 10, 10)]
 
 
+def _tie_heavy(seed: int, n: int = 200) -> np.ndarray:
+    values = np.random.default_rng(seed).integers(0, 5, n).astype(float)
+    values[::7] = -values[::7]      # -0.0 among the zeros
+    return values
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_partial_top_c_is_the_stable_argsort_prefix(seed):
+    values = _tie_heavy(seed)
+    n = values.size
+    ranked = np.argsort(-values, kind="stable")
+    # The top value's run of ties: c ends one short of it, then with it.
+    boundary = int((values == values.max()).sum()) - 1
+    for c in (1, 2, boundary, boundary + 1, n // 2, n - 1, n, n + 5):
+        assert cli._top(values, c).tolist() == ranked[:c].tolist(), c
+
+
+def test_partial_top_c_on_one_value():
+    assert cli._top(np.array([3.0]), 1).tolist() == [0]
+    assert cli._top(np.array([3.0]), 4).tolist() == [0]
+    assert cli._top(np.zeros(6), 3).tolist() == [0, 1, 2]
+
+
 # --- correction table --------------------------------------------------
 
 def test_correction_table_columns_and_mean_rule():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svtkit import data, svt
 from svtkit import noise as noise_mod
 from svtkit.allocation import Variant
 from svtkit.svt import (HaltReason, QueryStream, SvtConfig, correction_term,
@@ -230,4 +231,92 @@ def test_generator_end_state_matches_reference(variant, c, resample,
         new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         run_svt(queries, cfg, new)
         reference_run(queries, cfg, ref)
+        assert new.bit_generator.state == ref.bit_generator.state
+
+
+# --- streams longer than the engine's first chunk ---------------------------
+# Without resample or a noise override, a long stream on a PCG64 generator
+# is evaluated in doubling chunks and the query draws left after a halt are
+# skipped with ``advance``; the outcome and the generator's end state must
+# still be the oracle's, which draws each traverse whole.
+
+FIRST = svt._FIRST_CHUNK
+
+
+def long_stream(n: int, hits=()) -> QueryStream:
+    """n queries 1000 below their threshold, except those at positions
+    ``hits``, 1000 above: far beyond every noise these configs draw."""
+    scores = np.full(n, -1000.0)
+    scores[list(hits)] = 1000.0
+    return QueryStream.with_threshold(zip(range(1, n + 1), scores.tolist()),
+                                      0.0)
+
+
+def assert_same_end_state(queries, cfg, bit_generator=np.random.PCG64,
+                          seed=11):
+    """``run_svt`` against the oracle, answers and generator end state. The
+    generators first hold a spare 32-bit output, which ``advance`` would
+    clear."""
+    new, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    for rng in (new, ref):
+        rng.integers(0, 10, dtype=np.int32)
+    out = run_svt(queries, cfg, new)
+    answers, n_c, n_a, halt, r = reference_run(queries, cfg, ref)
+    assert [tuple(a) for a in out.answers] == answers
+    assert (out.n_c, out.n_a, out.halt_reason) == (n_c, n_a, halt)
+    np.testing.assert_equal(new.bit_generator.state, ref.bit_generator.state)
+    return out
+
+
+LONG = dict(variant=Variant.LAP, c=3, k_max=10**6)
+
+
+@pytest.mark.parametrize("n, hits, kw, halt, n_a", [
+    # a halt in the first chunk
+    (10**4, (5, 70, 900), {}, HaltReason.POSITIVE_BUDGET, 901),
+    # a halt in the fourth chunk, [2 FIRST, 4 FIRST)
+    (2 * 10**4, (5, 9000, 15000), {}, HaltReason.POSITIVE_BUDGET, 15001),
+    # no halt
+    (2 * 10**4, (5, 9000), {}, HaltReason.EXHAUSTED, 2 * 10**4),
+    # a k_max cut inside the third chunk
+    (2 * 10**4, (5, 9000), dict(k_max=7000), HaltReason.QUERY_BUDGET, 7000),
+    # three traverses of the negatives, each in chunks
+    (10**4, (5, 9000), dict(c=5, append=True, max_traverses=3),
+     HaltReason.EXHAUSTED, 3 * 10**4 - 4),
+    # a k_max cut inside the third traverse
+    (10**4, (5, 9000), dict(c=5, append=True, max_traverses=3, k_max=25000),
+     HaltReason.QUERY_BUDGET, 25000),
+])
+@pytest.mark.parametrize("variant", [Variant.LAP, Variant.EXP_MEAN_CORR])
+def test_long_stream_matches_reference(n, hits, kw, halt, n_a, variant):
+    assert n > FIRST
+    out = assert_same_end_state(long_stream(n, hits),
+                                config(**{**LONG, "variant": variant, **kw}))
+    assert (out.halt_reason, out.n_a) == (halt, n_a)
+
+
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64, np.random.PCG64DXSM,
+    # No exact skip: each traverse is one chunk.
+    np.random.MT19937, np.random.SFC64, np.random.Philox])
+def test_long_stream_on_each_bit_generator_matches_reference(bit_generator):
+    out = assert_same_end_state(long_stream(2 * 10**4, (5, 9000, 15000)),
+                                config(**LONG), bit_generator)
+    assert out.n_a == 15001
+
+
+def test_shuffled_dataset_stream_matches_reference():
+    """The lazy stream of :func:`data.shuffle_and_stream`, on the generator
+    that shuffled it, as a sweep cell runs it."""
+    ds = data.gen_zipf(2 * 10**4)
+    for trav in (1, 3):
+        cfg = config(variant=Variant.LAP, c=50, k_max=ds.n_items * trav,
+                     append=True, max_traverses=trav)
+        new, ref = np.random.default_rng(5), np.random.default_rng(5)
+        stream = data.shuffle_and_stream(ds, new)
+        assert stream == data.shuffle_and_stream(ds, ref)
+        out = run_svt(stream, cfg, new)
+        answers, *counters = reference_run(stream, cfg, ref)
+        assert [tuple(a) for a in out.answers] == answers
+        assert [out.n_c, out.n_a, out.halt_reason] == counters[:3]
         assert new.bit_generator.state == ref.bit_generator.state

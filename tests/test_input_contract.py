@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import svtkit
-from svtkit import allocation, cli, correction, data, metrics, noise
+from svtkit import allocation, checks, cli, correction, data, metrics, noise
 from svtkit.allocation import Variant
 from svtkit.noise import Kind
 from svtkit.svt import QueryStream, SvtConfig, run_svt
@@ -400,6 +400,14 @@ PROBES = {
         lambda: cli.ExperimentConfig(**dict(SWEEP, dataset=None)),
     "ExperimentConfig(dataset=3)":
         lambda: cli.ExperimentConfig(**dict(SWEEP, dataset=3)),
+    # A repeat would rerun a cell's random stream as an identical row.
+    "ExperimentConfig(variants=('lap', 'exp-opt', 'lap'))":
+        lambda: cli.ExperimentConfig(**dict(
+            SWEEP, variants=("lap", "exp-opt", "lap"))),
+    "ExperimentConfig(traverses=(2, 2))":
+        lambda: cli.ExperimentConfig(**SWEEP, traverses=(2, 2)),
+    "ExperimentConfig(traverses=(1, np.int64(1)))":
+        lambda: cli.ExperimentConfig(**SWEEP, traverses=(1, np.int64(1))),
     # Ids: integers within int64, neither truncated nor an OverflowError.
     "ScoredDataset, id 1.5":
         lambda: data.ScoredDataset("x", [(1.5, 1.0)], 0.0),
@@ -481,6 +489,28 @@ def test_ids_within_int64_are_kept():
     small = np.array([5, 1], dtype=np.uint64)
     assert QueryStream([(i, 0.0, 0.0) for i in small]).ids.tolist() == [5, 1]
     assert len(QueryStream([])) == 0
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("ids", [
+    [7, 3, 9, 7],                   # a repeat at either end
+    [7, 7, 3, 9],                   # a repeat at the front
+    [3, 9, 5, 5],                   # a repeat at the back
+    [4, 8, 1, 6, 8, 2, 4],          # repeats adjacent only once sorted
+    [_INT64.max, 0, _INT64.min, _INT64.max],
+])
+def test_repeated_ids_are_rejected(ids):
+    ids = np.array(ids, dtype=np.int64)
+    with pytest.raises(ValueError, match="^ids must be unique$"):
+        checks.unique_finite(ids, np.zeros(ids.size))
+
+
+def test_distinct_ids_at_the_int64_ends_are_accepted():
+    ids = np.array([_INT64.max, _INT64.min, 0, _INT64.max - 1, _INT64.min + 1])
+    checks.unique_finite(ids, np.zeros(ids.size))
+    checks.unique_finite(ids[:1])
 
 
 def test_with_threshold_matches_row_constructor():

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from svtkit import allocation, correction, noise, svt
+from svtkit import allocation, correction, data, noise, svt
 from svtkit.allocation import Variant
 from svtkit.svt import (HaltReason, QueryStream, SvtConfig, SvtOutcome,
                         correction_term, effective_lambda, noise_pair,
@@ -479,3 +479,28 @@ def test_delta_dp_ignored_outside_the_gaussian(variant):
     scores = list(np.linspace(480, 520, 20))
     assert (run_svt(stream(scores), given, np.random.default_rng(3))
             == run_svt(stream(scores), plain, np.random.default_rng(3)))
+
+
+def test_long_stream_draws_what_it_evaluates(monkeypatch):
+    """A lap run over a 2*10^5-item shuffled stream halts after a few
+    hundred evaluations; its query draws stay within the first chunk or
+    twice the evaluations, not the stream's length."""
+    sizes = []
+    sample = noise.sample
+
+    def counted(d, rng, size=None):
+        if size is not None:
+            sizes.append(size)
+        return sample(d, rng, size=size)
+
+    monkeypatch.setattr(noise, "sample", counted)
+    ds = data.gen_zipf(2 * 10**5)
+    for seed in range(3):
+        sizes.clear()
+        rng = np.random.default_rng(seed)
+        out = run_svt(data.shuffle_and_stream(ds, rng),
+                      cfg_with(variant=Variant.LAP, c=50, k_max=ds.n_items),
+                      rng)
+        assert out.halt_reason is HaltReason.POSITIVE_BUDGET
+        assert out.n_a < ds.n_items // 100
+        assert sum(sizes) <= max(svt._FIRST_CHUNK, 2 * out.n_a)
