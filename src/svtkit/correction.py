@@ -14,6 +14,11 @@ that law's step cdf, and takes the grid argmax of p. The bracket
 bookkeeping keeps the probability mass outside the finite grid accounted
 for. The grid is built for exponential minus Laplace only.
 
+At the grid's own values r, r +- alpha is the grid moved by about
+alpha/mesh chunks, so the optimizer guesses each step-cdf index from that
+shift, checks it exactly and binary-searches only the failures; it
+exponentiates log p only near its maximum. Both keep every result bit.
+
 The closed-form Gamma of the same difference is kept as an independent
 oracle: the tests and the benchmark check the grid against it.
 """
@@ -294,12 +299,46 @@ def _difference_grid(q: CorrectionQuery) -> DiscretePmf:
                                discretize(lap_d, q.m, B))
 
 
-def _grid_success(q: CorrectionQuery, z: DiscretePmf, r) -> np.ndarray:
-    gamma_plus = pmf_cdf(z, r + q.alpha)
-    gamma_minus = pmf_cdf(z, r - q.alpha)
+def _log_success(q: CorrectionQuery, gamma_plus, gamma_minus) -> np.ndarray:
+    """log p = k log Gamma(r + alpha) + log1p(-Gamma(r - alpha))."""
     with np.errstate(divide="ignore"):
-        log_p = q.k * np.log(gamma_plus) + np.log1p(-gamma_minus)
-    return np.exp(log_p)
+        return q.k * np.log(gamma_plus) + np.log1p(-gamma_minus)
+
+
+def _grid_cdf(pmf: DiscretePmf, shift: float) -> np.ndarray:
+    """``pmf_cdf(pmf, values + shift)`` at the grid's own values, bit for
+    bit. Element i guesses index j = i + 1 + floor(shift / mesh), clipped
+    to [0, n]; a guess stands where values[j-1] <= t < values[j] (open at
+    j = 0 and j = n), and the rest (rounding ties) go through pmf_cdf."""
+    values, cum = pmf._steps
+    n = len(values)
+    t = values + shift
+    d = int(min(max(shift // pmf.mesh, -n - 1), n))
+    lo = min(max(-d, 0), n)          # i < lo guesses j = 0
+    hi = min(max(n - 1 - d, lo), n)  # i >= hi guesses j = n
+    mid = t[lo:hi]
+    ok = np.concatenate((t[:lo] < values[0],
+                         (values[lo + d:hi + d] <= mid)
+                         & (mid < values[lo + d + 1:hi + d + 1]),
+                         t[hi:] >= values[-1]))
+    out = np.concatenate((np.full(lo, cum[0]), cum[lo + 1 + d:hi + 1 + d],
+                          np.full(n - hi, cum[n])))
+    bad = np.flatnonzero(~ok)
+    out[bad] = pmf_cdf(pmf, t[bad])
+    return out
+
+
+def _first_argmax_exp(log_p: np.ndarray) -> tuple[int, float]:
+    """``np.argmax(np.exp(log_p))`` and the p there, exponentiating only
+    entries within 1e-3 of the maximum. exp is monotone and exp(max) is
+    normal, so every tie of the maximum after rounding is among them; a
+    NaN maximum or a subnormal one, where ties widen, takes the full exp."""
+    top = log_p.max()
+    near = (np.flatnonzero(log_p >= top - 1e-3) if top >= -700.0
+            else np.arange(len(log_p)))
+    p = np.exp(log_p[near])
+    best = int(np.argmax(p))
+    return int(near[best]), float(p[best])
 
 
 @lru_cache(maxsize=64)
@@ -316,10 +355,10 @@ def optimal_correction(q: CorrectionQuery) -> tuple[float, float]:
         (r_op, p_at_r_op): the maximizing grid value and p there.
     """
     z = _difference_grid(q)
-    values, _ = z._steps
-    p = _grid_success(q, z, values)
-    best = int(np.argmax(p))
-    return float(values[best]), float(p[best])
+    gamma_plus = _grid_cdf(z, q.alpha)
+    gamma_minus = _grid_cdf(z, -q.alpha) if q.alpha else gamma_plus
+    best, p = _first_argmax_exp(_log_success(q, gamma_plus, gamma_minus))
+    return float(z._steps[0][best]), p
 
 
 def correction_sweep(q: CorrectionQuery, r_grid) -> list[tuple[float, float]]:
@@ -328,9 +367,13 @@ def correction_sweep(q: CorrectionQuery, r_grid) -> list[tuple[float, float]]:
     Points outside the discretized support are evaluated against the step
     cdf's flat extensions (0 below, 1 minus the bracket above), which is
     the honest reading of the grid; keep the grid inside the support for
-    plot-quality values. A NaN r gives a NaN p.
+    plot-quality values. A NaN r gives a NaN p. ``r_grid`` is 1-d.
     """
     rarr = np.asarray(r_grid, dtype=float)
-    p = _grid_success(q, _difference_grid(q), rarr)
+    if rarr.ndim != 1:
+        raise ValueError(f"r_grid must be 1-d, got shape {rarr.shape}")
+    z = _difference_grid(q)
+    p = np.exp(_log_success(q, pmf_cdf(z, rarr + q.alpha),
+                            pmf_cdf(z, rarr - q.alpha)))
     p[np.isnan(rarr)] = np.nan
     return [(float(r), float(v)) for r, v in zip(rarr, p)]

@@ -408,3 +408,162 @@ def test_no_grid_outlives_its_call(grids):
         gc.collect()
         assert grids[-1]() is None
     assert len(grids) == 2
+
+
+# --- the optimizer's grid read and argmax -----------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench_queries():
+    """perfbench's correction-cold queries: (seed, batch) -> 16 queries."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads.correction_queries
+
+
+def _mesh(b: float, lam: float, m: int) -> float:
+    pair = _discretized_pair(CorrectionQuery(b=b, lam=lam, alpha=0.0, k=1, m=m))
+    return pair[0].mesh
+
+
+def _edge_queries() -> list:
+    """Tiny meshes, alpha on a multiple of the mesh and its two float
+    neighbours (ties under side="right"), and alpha beyond the grid."""
+    out = []
+    for m in (2, 3, 101, 20001):
+        for b, lam in ((10.0, 0.05), (0.7, 3.0), (150.0, 0.002)):
+            u = _mesh(b, lam, m)
+            for alpha in (0.0, u, 3 * u, 7.5 * u, np.nextafter(u, 0.0),
+                          np.nextafter(u, 1.0), 1e-300, 1.0, 1e308):
+                out += [CorrectionQuery(b=b, lam=lam, alpha=float(alpha), k=k,
+                                        m=m) for k in (1, 50)]
+    return out
+
+
+def _two_searches_full_exp(q: CorrectionQuery, z: DiscretePmf):
+    """The optimizer as first written: a binary search of the step cdf at
+    values + alpha and at values - alpha, then exp of the whole grid."""
+    values, _ = z._steps
+    gamma_plus = correction.pmf_cdf(z, values + q.alpha)
+    gamma_minus = correction.pmf_cdf(z, values - q.alpha)
+    with np.errstate(divide="ignore"):
+        p = np.exp(q.k * np.log(gamma_plus) + np.log1p(-gamma_minus))
+    best = int(np.argmax(p))
+    return float(values[best]), float(p[best])
+
+
+@pytest.fixture
+def last_grid(monkeypatch):
+    """The difference grid of the latest optimizer call, for the oracle."""
+    seen = []
+
+    def recording(q):
+        seen[:] = [build(q)]  # one grid alive at a time: each is ~2 MB
+        return seen[0]
+
+    build = correction._difference_grid
+    monkeypatch.setattr(correction, "_difference_grid", recording)
+    return seen
+
+
+def _assert_matches_oracle(queries, last_grid) -> None:
+    for q in queries:
+        correction.optimal_correction.cache_clear()
+        got = correction.optimal_correction(q)
+        want = _two_searches_full_exp(q, last_grid[-1])
+        assert np.array(got).tobytes() == np.array(want).tobytes(), q
+
+
+@pytest.mark.parametrize("seed_batches", [range(0, 10), range(10, 20)],
+                         ids=["batches-0-9", "batches-10-19"])
+def test_optimal_correction_matches_oracle_on_bench_queries(
+        seed_batches, bench_queries, last_grid):
+    _assert_matches_oracle([q for j in seed_batches
+                            for q in bench_queries(7, j)], last_grid)
+
+
+def test_optimal_correction_matches_oracle_on_edge_queries(last_grid):
+    _assert_matches_oracle(_edge_queries(), last_grid)
+
+
+def test_optimal_correction_matches_oracle_where_p_is_subnormal(last_grid):
+    q = CorrectionQuery(b=100.0, lam=0.7, alpha=0.0, k=32)
+    _assert_matches_oracle([q], last_grid)
+    values, _ = last_grid[-1]._steps
+    gamma = correction.pmf_cdf(last_grid[-1], values)
+    with np.errstate(divide="ignore"):
+        p = np.exp(q.k * np.log(gamma) + np.log1p(-gamma))
+    assert ((p > 0) & (p < np.finfo(float).tiny)).sum() > 10_000
+
+
+@pytest.mark.parametrize("m", [2, 3, 101, 2001])
+def test_grid_cdf_equals_a_binary_search(m):
+    z = correction._difference_grid(CorrectionQuery(b=3.0, lam=0.2, alpha=0.0,
+                                                    k=1, m=m))
+    values, cum = z._steps
+    u = z.mesh
+    for shift in (0.0, u, 3 * u, 7.5 * u, np.nextafter(u, 0.0),
+                  np.nextafter(u, 1.0), 1e-300, 1.0, 1e308, 0.5 * values[-1]):
+        for s in (shift, -shift):
+            want = cum[np.searchsorted(values, values + s, side="right")]
+            got = correction._grid_cdf(z, s)
+            assert got.tobytes() == want.tobytes(), s
+
+
+@pytest.mark.parametrize("log_p", [
+    [-3.0, -1.0, -1.0, -2.0],
+    [-1.0, np.nextafter(-1.0, 0.0), -1.0],
+    [np.nextafter(-1e-3, -1.0), -1e-3],
+    [-1.0, np.nan, -0.5, np.nan],
+    [-np.inf, -np.inf],
+    [-720.0, -710.0, -710.0 - 1e-13, -900.0],
+    [-744.0, -745.0, -744.2, -800.0],
+    [-744.99, -744.5],
+], ids=["tie", "ulp-apart", "equal-after-exp", "nan", "all-zero",
+        "subnormal-max", "deep-subnormal", "equal-after-exp-subnormal"])
+def test_first_argmax_exp_matches_full_exp(log_p):
+    log_p = np.array(log_p)
+    with np.errstate(invalid="ignore"):
+        p = np.exp(log_p)
+        best = int(np.argmax(p))
+        got = correction._first_argmax_exp(log_p)
+    assert np.array(got).tobytes() == np.array((best, p[best])).tobytes()
+
+
+@pytest.fixture
+def grid_work(monkeypatch):
+    """Elements an optimizer call sends to the binary search (the fallback
+    of the shifted read goes through pmf_cdf) and to np.exp in this module."""
+    work = {"searched": 0, "exp": 0}
+
+    def searching(pmf, t):
+        work["searched"] += np.size(t)
+        return search(pmf, t)
+
+    def exponentiating(x, *args, **kwargs):
+        if sys._getframe(1).f_code.co_filename == correction.__file__:
+            work["exp"] += np.size(x)
+        return exp(x, *args, **kwargs)
+
+    search, exp = correction.pmf_cdf, np.exp
+    monkeypatch.setattr(correction, "pmf_cdf", searching)
+    monkeypatch.setattr(np, "exp", exponentiating)
+    return work
+
+
+def test_cold_call_searches_and_exponentiates_little(grid_work, bench_queries):
+    split = allocation.split(0.1, Variant.EXP_OPT_CORR, 50)
+    table = [CorrectionQuery.from_budget(split.eps1, split.eps2, 50, 1.0,
+                                         False, alpha, 200)
+             for alpha in (0.0, 3.0)]
+    for q in table + bench_queries(0, 0):
+        correction.optimal_correction.cache_clear()
+        grid_work.update(searched=0, exp=0)
+        correction.optimal_correction(q)
+        assert grid_work["searched"] <= (0 if q.alpha == 0 else 48), q
+        assert 0 < grid_work["exp"] <= 400, q

@@ -445,6 +445,11 @@ PROBES = {
         lambda: cli.near_threshold_stream(2, 0.0, 1e11, margin=1e-6),
     "plot-series(kind=accuracy, threshold=1e11)":
         lambda: cli.emit_plot_series("accuracy", threshold=1e11),
+    # Evaluation points are a 1-d array (was a TypeError from numpy).
+    "correction_sweep(r_grid=0.5)": lambda: correction.correction_sweep(
+        correction.CorrectionQuery(**QUERY), 0.5),
+    "correction_sweep(r_grid=[[0.0, 1.0]])": lambda: correction.correction_sweep(
+        correction.CorrectionQuery(**QUERY), [[0.0, 1.0]]),
 }
 
 
