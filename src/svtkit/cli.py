@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import inspect
 import json
 import math
 import sys
@@ -51,6 +52,8 @@ class ExperimentConfig:
     applies the default rule floor(n_items / c). append + traverses control
     the re-enqueueing of negatives; every variant at a given traverse count
     consumes the same privacy budget, so traverse series are comparable.
+    Without append every traverse count runs one traverse, and the count
+    only keys the cell's random stream.
     """
 
     dataset: str
@@ -260,10 +263,16 @@ def emit_plot_series(kind: str, **params) -> list[dict]:
     "accuracy" (empirical failure rate vs tolerance per variant on a
     near-threshold worst-case stream), "correction-sweep" (success
     probability vs correction term), "traverses" (mean ncr vs traverse
-    budget per variant).
+    budget per variant). A parameter the kind does not take is a
+    ``ValueError`` that names the ones it does.
     """
     if kind not in _SERIES:
         raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
+    accepted = tuple(inspect.signature(_SERIES[kind]).parameters)
+    unknown = [name for name in params if name not in accepted]
+    if unknown:
+        raise ValueError(f"unknown {kind} parameters {unknown}; choose from "
+                         f"{accepted}")
     return _SERIES[kind](**params)
 
 
@@ -447,7 +456,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--c", type=int)
     p_sweep.add_argument("--alpha", type=float)
     p_sweep.add_argument("--k-est", type=int, dest="k_est")
-    p_sweep.add_argument("--traverses", type=_ints)
+    p_sweep.add_argument("--traverses", type=_ints,
+                         help="comma-separated traverse caps; without "
+                         "--append each runs one traverse and only keys "
+                         "the cell's random stream")
     p_sweep.add_argument("--reps", type=int, dest="repetitions")
     p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--resample", action="store_true", default=None)
@@ -512,7 +524,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                          monotonic=args.monotonic)
             _write_rows(rows, args.out)
         elif args.command == "plot-series":
-            rows = emit_plot_series(args.kind, **json.loads(args.params))
+            params = json.loads(args.params)
+            if not isinstance(params, dict):
+                raise ValueError(f"--params must be a JSON object, got "
+                                 f"{args.params}")
+            rows = emit_plot_series(args.kind, **params)
             _write_rows(rows, args.out)
     except Exception as exc:  # surface a clean message, nonzero exit
         print(f"error: {exc}", file=sys.stderr)

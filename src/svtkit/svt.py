@@ -78,7 +78,8 @@ def columns(rows: Iterable[Sequence], dtypes: Sequence) -> list[np.ndarray]:
 
 class Record:
     """Base of the frozen array dataclasses: fields are set once in
-    ``__init__`` or ``trusted``, and ``==`` compares each, arrays elementwise."""
+    ``__init__`` or ``trusted``, and ``==`` compares the attributes that
+    ``_compared`` names, arrays elementwise."""
 
     @classmethod
     def trusted(cls, **values):
@@ -88,15 +89,21 @@ class Record:
         vars(record).update(values)
         return record
 
+    @property
+    def _compared(self) -> tuple[str, ...]:
+        """The attributes ``==`` compares: the dataclass fields, unless a
+        class names others."""
+        return tuple(f.name for f in fields(self))
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in self._compared)
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class QueryStream:
+class QueryStream(Record):
     """An ordered stream of queries: unique int64 ids with finite float64
     scores and thresholds. It is built from (id, score, threshold) rows, or
     by :meth:`permuted` as a view of a dataset's columns read in a given
@@ -110,6 +117,7 @@ class QueryStream:
 
     columns: tuple[np.ndarray, np.ndarray, np.ndarray]
     order: Optional[np.ndarray]
+    _compared = ("ids", "scores", "thresholds")
 
     def __init__(self, entries: Iterable[Sequence]) -> None:
         ids, scores, thresholds = columns(entries, (np.int64, float, float))
@@ -129,10 +137,8 @@ class QueryStream:
         """The rows ``order`` of id and score columns that already meet the
         class's invariants, each query with ``threshold``; nothing is copied
         or checked."""
-        stream = cls.__new__(cls)
         thresholds = np.broadcast_to(np.float64(threshold), ids.shape)
-        vars(stream).update(columns=(ids, scores, thresholds), order=order)
-        return stream
+        return cls.trusted(columns=(ids, scores, thresholds), order=order)
 
     def _read(self, column: int) -> np.ndarray:
         values = self.columns[column]
@@ -148,12 +154,6 @@ class QueryStream:
     def __iter__(self):
         return map(QueryEntry, self.ids.tolist(), self.scores.tolist(),
                    self.thresholds.tolist())
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   for name in ("ids", "scores", "thresholds"))
 
 
 @dataclass(frozen=True)
@@ -306,9 +306,9 @@ def _check_override(noise_override: Callable) -> None:
                          "(role, query_id, traverse)") from None
 
 
-# The first chunk of a long stream's traverse; later chunk ends double, so
-# a run that halts early draws at most max(this, 2 n_a) query noises, not
-# the whole traverse's.
+# The first chunk of a traverse; later chunk ends double, so a run that
+# halts early draws at most max(this, 2 n_a) query noises, not the whole
+# traverse's.
 _FIRST_CHUNK = 4096
 
 # Bit generators whose ``advance(k)`` lands where k more float64 draws
@@ -331,13 +331,14 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
             noise_override: Optional[Callable] = None) -> SvtOutcome:
     """Run one mechanism invocation over a query stream.
 
-    Each loop step evaluates one chunk of a traverse as a vector. A
-    traverse is the whole queue on the first, the negatives re-appended by
-    the previous one after that, cut short by k_max, for at most
-    ``max_traverses`` traverses (one without ``append``). A chunk is the
-    whole traverse, except on streams longer than ``_FIRST_CHUNK`` run on a
-    PCG64 generator without ``resample`` or ``noise_override``: there the
-    chunk ends double, and the query draws a halt leaves unmade are skipped
+    Each step of the outer loop is one traverse: the whole queue on the
+    first, the negatives re-appended by the previous one after that, cut
+    short by k_max, for at most ``max_traverses`` traverses (one without
+    ``append``). The inner loop evaluates the traverse in chunks, each as
+    a vector, and stops early at the c-th positive. A chunk is the whole
+    traverse, except on a PCG64 generator without ``resample`` or
+    ``noise_override``: there chunk ends start at ``_FIRST_CHUNK`` and
+    double, and at the halt the query draws left unmade are skipped once,
     with ``advance``, so outcome and generator state are the same. Draw
     order is fixed for reproducibility: one threshold draw up front, then
     query noise for each traverse in evaluation order; under ``resample``,
@@ -349,8 +350,7 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     Ties (noisy score exactly equal to the corrected noisy threshold) are
     answered positively.
     """
-    n = len(queries)
-    if n == 0:
+    if len(queries) == 0:
         raise ValueError("empty query stream")
     if noise_override is not None:
         _check_override(noise_override)
@@ -375,71 +375,65 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
             return np.array([float(noise_override("query", i, traverse))
                              for i in ids[batch].tolist()])
 
-    # batch holds the source rows of the current traverse, chunk the rows
-    # of batch[lo:hi] that this step evaluates.
-    batch = np.arange(n) if queries.order is None else queries.order
+    batch = np.arange(ids.size) if queries.order is None else queries.order
     evaluated: list[np.ndarray] = []
     flagged: list[np.ndarray] = []
-    passes: list[int] = []
     n_a = n_c = 0
     rho = draw_threshold()
     halt = HaltReason.EXHAUSTED
     last = cfg.max_traverses if cfg.append else 1
-    # Chunks of a traverse end at first, 2 first, 4 first, ... Only a long
-    # stream on a generator with an exact skip is chunked: under resample
-    # the threshold redraws follow the traverse's query draws, and an
-    # override draws nothing to skip. Elsewhere first is k_max, which bounds
-    # every traverse, so each traverse is one chunk.
-    first = (_FIRST_CHUNK if n > _FIRST_CHUNK and not cfg.resample
-             and noise_override is None
+    # Chunks of a traverse end at first, 2 first, 4 first, ..., so a
+    # traverse of at most first queries is one chunk. Only a generator with
+    # an exact skip gets _FIRST_CHUNK: under resample the threshold redraws
+    # follow the traverse's query draws, and an override draws nothing to
+    # skip. Elsewhere first is k_max, which bounds every traverse.
+    first = (_FIRST_CHUNK if not cfg.resample and noise_override is None
              and type(rng.bit_generator) in _SKIPPABLE else cfg.k_max)
-    traverse, lo, start = 1, 0, 0
 
-    while True:
-        if lo == 0 and batch.size > cfg.k_max - n_a:
+    for traverse in range(1, last + 1):
+        if batch.size > cfg.k_max - n_a:
             batch, halt = batch[:cfg.k_max - n_a], HaltReason.QUERY_BUDGET
-        hi = max(2 * lo, first)
-        chunk = batch[lo:hi]
-        # Draw first: the sampler's temporaries are freed before the gather.
-        base = draw_query(chunk, traverse) + (scores[chunk]
-                                              - thresholds[chunk]) - r
+        parts: list[np.ndarray] = []
+        drawn = 0
+        while True:
+            chunk = batch[drawn:max(2 * drawn, first)]
+            drawn += chunk.size
+            # Draw first: the sampler frees its temporaries before the gather.
+            base = draw_query(chunk, traverse) + (scores[chunk]
+                                                  - thresholds[chunk]) - r
 
-        if cfg.resample:
-            flags = np.zeros(chunk.size, dtype=bool)
-            i = 0
-            while i < chunk.size:
-                above = base[i:] >= rho
-                if not above.any():
-                    break
-                hit = i + int(np.argmax(above))
-                flags[hit] = True
-                rho = draw_threshold()
-                i = hit + 1
-        else:
-            flags = base >= rho
+            if cfg.resample:
+                flags = np.zeros(chunk.size, dtype=bool)
+                i = 0
+                while i < chunk.size:
+                    above = base[i:] >= rho
+                    if not above.any():
+                        break
+                    hit = i + int(np.argmax(above))
+                    flags[hit] = True
+                    rho = draw_threshold()
+                    i = hit + 1
+            else:
+                flags = base >= rho
 
-        flag_pos = flags.nonzero()[0]
-        room = cfg.c - n_c
-        if flag_pos.size >= room:
-            end = int(flag_pos[room - 1]) + 1
-            chunk, flags = chunk[:end], flags[:end]
-            halt = HaltReason.POSITIVE_BUDGET
-        evaluated.append(chunk)
+            flag_pos = flags.nonzero()[0]
+            room = cfg.c - n_c
+            if flag_pos.size >= room:
+                flags = flags[:int(flag_pos[room - 1]) + 1]
+                halt = HaltReason.POSITIVE_BUDGET
+            parts.append(flags)
+            n_c += min(flag_pos.size, room)
+            if drawn == batch.size or halt is HaltReason.POSITIVE_BUDGET:
+                break
+        flags = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        evaluated.append(batch[:flags.size])
         flagged.append(flags)
-        passes.append(traverse)
-        n_c += min(flag_pos.size, room)
-        n_a += chunk.size
-        if hi < batch.size and halt is not HaltReason.POSITIVE_BUDGET:
-            lo = hi
-        elif halt is not HaltReason.EXHAUSTED or traverse == last:
+        n_a += flags.size
+        if halt is not HaltReason.EXHAUSTED or traverse == last:
             break
-        else:
-            parts = flagged[start:]
-            batch = batch[~(parts[0] if len(parts) == 1
-                            else np.concatenate(parts))]
-            traverse, lo, start = traverse + 1, 0, len(evaluated)
-    if hi < batch.size:
-        _skip_draws(rng, batch.size - hi)
+        batch = batch[~flags]
+    if drawn < batch.size:
+        _skip_draws(rng, batch.size - drawn)
 
     if len(evaluated) == 1:
         answer_ids, flags = ids[evaluated[0]], flagged[0]
@@ -447,7 +441,7 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     else:
         answer_ids = ids[np.concatenate(evaluated)]
         flags = np.concatenate(flagged)
-        traverses = np.repeat(np.array(passes, dtype=np.int64),
+        traverses = np.repeat(np.arange(1, len(evaluated) + 1),
                               [b.size for b in evaluated])
     return SvtOutcome.trusted(answer_ids=answer_ids, flags=flags,
                               traverses=traverses, n_c=n_c, n_a=n_a,

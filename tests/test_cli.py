@@ -435,6 +435,10 @@ def test_main_sweep_config_file_scalar_for_a_list(field, value, tmp_path,
      "variants must be a list or tuple, got 'lap'"),
     ("traverses", {"traverses": 3}, "traverses must be a list or tuple, got 3"),
     ("accuracy", {"threshold": 1e11}, "margin=1e-06 rounds away"),
+    ("variance", {"bogus": 1}, "unknown variance parameters ['bogus']; "
+     "choose from ('c', 'delta', 'monotonic', 'delta_dp', 'eps_min', "
+     "'eps_max', 'points')"),
+    ("accuracy", [1, 2], "--params must be a JSON object, got [1, 2]"),
 ])
 def test_main_plot_series_rejects_malformed_params(capsys, kind, params,
                                                    message):

@@ -344,7 +344,8 @@ def test_singular_query_warns_once_and_stays_continuous():
 def test_import_loads_neither_scipy_signal_nor_stats():
     """A fresh interpreter: this test process has scipy.stats loaded."""
     code = ("import sys, svtkit; print(sorted(m for m in sys.modules if "
-            "m.startswith(('scipy.signal', 'scipy.stats'))))")
+            "m.startswith(('scipy.signal', 'scipy.stats', "
+            "'scipy.integrate'))))")
     src = str(Path(svtkit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

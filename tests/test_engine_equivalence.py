@@ -286,6 +286,14 @@ LONG = dict(variant=Variant.LAP, c=3, k_max=10**6)
     # a k_max cut inside the third traverse
     (10**4, (5, 9000), dict(c=5, append=True, max_traverses=3, k_max=25000),
      HaltReason.QUERY_BUDGET, 25000),
+    # every query positive: traverse 1 drains the queue, traverses 2 and 3
+    # are empty and draw nothing (eps2 keeps the query noise far below 1000)
+    (10**4, range(10**4), dict(c=10**4 + 1, eps2=1e5, append=True,
+                               max_traverses=3),
+     HaltReason.EXHAUSTED, 10**4),
+    # k_max == n: traverse 2 starts empty with a query-budget cut
+    (10**4, (5, 9000), dict(c=5, append=True, max_traverses=3, k_max=10**4),
+     HaltReason.QUERY_BUDGET, 10**4),
 ])
 @pytest.mark.parametrize("variant", [Variant.LAP, Variant.EXP_MEAN_CORR])
 def test_long_stream_matches_reference(n, hits, kw, halt, n_a, variant):
@@ -299,10 +307,16 @@ def test_long_stream_matches_reference(n, hits, kw, halt, n_a, variant):
     np.random.PCG64, np.random.PCG64DXSM,
     # No exact skip: each traverse is one chunk.
     np.random.MT19937, np.random.SFC64, np.random.Philox])
-def test_long_stream_on_each_bit_generator_matches_reference(bit_generator):
+@pytest.mark.parametrize("kw, n_a", [
+    ({}, 15001),
+    # three whole traverses of the 19,997 negatives
+    (dict(c=5, append=True, max_traverses=3), 2 * 10**4 + 2 * 19997),
+], ids=["one-traverse", "three-traverses"])
+def test_long_stream_on_each_bit_generator_matches_reference(bit_generator,
+                                                             kw, n_a):
     out = assert_same_end_state(long_stream(2 * 10**4, (5, 9000, 15000)),
-                                config(**LONG), bit_generator)
-    assert out.n_a == 15001
+                                config(**{**LONG, **kw}), bit_generator)
+    assert out.n_a == n_a
 
 
 def test_shuffled_dataset_stream_matches_reference():
