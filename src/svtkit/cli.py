@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import csv
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -150,13 +151,11 @@ def cell_rng(seed: int, eps: float, variant: str, traverses: int,
 
 
 def _noisy_ranking(ds: data.ScoredDataset, eps2: float, delta: float, c: int,
-                   truth: metrics.GroundTruth,
-                   rng: np.random.Generator) -> tuple[float, float]:
-    """Non-interactive reference: top-c of scores + Exp(delta/eps2) noise."""
+                   rng: np.random.Generator) -> list[int]:
+    """Non-interactive reference: top-c ids of scores + Exp(delta/eps2)."""
     perturbed = ds.scores + noise.sample(noise.exponential(delta / eps2), rng,
                                          size=ds.n_items)
-    chosen = ds.ids[_top(perturbed, c)].tolist()
-    return metrics.ncr(chosen, truth), metrics.f1(chosen, truth)
+    return ds.ids[_top(perturbed, c)].tolist()
 
 
 def _top(values: np.ndarray, c: int) -> np.ndarray:
@@ -164,9 +163,8 @@ def _top(values: np.ndarray, c: int) -> np.ndarray:
     order: ``np.argsort(-values, kind="stable")[:c]`` without sorting the
     values below the c-th."""
     keys = -values
-    if c >= keys.size:
-        return np.argsort(keys, kind="stable")
-    candidates = np.flatnonzero(keys <= np.partition(keys, c - 1)[c - 1])
+    k = min(c, keys.size) - 1
+    candidates = np.flatnonzero(keys <= np.partition(keys, k)[k])
     return candidates[np.lexsort((candidates, keys[candidates]))[:c]]
 
 
@@ -190,20 +188,17 @@ def run_sweep(cfg: ExperimentConfig, out: Optional[IO[str]] = None) -> list[dict
             writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS)
             writer.writeheader()
             out.flush()
-        for eps in cfg.eps_values:
-            for token in cfg.variants:
-                for trav in cfg.traverses:
-                    for rep in range(cfg.repetitions):
-                        rng = cell_rng(cfg.seed, eps, token, trav, rep)
-                        start = time.perf_counter()
-                        row = _run_cell(cfg, ds, truth, k_est, eps, token,
-                                        trav, rep, rng)
-                        row["wall_time_ms"] = round(
-                            (time.perf_counter() - start) * 1e3, 3)
-                        rows.append(row)
-                        if writer is not None:
-                            writer.writerow(row)
-                            out.flush()
+        for eps, token, trav, rep in itertools.product(
+                cfg.eps_values, cfg.variants, cfg.traverses,
+                range(cfg.repetitions)):
+            rng = cell_rng(cfg.seed, eps, token, trav, rep)
+            start = time.perf_counter()
+            row = _run_cell(cfg, ds, truth, k_est, eps, token, trav, rep, rng)
+            row["wall_time_ms"] = round((time.perf_counter() - start) * 1e3, 3)
+            rows.append(row)
+            if writer is not None:
+                writer.writerow(row)
+                out.flush()
     return rows
 
 
@@ -213,45 +208,46 @@ def _run_cell(cfg: ExperimentConfig, ds: data.ScoredDataset,
     # The upper reference ranks with the exp-opt split's query budget.
     variant = Variant.EXP_OPT_CORR if token == UPPER_BOUND else Variant(token)
     split = allocation.split(eps, variant, cfg.c, cfg.monotonic)
-    base = {"dataset": ds.name, "variant": token, "eps": eps,
+    if token == UPPER_BOUND:
+        chosen = _noisy_ranking(ds, split.eps2, cfg.delta, cfg.c, rng)
+        tail = dict(n_c=min(cfg.c, ds.n_items), n_a=ds.n_items,
+                    halt_reason="", r_op="")
+    else:
+        svt_cfg = SvtConfig(
+            delta=cfg.delta, eps1=split.eps1, eps2=split.eps2, c=cfg.c,
+            k_max=ds.n_items * trav, variant=variant, resample=cfg.resample,
+            append=cfg.append, max_traverses=trav, monotonic=cfg.monotonic,
+            alpha=cfg.alpha, k_est=k_est, delta_dp=1.0 / ds.n_items)
+        outcome = run_svt(data.shuffle_and_stream(ds, rng), svt_cfg, rng)
+        chosen = outcome.positives
+        tail = dict(n_c=outcome.n_c, n_a=outcome.n_a,
+                    halt_reason=outcome.halt_reason.value,
+                    r_op=outcome.correction_used)
+    return {"dataset": ds.name, "variant": token, "eps": eps,
             "eps1": split.eps1, "eps2": split.eps2, "c": cfg.c,
             "alpha": cfg.alpha, "k_est": k_est, "traverses": trav,
-            "repetition": rep, "seed": cfg.seed}
-    if token == UPPER_BOUND:
-        ncr_val, f1_val = _noisy_ranking(ds, split.eps2, cfg.delta, cfg.c,
-                                         truth, rng)
-        base.update(ncr=ncr_val, f1=f1_val, n_c=min(cfg.c, ds.n_items),
-                    n_a=ds.n_items, halt_reason="", r_op="")
-        return base
-    svt_cfg = SvtConfig(
-        delta=cfg.delta, eps1=split.eps1, eps2=split.eps2, c=cfg.c,
-        k_max=ds.n_items * trav, variant=variant, resample=cfg.resample,
-        append=cfg.append, max_traverses=trav, monotonic=cfg.monotonic,
-        alpha=cfg.alpha, k_est=k_est, delta_dp=1.0 / ds.n_items)
-    stream = data.shuffle_and_stream(ds, rng)
-    outcome = run_svt(stream, svt_cfg, rng)
-    base.update(ncr=metrics.ncr(outcome.positives, truth),
-                f1=metrics.f1(outcome.positives, truth),
-                n_c=outcome.n_c, n_a=outcome.n_a,
-                halt_reason=outcome.halt_reason.value,
-                r_op=outcome.correction_used)
-    return base
+            "repetition": rep, "seed": cfg.seed,
+            "ncr": metrics.ncr(chosen, truth), "f1": metrics.f1(chosen, truth),
+            **tail}
 
 
 def emit_correction_table(eps_values: Sequence[float], c: int, alpha: float,
                           k_est: int = 200, delta: float = 1.0,
                           monotonic: bool = False,
                           m: int = correction.DEFAULT_MESH_COUNT) -> list[dict]:
-    """Optimal vs mean correction terms per epsilon, fully parameterized."""
+    """The corrections exp-opt and exp-mean apply, per epsilon."""
     rows = []
     for eps in eps_values:
         split = allocation.split(eps, Variant.EXP_OPT_CORR, c, monotonic)
         query = correction.CorrectionQuery.from_budget(
             split.eps1, split.eps2, c, delta, monotonic, alpha, k_est, m=m)
+        law = allocation.calibrate(Variant.EXP_MEAN_CORR, split.eps1,
+                                   split.eps2, c, delta, monotonic)[1]
         r_op, p_op = correction.optimal_correction(query)
         rows.append({"eps": eps, "w": split.w, "eps1": split.eps1,
                      "eps2": split.eps2, "lambda": query.lam, "k": k_est,
-                     "alpha": alpha, "mean_correction": 1.0 / query.lam,
+                     "alpha": alpha,
+                     "mean_correction": noise.NoiseDist(*law).mean(),
                      "optimal_correction": r_op, "success_probability": p_op})
     return rows
 
@@ -359,7 +355,9 @@ def _series_correction_sweep(eps: float = 0.1, c: int = 50,
     split = allocation.split(eps, Variant.EXP_OPT_CORR, c, monotonic)
     query = correction.CorrectionQuery.from_budget(
         split.eps1, split.eps2, c, delta, monotonic, alpha, k)
-    mean = 1.0 / query.lam
+    law = allocation.calibrate(Variant.EXP_MEAN_CORR, split.eps1, split.eps2,
+                               c, delta, monotonic)[1]
+    mean = noise.NoiseDist(*law).mean()
     grid = np.linspace(-2 * mean if r_min is None else r_min,
                        8 * mean if r_max is None else r_max, points)
     return [{"r": r, "p": p} for r, p in correction.correction_sweep(query, grid)]

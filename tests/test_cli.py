@@ -200,6 +200,29 @@ def test_correction_table_scales_with_epsilon():
         lo["optimal_correction"] / 2, rel=1e-9)
 
 
+@pytest.mark.parametrize("monotonic", [False, True])
+def test_correction_table_prints_the_corrections_a_sweep_applies(monotonic):
+    """exp-mean's and exp-opt's r_op in a sweep are the table's
+    mean_correction and optimal_correction bit for bit at the sweep's
+    k_est, and the correction-sweep series spans -2 to 8 times exp-mean's."""
+    eps_values = (0.01, 0.1, 1.0)
+    cfg = ExperimentConfig(dataset="binary", variants=("exp-mean", "exp-opt"),
+                           eps_values=eps_values, c=50, n_items=10_000,
+                           monotonic=monotonic)
+    rows = cli.run_sweep(cfg)
+    assert {r["k_est"] for r in rows} == {200}
+    table = {r["eps"]: r for r in cli.emit_correction_table(
+        eps_values, c=50, alpha=0.0, k_est=200, monotonic=monotonic)}
+    column = {"exp-mean": "mean_correction", "exp-opt": "optimal_correction"}
+    applied = {(r["variant"], r["eps"]): r["r_op"] for r in rows}
+    printed = {(v, e): table[e][column[v]] for v, e in applied}
+    assert applied == printed
+    series = cli.emit_plot_series("correction-sweep", eps=0.01, c=50, k=200,
+                                  monotonic=monotonic, points=2)
+    mean = applied["exp-mean", 0.01]
+    assert [r["r"] for r in series] == [-2 * mean, 8 * mean]
+
+
 # --- plot series -------------------------------------------------------
 
 def test_series_variance_orders_families():

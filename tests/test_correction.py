@@ -353,10 +353,17 @@ def test_import_loads_neither_scipy_signal_nor_stats():
     assert out.strip() == "[]"
 
 
-def _discretized_pair(q: CorrectionQuery) -> tuple[DiscretePmf, DiscretePmf]:
+def _laws_and_bound(q: CorrectionQuery) -> tuple:
+    """q's query and threshold laws and the grid bound B: the exponential
+    quantile at 1 - e or the Laplace |quantile| at e or 1 - e."""
     exp_d, lap_d = noise.exponential(1.0 / q.lam), noise.laplace(q.b)
     B = max(noise.quantile(exp_d, 1 - q.e), noise.quantile(lap_d, 1 - q.e),
             abs(noise.quantile(lap_d, q.e)))
+    return exp_d, lap_d, B
+
+
+def _discretized_pair(q: CorrectionQuery) -> tuple[DiscretePmf, DiscretePmf]:
+    exp_d, lap_d, B = _laws_and_bound(q)
     return (correction.discretize(exp_d, q.m, B),
             correction.discretize(lap_d, q.m, B))
 
@@ -417,14 +424,20 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
-def bench_queries():
-    """perfbench's correction-cold queries: (seed, batch) -> 16 queries."""
+def perfbench_workloads():
+    """perfbench's workloads module."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    return workloads.correction_queries
+    return workloads
+
+
+@pytest.fixture(scope="module")
+def bench_queries(perfbench_workloads):
+    """perfbench's correction-cold queries: (seed, batch) -> 16 queries."""
+    return perfbench_workloads.correction_queries
 
 
 def _mesh(b: float, lam: float, m: int) -> float:
@@ -444,6 +457,23 @@ def _edge_queries() -> list:
                 out += [CorrectionQuery(b=b, lam=lam, alpha=float(alpha), k=k,
                                         m=m) for k in (1, 50)]
     return out
+
+
+def test_grid_bound_is_the_library_s_and_perfbench_s(perfbench_workloads,
+                                                     bench_queries):
+    """The grid the optimizer builds is the restated one, and perfbench's
+    traced discretize spans use the same bound."""
+    queries = bench_queries(0, 0) + _edge_queries()
+    for b, lam, m in sorted({(q.b, q.lam, q.m) for q in queries}):
+        q = CorrectionQuery(b=b, lam=lam, alpha=0.0, k=1, m=m)
+        got = correction._difference_grid(q)
+        want = correction.convolve_difference(*_discretized_pair(q))
+        assert (got.mesh, got.origin_index, got.neg_inf_mass,
+                got.pos_inf_mass) == (want.mesh, want.origin_index,
+                                      want.neg_inf_mass, want.pos_inf_mass), q
+        assert got.mass.tobytes() == want.mass.tobytes(), q
+        bound = perfbench_workloads._difference_laws(q)[2]
+        assert bound == _laws_and_bound(q)[2], q
 
 
 def _two_searches_full_exp(q: CorrectionQuery, z: DiscretePmf):

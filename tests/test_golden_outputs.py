@@ -44,8 +44,8 @@ GOLDEN = {
         "5dc37cd6e2a2a3de20020e6016b1f96e"
         "3babb5b21ec211e21d0aa046286915ca"),
     "correction-table": (["correction-table"],
-        "46abe53d05a01dccc5d400853ea4b0c8"
-        "622b9743d388d8c7dd8ae3bc1e3cc558"),
+        "ec90b507953ef741cabc909e8506e24e"
+        "e584c8121aee5cd91459e7259f03a732"),
     "correction-table-monotonic": (["correction-table", "--monotonic",
                                     "--alpha", "3"],
         "0699e98b8f3ea91085bd1ddc21abf4a3"
