@@ -26,8 +26,7 @@ class Variant(enum.Enum):
     query-noise mean, or "optimal" for the numerical optimizer's argmax).
 
     Following Lyu, Su & Li 2017, the threshold noise is Laplace for every
-    variant except the Gaussian baseline. The member order keys each sweep
-    cell's random stream, so new rows go last.
+    variant except the Gaussian baseline.
     """
 
     LAP = "lap", Kind.LAPLACE, Kind.LAPLACE, "none"

@@ -95,12 +95,11 @@ class ExperimentConfig:
             checks.count(1, k_est=self.k_est)
         checks.flag(resample=self.resample, append=self.append,
                     monotonic=self.monotonic)
-        if len({_eps_key(e) for e in self.eps_values}) < len(self.eps_values):
-            raise ValueError("eps values closer than 1e-9 share a random stream")
-        for name in ("variants", "traverses"):
+        for name, key in (("eps_values", _eps_key), ("traverses", int),
+                          ("variants", _STREAM_KEY.__getitem__)):
             values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise ValueError(f"{name} repeat a value, and each repeat "
+            if len(set(map(key, values))) < len(values):
+                raise ValueError(f"{name} repeat a stream key, and each repeat "
                                  f"reruns one random stream: {values}")
 
 
@@ -121,7 +120,10 @@ def load_dataset(cfg: ExperimentConfig) -> data.ScoredDataset:
     return data.read_scores(cfg.dataset)
 
 
-_VARIANT_KEY = {token: i for i, token in enumerate(VARIANT_TOKENS)}
+# A cell's stream key per variant token. Keys never move; a new token takes
+# the next unused key.
+_STREAM_KEY = {"lap": 0, "gau": 1, "gum": 2, "exp-none": 3, "exp-mean": 4,
+               "exp-opt": 5, UPPER_BOUND: 6}
 
 
 def _eps_key(eps: float) -> int:
@@ -145,7 +147,7 @@ def cell_rng(seed: int, eps: float, variant: str, traverses: int,
     if variant not in VARIANT_TOKENS:
         raise ValueError(f"variant must be one of {VARIANT_TOKENS}, "
                          f"got {variant!r}")
-    entropy = (int(seed), _VARIANT_KEY[variant], _eps_key(eps),
+    entropy = (int(seed), _STREAM_KEY[variant], _eps_key(eps),
                int(traverses), int(repetition))
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))
 
@@ -488,14 +490,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _sweep_config(args: argparse.Namespace) -> ExperimentConfig:
+    accepted = tuple(f.name for f in fields(ExperimentConfig))
     values: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            values.update(json.load(fh))
-    for f in fields(ExperimentConfig):
-        flag = getattr(args, f.name, None)
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError(f"{args.config}: the file must hold a JSON "
+                             f"object, got {values!r}")
+        unknown = [name for name in values if name not in accepted]
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config fields {unknown}; "
+                             f"choose from {accepted}")
+    for name in accepted:
+        flag = getattr(args, name, None)
         if flag is not None:
-            values[f.name] = flag
+            values[name] = flag
     for key in ("variants", "eps_values", "traverses"):
         if isinstance(values.get(key), list):
             values[key] = tuple(values[key])

@@ -57,13 +57,13 @@ class ScoredDataset(Record):
     def __init__(self, name: str, items: Iterable[tuple[int, float]],
                  threshold: float) -> None:
         items = Items.of(items)
+        checks.finite(threshold=threshold)
         vars(self).update(name=name, ids=frozen(items.ids, np.int64),
                           scores=frozen(items.scores, float),
-                          threshold=threshold)
+                          threshold=float(threshold))
         if self.ids.size == 0:
             raise ValueError("a dataset needs at least one item")
         checks.unique_finite(self.ids, self.scores)
-        checks.finite(threshold=self.threshold)
 
     @property
     def items(self) -> Items:
@@ -127,6 +127,9 @@ def ingest_transactions(path: str | Path, threshold: float) -> ScoredDataset:
 
 def write_scores(ds: ScoredDataset, path: str | Path) -> None:
     """Persist a dataset as CSV rows id,score under a metadata header line."""
+    if "\n" in ds.name or "\r" in ds.name:
+        raise ValueError(f"dataset name {ds.name!r} holds a line break, which "
+                         f"the one-line scores header cannot hold")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# name={ds.name} threshold={ds.threshold!r}\n")
         fh.writelines(f"{item},{score!r}\n" for item, score in ds.items)

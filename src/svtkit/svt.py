@@ -111,18 +111,18 @@ class QueryStream(Record):
     and ``==`` compares them; it iterates as :class:`QueryEntry` tuples.
 
     ``columns`` holds the source (ids, scores, thresholds) and ``order`` the
-    source row of each stream position, None when they are the same, so the
-    engine gathers only the rows it evaluates.
+    int64 source row of each stream position, so the engine gathers only the
+    rows it evaluates.
     """
 
     columns: tuple[np.ndarray, np.ndarray, np.ndarray]
-    order: Optional[np.ndarray]
+    order: np.ndarray
     _compared = ("ids", "scores", "thresholds")
 
     def __init__(self, entries: Iterable[Sequence]) -> None:
-        ids, scores, thresholds = columns(entries, (np.int64, float, float))
-        vars(self).update(columns=(ids, scores, thresholds), order=None)
-        checks.unique_finite(ids, scores, thresholds)
+        source = tuple(columns(entries, (np.int64, float, float)))
+        vars(self).update(columns=source, order=np.arange(source[0].size))
+        checks.unique_finite(*source)
 
     @classmethod
     def with_threshold(cls, scored: Iterable[tuple[int, float]],
@@ -141,15 +141,16 @@ class QueryStream(Record):
         return cls.trusted(columns=(ids, scores, thresholds), order=order)
 
     def _read(self, column: int) -> np.ndarray:
-        values = self.columns[column]
-        return values if self.order is None else values[self.order]
+        values = self.columns[column][self.order]
+        values.flags.writeable = False
+        return values
 
     ids = property(lambda self: self._read(0))
     scores = property(lambda self: self._read(1))
     thresholds = property(lambda self: self._read(2))
 
     def __len__(self) -> int:
-        return (self.columns[0] if self.order is None else self.order).size
+        return self.order.size
 
     def __iter__(self):
         return map(QueryEntry, self.ids.tolist(), self.scores.tolist(),
@@ -375,7 +376,7 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
             return np.array([float(noise_override("query", i, traverse))
                              for i in ids[batch].tolist()])
 
-    batch = np.arange(ids.size) if queries.order is None else queries.order
+    batch = queries.order
     evaluated: list[np.ndarray] = []
     flagged: list[np.ndarray] = []
     n_a = n_c = 0

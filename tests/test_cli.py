@@ -72,6 +72,26 @@ def test_cell_rng_deterministic_and_distinct():
         assert not np.array_equal(a, other.random(4))
 
 
+# Literal stream keys: a key that moves reruns every cell of its token on
+# another random stream.
+STREAM_KEYS = {"lap": 0, "gau": 1, "gum": 2, "exp-none": 3, "exp-mean": 4,
+               "exp-opt": 5, "upper": 6}
+
+
+@pytest.mark.parametrize("token, key", STREAM_KEYS.items())
+def test_cell_rng_stream_keys_never_move(token, key):
+    seed, eps, trav, rep = 7, 0.5, 3, 2
+    entropy = [seed, key, cli._eps_key(eps), trav, rep]
+    expected = np.random.default_rng(np.random.SeedSequence(entropy))
+    assert np.array_equal(cli.cell_rng(seed, eps, token, trav, rep).random(4),
+                          expected.random(4))
+
+
+def test_every_variant_token_has_its_own_stream_key():
+    keys = [cli._STREAM_KEY[token] for token in cli.VARIANT_TOKENS]
+    assert len(set(keys)) == len(keys)
+
+
 # --- sweeps ------------------------------------------------------------
 
 def test_sweep_rows_and_default_k_est():
@@ -468,3 +488,20 @@ def test_main_plot_series_rejects_malformed_params(capsys, kind, params,
     assert cli.main(["plot-series", "--kind", kind,
                      "--params", json.dumps(params)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("content, message", [
+    (["lap"], "the file must hold a JSON object, got ['lap']"),
+    ("zipf", "the file must hold a JSON object, got 'zipf'"),
+    ({"dataset": "zipf", "variants": ["lap"], "eps_values": [0.5],
+      "eps": 0.5, "reps": 2},
+     "unknown config fields ['eps', 'reps']; choose from ('dataset', "
+     "'variants', 'eps_values', "),
+])
+def test_main_sweep_config_file_errors_name_the_problem(content, message,
+                                                        tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(content))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: {message}")

@@ -109,6 +109,26 @@ def test_scores_roundtrip_awkward_name_and_threshold(tmp_path):
     assert data.read_scores(path) == ds
 
 
+@pytest.mark.parametrize("threshold", [np.float64(1.0), np.float32(0.1)])
+def test_scores_roundtrip_numpy_scalar_threshold(tmp_path, threshold):
+    ds = data.ScoredDataset("s", [(1, 2.0), (2, 0.5)], threshold)
+    assert type(ds.threshold) is float
+    path = tmp_path / "s.scores"
+    data.write_scores(ds, path)
+    back = data.read_scores(path)
+    assert back == ds
+    assert back.threshold == float(threshold)
+
+
+@pytest.mark.parametrize("name", ["two\nlines", "carriage\rreturn"])
+def test_write_scores_rejects_a_line_break_in_the_name(tmp_path, name):
+    ds = data.ScoredDataset(name, [(1, 2.0)], 1.0)
+    path = tmp_path / "s.scores"
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        data.write_scores(ds, path)
+    assert not path.exists()
+
+
 def test_shuffle_and_stream_permutation():
     ds = data.gen_zipf(100)
     rng = np.random.default_rng(9)

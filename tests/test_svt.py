@@ -504,3 +504,24 @@ def test_long_stream_draws_what_it_evaluates(monkeypatch):
         assert out.halt_reason is HaltReason.POSITIVE_BUDGET
         assert out.n_a < ds.n_items // 100
         assert sum(sizes) <= max(svt._FIRST_CHUNK, 2 * out.n_a)
+
+
+def test_permuted_stream_reads_are_read_only():
+    ds = data.gen_zipf(20)
+    s = data.shuffle_and_stream(ds, np.random.default_rng(0))
+    for values in (s.ids, s.scores, s.thresholds):
+        assert not values.flags.writeable
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_row_built_stream_runs_as_its_identity_permutation(variant):
+    ds = data.gen_zipf(300)
+    rows = QueryStream.with_threshold(ds.items, ds.threshold)
+    view = QueryStream.permuted(ds.ids, ds.scores, ds.threshold,
+                                np.arange(ds.n_items))
+    assert rows == view
+    cfg = cfg_with(variant=variant, c=60, k_max=600, append=True,
+                   max_traverses=2, k_est=5, delta_dp=1e-3)
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    assert run_svt(rows, cfg, a) == run_svt(view, cfg, b)
+    assert a.bit_generator.state == b.bit_generator.state

@@ -24,7 +24,8 @@ BASE = dict(delta=2.0, eps1=0.4, eps2=0.6, c=3, k_max=10, alpha=0.5,
 
 
 def test_tokens_in_member_order():
-    # cli.cell_rng keys each cell's random stream by this order.
+    # The order keys nothing: cli.cell_rng takes each token's stream key
+    # from cli._STREAM_KEY.
     assert [v.value for v in Variant] == list(ROWS)
     assert all(Variant(token).value == token for token in ROWS)
 
