@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from functools import partial
 
 import numpy as np
@@ -18,9 +19,13 @@ _BOOLS = (bool, np.bool_)
 
 
 def _real(x) -> bool:
-    """A real number that is not a bool; the rules test ``float`` first, as
-    the common case (numpy float64 included) needs no ABC lookup."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """A real number that is not a bool, nor an integer or fraction beyond
+    float range: one compares below inf, yet ``float`` of it raises
+    OverflowError. The rules test ``float`` first, as the common case
+    (numpy float64 included) needs no ABC lookup."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and not (isinstance(x, numbers.Rational)
+                     and abs(x) > sys.float_info.max))
 
 
 def _reject(name: str, x, rule: str):

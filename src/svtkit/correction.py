@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import fft
 
 from . import checks, noise
 from .allocation import query_sensitivity
@@ -160,8 +159,8 @@ def convolve_difference(x: DiscretePmf, y: DiscretePmf) -> DiscretePmf:
     r_neg, r_pos = y.pos_inf_mass, y.neg_inf_mass
 
     n = len(x.mass) + len(r_mass) - 1
-    nf = fft.next_fast_len(n, True)
-    z = fft.irfft(fft.rfft(x.mass, nf) * fft.rfft(r_mass, nf), nf)
+    nf = _fast_len(n)
+    z = np.fft.irfft(np.fft.rfft(x.mass, nf) * np.fft.rfft(r_mass, nf), nf)
     z_mass = np.maximum(z[:n], 0.0)
     x_fin = float(x.mass.sum())
     y_fin = float(r_mass.sum())
@@ -170,6 +169,23 @@ def convolve_difference(x: DiscretePmf, y: DiscretePmf) -> DiscretePmf:
     neg = x_fin * r_neg + x.neg_inf_mass * y_fin + x.neg_inf_mass * r_neg + opposing
     return DiscretePmf(mesh=x.mesh, origin_index=x.origin_index + r_origin,
                        mass=z_mass, neg_inf_mass=neg, pos_inf_mass=pos)
+
+
+def _fast_len(n: int) -> int:
+    """The least 2**a * 3**b * 5**c at or above n, the padded length
+    ``scipy.fft.next_fast_len(n, True)`` gives a real transform."""
+    below = n - 1
+    best = 1 << below.bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 times the least power of 2 reaching n
+            fit = p35 << (below // p35).bit_length()
+            if fit < best:
+                best = fit
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def pmf_cdf(pmf: DiscretePmf, t) -> float | np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from . import checks
 
@@ -151,6 +150,19 @@ def _laplace_quantile(p):
     return np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
 
 
+def _gaussian(name: str) -> Callable:
+    """The Gaussian law's ``name`` (cdf, log_sf or quantile) until its
+    first call. Only the Gaussian law needs special functions, and
+    scipy.special takes longer to import than the rest of svtkit, so that
+    call imports it and puts scipy's functions in the law's row."""
+    def first_call(x):
+        from scipy.special import log_ndtr, ndtr, ndtri
+        law = _LAWS[Kind.GAUSSIAN] = _LAWS[Kind.GAUSSIAN]._replace(
+            cdf=ndtr, log_sf=lambda z: log_ndtr(-z), quantile=ndtri)
+        return getattr(law, name)(x)
+    return first_call
+
+
 def _gumbel_exp(z):
     # exp(-z) overflows to inf below z of about -709; every Gumbel
     # expression built on it still reaches its limit there.
@@ -180,7 +192,7 @@ _LAWS = {
     Kind.GAUSSIAN: _Law(
         -0.0, 1.0,
         lambda z, s: np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi)),
-        ndtr, lambda z: log_ndtr(-z), ndtri),
+        _gaussian("cdf"), _gaussian("log_sf"), _gaussian("quantile")),
     Kind.GUMBEL: _Law(
         EULER_GAMMA, math.pi**2 / 6.0,
         lambda z, s: np.exp(-z - _gumbel_exp(z)) / s,

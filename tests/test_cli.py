@@ -161,6 +161,17 @@ def test_upper_bound_n_c_counts_only_existing_items():
         ("upper", 10, 10), ("lap", 10, 10)]
 
 
+def test_upper_rows_follow_their_stream_key(monkeypatch):
+    """With c above the positives, upper fills its ranking with zeros in
+    the order its noise draws give them, so f1 reads the cell's stream:
+    the rows are pinned and move when upper's key moves."""
+    cfg = small_sweep(dataset="binary", variants=("upper",), n_items=40,
+                      n_positive=4, repetitions=4)
+    assert [r["f1"] for r in cli.run_sweep(cfg)] == [0.5, 0.5, 0.5, 0.6]
+    monkeypatch.setitem(cli._STREAM_KEY, "upper", 7)
+    assert [r["f1"] for r in cli.run_sweep(cfg)] != [0.5, 0.5, 0.5, 0.6]
+
+
 def _tie_heavy(seed: int, n: int = 200) -> np.ndarray:
     values = np.random.default_rng(seed).integers(0, 5, n).astype(float)
     values[::7] = -values[::7]      # -0.0 among the zeros

@@ -341,16 +341,59 @@ def test_singular_query_warns_once_and_stays_continuous():
     assert p == pytest.approx(near, abs=1e-5)
 
 
+def _fresh_stdout(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter importing this svtkit:
+    this test process has scipy loaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(svtkit.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_import_loads_neither_scipy_signal_nor_stats():
-    """A fresh interpreter: this test process has scipy.stats loaded."""
     code = ("import sys, svtkit; print(sorted(m for m in sys.modules if "
             "m.startswith(('scipy.signal', 'scipy.stats', "
             "'scipy.integrate'))))")
-    src = str(Path(svtkit.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_stdout(code).strip() == "[]"
+
+
+SCIPY_FREE_RUN = """
+import sys
+import numpy as np
+import svtkit
+from svtkit import Variant, noise
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+stream = svtkit.QueryStream.with_threshold(
+    [(i, float(i)) for i in range(1, 60)], 30.0)
+for variant in (Variant.LAP, Variant.EXP_MEAN_CORR, Variant.EXP_OPT_CORR):
+    cfg = svtkit.SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=3, k_max=59,
+                           variant=variant, k_est=10)
+    svtkit.run_svt(stream, cfg, np.random.default_rng(0))
+svtkit.optimal_correction(
+    svtkit.CorrectionQuery(b=2.5, lam=0.3, alpha=1.0, k=7, m=2001))
+print(scipy_modules())
+noise.sample(noise.gaussian(1.0), np.random.default_rng(0))
+from scipy.special import ndtri
+print("scipy.special" in scipy_modules(),
+      noise._LAWS[noise.Kind.GAUSSIAN].quantile is ndtri)
+"""
+
+
+def test_exponential_paths_load_no_scipy_until_a_gaussian_draw():
+    """svtkit itself needs numpy only: the lap, exp-mean and exp-opt engine
+    and a cold optimizer call load no scipy module; the Gaussian law loads
+    scipy.special at its first call and then calls scipy's functions
+    directly."""
+    assert _fresh_stdout(SCIPY_FREE_RUN).split("\n")[:2] == ["[]",
+                                                            "True True"]
+
+
+def test_fast_len_equals_scipy_next_fast_len_up_to_2e5():
+    from scipy.fft import next_fast_len
+    assert all(correction._fast_len(n) == next_fast_len(n, True)
+               for n in range(1, 200_001))
 
 
 def _laws_and_bound(q: CorrectionQuery) -> tuple:
@@ -372,7 +415,11 @@ def _discretized_pair(q: CorrectionQuery) -> tuple[DiscretePmf, DiscretePmf]:
     CorrectionQuery(b=2.0, lam=0.25, alpha=0.0, k=200),
     CorrectionQuery(b=20.0, lam=0.003, alpha=3.0, k=200),
     CorrectionQuery(b=1.5, lam=0.7, alpha=0.5, k=4, m=13),
-], ids=["default", "wide", "small-odd-mesh"])
+    CorrectionQuery(b=1.5, lam=0.7, alpha=0.5, k=4, m=8),
+    CorrectionQuery(b=1.5, lam=0.7, alpha=0.5, k=4, m=12),
+    CorrectionQuery(b=2.0, lam=0.25, alpha=0.0, k=20, m=1000),
+], ids=["default", "wide", "small-odd-mesh", "n27-unpadded", "n43-to-45",
+        "n3995-to-4000"])
 def test_convolve_difference_matches_fftconvolve_bit_for_bit(q):
     from scipy.signal import fftconvolve
     x, y = _discretized_pair(q)

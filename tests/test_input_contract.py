@@ -427,6 +427,15 @@ PROBES = {
     "read_scores, id 10**20": lambda: _read(
         data.read_scores,
         "# name=s threshold=1.0\n1,2.0\n100000000000000000000,3.0\n"),
+    # An int beyond float range: a ValueError, not float()'s OverflowError.
+    "finite(x=10**400)": lambda: checks.finite(x=10**400),
+    "nonnegative(x=10**400)": lambda: checks.nonnegative(x=10**400),
+    "ScoredDataset(threshold=10**400)":
+        lambda: data.ScoredDataset("x", [(1, 1.0)], 10**400),
+    "GroundTruth(threshold=-10**400)":
+        lambda: metrics.GroundTruth([1], [1.0], -10**400, 1),
+    "QueryStream.with_threshold(threshold=10**400)":
+        lambda: QueryStream.with_threshold([(1, 1.0)], 10**400),
     # Sequence parameters of plot-series: a JSON list or a tuple only.
     "plot-series(kind=accuracy, alphas=5)":
         lambda: cli.emit_plot_series("accuracy", alphas=5),
