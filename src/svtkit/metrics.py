@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -40,6 +41,8 @@ class GroundTruth(Record):
         vars(self).update(ids=frozen(ranked_ids, np.int64),
                           scores=frozen(scores, float),
                           threshold=float(threshold), c=c)
+        if self.ids.size == 0:
+            raise ValueError("a ranking needs at least one item")
         checks.unique_finite(self.ids, self.scores)
         s, i = self.scores, self.ids
         if not ((s[:-1] > s[1:]) | ((s[:-1] == s[1:]) & (i[:-1] < i[1:]))).all():
@@ -59,7 +62,17 @@ class GroundTruth(Record):
         return tuple(self.ids.tolist())
 
     def top_c_ids(self) -> tuple[int, ...]:
+        return self._top_c
+
+    @cached_property
+    def _top_c(self) -> tuple[int, ...]:
         return tuple(self.ids[:self.c].tolist())
+
+    @cached_property
+    def _credit(self) -> dict[int, int]:
+        top = zip(self._top_c, self.scores[:self.c].tolist())
+        return {item: self.c - rank0 for rank0, (item, score) in enumerate(top)
+                if score >= self.threshold}
 
 
 def ncr(positives: Iterable[int], truth: GroundTruth) -> float:
@@ -74,22 +87,20 @@ def ncr(positives: Iterable[int], truth: GroundTruth) -> float:
     if len(emitted) > truth.c:
         raise ValueError(f"at most c={truth.c} positives expected, "
                          f"got {len(emitted)}")
-    credit = {}
-    for rank0, (item, score) in enumerate(zip(truth.ids[:truth.c].tolist(),
-                                              truth.scores[:truth.c].tolist())):
-        if score >= truth.threshold:
-            credit[item] = truth.c - rank0
-    total = sum(credit.get(item, 0) for item in emitted)
+    total = sum(truth._credit.get(item, 0) for item in emitted)
     return 2.0 * total / (truth.c * (truth.c + 1))
 
 
 def f1(positives: Iterable[int], truth: GroundTruth) -> float:
     """F1 of the emitted set against the true top-c set."""
     emitted = set(positives)
-    target = set(truth.top_c_ids())
-    tp = len(emitted & target)
-    denom = 2 * tp + len(emitted - target) + len(target - emitted)
+    target = truth.top_c_ids()
+    tp = len(emitted.intersection(target))
+    denom = len(emitted) + len(target)  # 2 tp + false pos. + false neg.
     return 2.0 * tp / denom if denom else 0.0
+
+
+_BATCH_ANSWERS = 1 << 12  # outcomes are held until this many answers
 
 
 def alpha_beta_estimate(runner: Callable[[np.random.Generator], SvtOutcome],
@@ -100,6 +111,11 @@ def alpha_beta_estimate(runner: Callable[[np.random.Generator], SvtOutcome],
     A trial fails when some positive answer's true score is below
     threshold - alpha, some negative answer's true score is above
     threshold + alpha, or the run halted with queries never evaluated.
+
+    The runner is called ``trials`` times in order on ``rng``, and the
+    outcomes are checked in batches of about 2^12 answers, one vectorized
+    pass each: an id missing from ``truth`` raises ``ValueError`` at the
+    end of its batch, after up to one batch of further runner calls.
 
     Args:
         runner: closure running one mechanism invocation with the given rng.
@@ -118,18 +134,31 @@ def alpha_beta_estimate(runner: Callable[[np.random.Generator], SvtOutcome],
     # Row 0: wrong if answered negative; row 1: wrong if answered positive.
     wrong = np.stack((scores > truth.threshold + alpha,
                       scores < truth.threshold - alpha))
-    failures = 0
-    for _ in range(trials):
-        outcome = runner(rng)
-        at = ids.searchsorted(outcome.answer_ids)
-        if np.count_nonzero(ids.take(at, mode="clip") != outcome.answer_ids):
-            raise ValueError("an answered id is missing from the ground truth")
-        bad = np.count_nonzero(wrong[outcome.flags.view(np.uint8), at])
-        # Each query is evaluated in traverse 1 exactly once, so these
-        # answers count the distinct queries seen.
-        unseen = np.count_nonzero(outcome.traverses == 1) < ids.size
-        failures += bool(bad or unseen)
+    failures = held = 0
+    batch: list[SvtOutcome] = []
+    for trial in range(1, trials + 1):
+        batch.append(runner(rng))
+        held += batch[-1].answer_ids.size
+        if held >= _BATCH_ANSWERS or trial == trials:
+            failures += _failed_trials(batch, ids, wrong)
+            batch, held = [], 0
     return failures / trials
+
+
+def _failed_trials(batch: list[SvtOutcome], ids: np.ndarray,
+                   wrong: np.ndarray) -> int:
+    answer_ids = np.concatenate([o.answer_ids for o in batch])
+    at = ids.searchsorted(answer_ids)
+    if np.count_nonzero(ids.take(at, mode="clip") != answer_ids):
+        raise ValueError("an answered id is missing from the ground truth")
+    flags = np.concatenate([o.flags for o in batch]).view(np.uint8)
+    trial = np.repeat(np.arange(len(batch)), [o.flags.size for o in batch])
+    bad = np.bincount(trial[wrong[flags, at]], minlength=len(batch))
+    # Each query is evaluated in traverse 1 exactly once, so these answers
+    # count the distinct queries seen.
+    first = np.concatenate([o.traverses for o in batch]) == 1
+    seen = np.bincount(trial[first], minlength=len(batch))
+    return int(np.count_nonzero(bad | (seen < ids.size)))
 
 
 def accuracy_alpha_bound(k: int, eps: float, beta: float) -> float:

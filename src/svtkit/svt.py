@@ -438,7 +438,8 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
 
     if len(evaluated) == 1:
         answer_ids, flags = ids[evaluated[0]], flagged[0]
-        traverses = np.ones(flags.size, dtype=np.int64)
+        traverses = np.empty(flags.size, dtype=np.int64)  # np.ones is slower
+        traverses.fill(1)
     else:
         answer_ids = ids[np.concatenate(evaluated)]
         flags = np.concatenate(flagged)

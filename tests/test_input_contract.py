@@ -346,6 +346,10 @@ PROBES = {
         lambda: allocation.query_sensitivity(NAN, 1.0),
     "GroundTruth(c=nan)": lambda: metrics.GroundTruth([1], [1.0], 0.0, NAN),
     "GroundTruth(c=1.5)": lambda: metrics.GroundTruth([1], [1.0], 0.0, 1.5),
+    # An empty ranking (alpha_beta_estimate raised IndexError on it).
+    "GroundTruth, no items": lambda: metrics.GroundTruth([], [], 0.0, 1),
+    "GroundTruth.from_items, no items":
+        lambda: metrics.GroundTruth.from_items([], 0.0, 1),
     "ExperimentConfig(seed=1.5)":
         lambda: cli.ExperimentConfig(**SWEEP, seed=1.5),
     "cell_rng(seed=1.5)": lambda: cli.cell_rng(1.5, 0.5, "lap", 1, 0),

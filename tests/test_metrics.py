@@ -223,6 +223,144 @@ def test_alpha_beta_rejects_ids_missing_from_truth(answers):
                                     np.random.default_rng(0))
 
 
+def _per_trial_reference(runner, alpha, truth, trials, rng):
+    """The estimator as a plain loop: one check per trial, as it runs."""
+    order = np.argsort(truth.ids)
+    ids, scores = truth.ids[order], truth.scores[order]
+    failures = 0
+    for _ in range(trials):
+        outcome = runner(rng)
+        at = ids.searchsorted(outcome.answer_ids)
+        if (ids.take(at, mode="clip") != outcome.answer_ids).any():
+            raise ValueError("an answered id is missing from the ground truth")
+        true = scores[at]
+        wrong = np.where(outcome.flags, true < truth.threshold - alpha,
+                         true > truth.threshold + alpha)
+        unseen = np.count_nonzero(outcome.traverses == 1) < ids.size
+        failures += bool(wrong.any() or unseen)
+    return failures / trials
+
+
+_MIXED_SCORES = [(i, 10.0 + 3.0 * (i - 6)) for i in range(12)]
+# Lengths vary by config: append runs re-evaluate negatives in traverses 2
+# and 3, and a small k_max or c cuts a run short (a failed trial).
+_MIXED_CONFIGS = [
+    SvtConfig(delta=1.0, eps1=10.0, eps2=10.0, c=12, k_max=40,
+              variant=Variant.LAP, append=True, max_traverses=3),
+    SvtConfig(delta=1.0, eps1=10.0, eps2=10.0, c=12, k_max=12,
+              variant=Variant.EXP_OPT_CORR, alpha=1.0, k_est=1),
+    SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=2, k_max=5, variant=Variant.GUM),
+    SvtConfig(delta=1.0, eps1=20.0, eps2=20.0, c=12, k_max=30,
+              variant=Variant.EXP_NO_CORR, append=True, max_traverses=2),
+]
+
+
+def _mixed_runner():
+    """A runner cycling through configs whose outcomes differ in length,
+    with traverses > 1 among them."""
+    stream = QueryStream.with_threshold(_MIXED_SCORES, 10.0)
+    configs = iter(_MIXED_CONFIGS * 1000)
+    return lambda rng: run_svt(stream, next(configs), rng)
+
+
+@pytest.mark.parametrize("bound", [1, 7, 50, metrics._BATCH_ANSWERS])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+def test_batched_estimate_matches_per_trial_loop(monkeypatch, bound, seed,
+                                                 alpha):
+    """Batches of a few answers cross trial boundaries; the estimate and
+    the generator's end state are those of a per-trial check."""
+    truth = GroundTruth.from_items(_MIXED_SCORES, 10.0, c=3)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = _per_trial_reference(_mixed_runner(), alpha, truth, 97, ref_rng)
+    monkeypatch.setattr(metrics, "_BATCH_ANSWERS", bound)
+    beta = metrics.alpha_beta_estimate(_mixed_runner(), alpha, truth, 97, rng)
+    assert beta == expected
+    assert 0.0 < beta < 1.0
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_mixed_runner_has_appended_traverses():
+    runner, rng = _mixed_runner(), np.random.default_rng(3)
+    outcomes = [runner(rng) for _ in _MIXED_CONFIGS * 5]
+    assert max(int(o.traverses.max()) for o in outcomes) == 3
+    assert len({o.answer_ids.size for o in outcomes}) > 4
+
+
+@pytest.mark.parametrize("variant", [Variant.EXP_OPT_CORR, Variant.LAP,
+                                     Variant.GAU])
+@pytest.mark.parametrize("bound", [40, metrics._BATCH_ANSWERS])
+def test_batched_estimate_matches_per_trial_loop_on_accuracy_streams(
+        monkeypatch, variant, bound):
+    s = _worst_case_stream(20, 100.0, 2.0)
+    truth = GroundTruth.from_items([(e.query_id, e.score) for e in s],
+                                   100.0, c=1)
+    cfg = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=1, k_max=21,
+                    variant=variant, alpha=2.0, k_est=20, delta_dp=0.05)
+    runner = lambda rng: run_svt(s, cfg, rng)
+    expected = _per_trial_reference(runner, 2.0, truth, 300,
+                                    np.random.default_rng(5))
+    monkeypatch.setattr(metrics, "_BATCH_ANSWERS", bound)
+    assert metrics.alpha_beta_estimate(runner, 2.0, truth, 300,
+                                       np.random.default_rng(5)) == expected
+
+
+@pytest.mark.parametrize("bound", [1, 2, 4, 1000])
+@pytest.mark.parametrize("answers", [
+    [(1, False), (2, True), (3, False)],
+    [(1, True), (2, True), (3, False)],
+    [(1, False), (2, True)],
+])
+def test_batched_estimate_of_one_repeated_outcome(monkeypatch, bound, answers):
+    """``_scripted`` returns the same outcome object on every call."""
+    truth = GroundTruth.from_items([(1, 0.0), (2, 10.0), (3, 5.5)], 5.0, c=1)
+    expected = _per_trial_reference(_scripted(answers), 1.0, truth, 5,
+                                    np.random.default_rng(0))
+    monkeypatch.setattr(metrics, "_BATCH_ANSWERS", bound)
+    assert metrics.alpha_beta_estimate(_scripted(answers), 1.0, truth, 5,
+                                       np.random.default_rng(0)) == expected
+
+
+def test_missing_id_in_the_middle_of_a_batch(monkeypatch):
+    """Batches of three 3-answer trials; trial 5 answers an unknown id. The
+    error comes at the end of its batch, after trial 6."""
+    truth = GroundTruth.from_items([(1, 0.0), (2, 10.0), (3, 5.5)], 5.0, c=1)
+    good = _scripted([(1, False), (2, True), (3, False)])(None)
+    bad = _scripted([(1, False), (9, True), (3, False)])(None)
+    calls = []
+
+    def runner(rng):
+        calls.append(len(calls) + 1)
+        return bad if len(calls) == 5 else good
+
+    monkeypatch.setattr(metrics, "_BATCH_ANSWERS", 9)
+    with pytest.raises(ValueError, match="missing"):
+        metrics.alpha_beta_estimate(runner, 1.0, truth, 20,
+                                    np.random.default_rng(0))
+    assert calls[-1] == 6
+
+
+def test_cached_top_c_maps_keep_equality_on_fields():
+    fresh = GroundTruth.from_items(ITEMS, threshold=5.0, c=3)
+    used = GroundTruth.from_items(ITEMS, threshold=5.0, c=3)
+    assert metrics.ncr([1, 3], used) == metrics.ncr([1, 3], fresh)
+    assert metrics.f1([1, 4], used) == 0.4
+    assert used == fresh
+    assert used != GroundTruth.from_items(ITEMS, threshold=5.0, c=2)
+    assert metrics.f1([1, 2], GroundTruth.from_items(ITEMS, 5.0, c=2)) == 1.0
+    assert used.top_c_ids() == tuple(used.ids[:3].tolist())
+
+
+def test_f1_matches_the_set_definition():
+    truth = GroundTruth.from_items(ITEMS, threshold=5.0, c=3)
+    target = set(truth.ids[:3].tolist())
+    for chosen in ([], [1], [1, 4], [4, 99, 99], [1, 2, 3], [5, 6, 7, 8]):
+        emitted = set(chosen)
+        tp = len(emitted & target)
+        denom = 2 * tp + len(emitted - target) + len(target - emitted)
+        assert metrics.f1(chosen, truth) == 2.0 * tp / denom
+
+
 def test_ground_truth_rejects_nested_arrays():
     with pytest.raises(ValueError, match="expected a 1-d array"):
         GroundTruth(ranked_ids=[[1, 2]], scores=[[2.0, 1.0]], threshold=0.0,
