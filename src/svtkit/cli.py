@@ -238,6 +238,10 @@ def emit_correction_table(eps_values: Sequence[float], c: int, alpha: float,
                           monotonic: bool = False,
                           m: int = correction.DEFAULT_MESH_COUNT) -> list[dict]:
     """The corrections exp-opt and exp-mean apply, per epsilon."""
+    checks.sequence(eps_values=eps_values)
+    for eps in eps_values:
+        checks.positive(eps_values=eps)
+    checks.count(1, k_est=k_est)
     rows = []
     for eps in eps_values:
         split = allocation.split(eps, Variant.EXP_OPT_CORR, c, monotonic)
@@ -418,16 +422,15 @@ def _write_rows(rows: list[dict], out_path: Optional[str]) -> None:
         writer.writerows(rows)
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip())
+def _comma_list(cast: type):
+    """An argparse type: comma-separated ``cast`` values, blanks skipped."""
+    def parse(text: str) -> tuple:
+        return tuple(cast(t.strip()) for t in text.split(",") if t.strip())
+    parse.__name__ = cast.__name__  # argparse: "invalid float value: 'x'"
+    return parse
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t.strip())
-
-
-def _tokens(text: str) -> tuple[str, ...]:
-    return tuple(t.strip() for t in text.split(",") if t.strip())
+_floats, _ints, _tokens = map(_comma_list, (float, int, str))
 
 
 def _build_parser() -> argparse.ArgumentParser:

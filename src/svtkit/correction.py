@@ -95,7 +95,8 @@ class CorrectionQuery:
         alpha: score tolerance (nonnegative).
         k: expected negatives answered per positive, at least 1.
         m: mesh count per side for the numerical path.
-        e: tail mass left outside the grid boundary, in (0, 0.5).
+        e: tail mass left outside the grid boundary, in (2^-54, 0.5): a
+            smaller e leaves 1 - e at 1.0.
     """
 
     b: float
@@ -110,7 +111,7 @@ class CorrectionQuery:
         checks.nonnegative(alpha=self.alpha)
         checks.count(1, k=self.k)
         checks.count(2, m=self.m)
-        checks.within(0.0, 0.5, e=self.e)
+        checks.within(2.0 ** -54, 0.5, e=self.e)
 
     @classmethod
     def from_budget(cls, eps1: float, eps2: float, c: int, delta: float,

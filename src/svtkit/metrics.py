@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -62,17 +61,7 @@ class GroundTruth(Record):
         return tuple(self.ids.tolist())
 
     def top_c_ids(self) -> tuple[int, ...]:
-        return self._top_c
-
-    @cached_property
-    def _top_c(self) -> tuple[int, ...]:
         return tuple(self.ids[:self.c].tolist())
-
-    @cached_property
-    def _credit(self) -> dict[int, int]:
-        top = zip(self._top_c, self.scores[:self.c].tolist())
-        return {item: self.c - rank0 for rank0, (item, score) in enumerate(top)
-                if score >= self.threshold}
 
 
 def ncr(positives: Iterable[int], truth: GroundTruth) -> float:
@@ -87,7 +76,10 @@ def ncr(positives: Iterable[int], truth: GroundTruth) -> float:
     if len(emitted) > truth.c:
         raise ValueError(f"at most c={truth.c} positives expected, "
                          f"got {len(emitted)}")
-    total = sum(truth._credit.get(item, 0) for item in emitted)
+    top = zip(truth.top_c_ids(), truth.scores[:truth.c].tolist())
+    credit = {item: truth.c - rank0 for rank0, (item, score) in enumerate(top)
+              if score >= truth.threshold}
+    total = sum(credit.get(item, 0) for item in emitted)
     return 2.0 * total / (truth.c * (truth.c + 1))
 
 

@@ -1,4 +1,5 @@
-"""Source hygiene: every module under ``svtkit`` uses each name it imports."""
+"""Source hygiene: every module under ``svtkit``, and every bench script,
+uses each name it imports."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import svtkit
 
 MODULES = sorted(p for p in Path(svtkit.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+BENCH = sorted((Path(__file__).parents[1] / "bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,4 +36,9 @@ def test_scan_flags_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", BENCH, ids=lambda p: p.name)
+def test_bench_script_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -58,8 +58,9 @@ PROBABILITY = Rule(_reals(0.0, 1.0, exclude_min=True, exclude_max=True),
                    st.sampled_from((0, 0.0, 1, 1.0, NAN, INF, -INF)
                                    + NOT_NUMBERS)
                    | st.floats(min_value=1.0) | st.floats(max_value=0.0))
-TAIL = Rule(_reals(0.0, 0.5, exclude_min=True, exclude_max=True),
-            st.sampled_from((0.0, 0.5, 1.0, NAN, INF, -1.0) + NOT_NUMBERS))
+TAIL = Rule(_reals(2.0 ** -53, 0.5, exclude_max=True),
+            st.sampled_from((0.0, 0.5, 1.0, NAN, INF, -1.0, 1e-17, 2.0 ** -54)
+                            + NOT_NUMBERS))
 FLAG = Rule(st.booleans() | st.booleans().map(np.bool_),
             st.sampled_from(("no", "", 0, 1, 2, 1.0, NAN, None)))
 VARIANT = Rule(st.sampled_from(list(Variant)),
@@ -338,6 +339,9 @@ PROBES = {
         lambda: correction.CorrectionQuery(**dict(QUERY, k=1.5)),
     "CorrectionQuery(m=2.5)":
         lambda: correction.CorrectionQuery(**QUERY, m=2.5),
+    # 1 - e rounds to 1.0: the grid's quantile failed naming no field.
+    "CorrectionQuery(e=1e-17)":
+        lambda: correction.CorrectionQuery(**QUERY, e=1e-17),
     "optimal_w(c=nan)": lambda: allocation.optimal_w(Variant.LAP, NAN),
     "split(c=1.5)": lambda: allocation.split(1.0, Variant.LAP, 1.5),
     "calibrate(c=1.5)":
@@ -458,6 +462,13 @@ PROBES = {
         lambda: cli.near_threshold_stream(2, 0.0, 1e11, margin=1e-6),
     "plot-series(kind=accuracy, threshold=1e11)":
         lambda: cli.emit_plot_series("accuracy", threshold=1e11),
+    # correction-table's own names, not the optimizer's k and eps_total.
+    "emit_correction_table(k_est=0)":
+        lambda: cli.emit_correction_table((0.5,), 1, 0.0, k_est=0),
+    "emit_correction_table(eps_values=nan)":
+        lambda: cli.emit_correction_table((NAN,), 1, 0.0),
+    "emit_correction_table(eps_values='0.5')":
+        lambda: cli.emit_correction_table("0.5", 1, 0.0),
     # Evaluation points are a 1-d array (was a TypeError from numpy).
     "correction_sweep(r_grid=0.5)": lambda: correction.correction_sweep(
         correction.CorrectionQuery(**QUERY), 0.5),

@@ -355,6 +355,25 @@ def test_scalar_draw_is_first_of_a_batch(d):
     assert np.array_equal(bits(scalars), bits(batches))
 
 
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+    np.random.Philox, np.random.SFC64], ids=lambda g: g.__name__)
+@pytest.mark.parametrize("d", ALL_DISTS, ids=lambda d: d.kind.value)
+def test_scalar_draws_are_one_block(d, bit_generator):
+    """h consecutive scalar draws equal one draw of size h, bit for bit,
+    and leave the generator in the same state: a run may draw its
+    thresholds one by one or as one block."""
+    for seed in range(6):
+        for h in (1, 2, 7, 51, 4099):
+            one, block = (np.random.Generator(bit_generator(seed))
+                          for _ in range(2))
+            scalars = [noise.sample(d, one) for _ in range(h)]
+            assert np.array_equal(bits(scalars),
+                                  bits(noise.sample(d, block, size=h)))
+            np.testing.assert_equal(one.bit_generator.state,
+                                    block.bit_generator.state)
+
+
 def test_gumbel_far_lower_tail_is_quiet():
     """exp(-z) overflows to inf below z of about -709, where the Gumbel
     density, cdf and log-survival still reach their limits: no warning."""
