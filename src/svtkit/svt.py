@@ -312,6 +312,10 @@ def _check_override(noise_override: Callable) -> None:
 # traverse's.
 _FIRST_CHUNK = 4096
 
+# One-traverse outcomes of up to _FIRST_CHUNK answers share slices of this.
+_ONES = np.ones(_FIRST_CHUNK, dtype=np.int64)
+_ONES.flags.writeable = False
+
 # Bit generators whose ``advance(k)`` lands where k more float64 draws
 # would: each such draw takes one 64-bit output. Philox's advance counts
 # blocks of four outputs, and MT19937 and SFC64 have none.
@@ -328,6 +332,28 @@ def _skip_draws(rng: np.random.Generator, k: int) -> None:
                   "uinteger": before["uinteger"]}
 
 
+def _cut(flags: np.ndarray, room: int) -> tuple[np.ndarray, int]:
+    """``flags`` up to its ``room``-th positive, and the positives kept."""
+    flag_pos = flags.nonzero()[0]
+    if flag_pos.size >= room:
+        return flags[:int(flag_pos[room - 1]) + 1], room
+    return flags, flag_pos.size
+
+
+def _outcome(ids: np.ndarray, evaluated: list, flagged: list, n_c: int,
+             halt: HaltReason, r: float) -> SvtOutcome:
+    """One outcome from each traverse's evaluated source rows and flags."""
+    one = len(evaluated) == 1
+    rows = evaluated[0] if one else np.concatenate(evaluated)
+    flags = flagged[0] if one else np.concatenate(flagged)
+    traverses = (_ONES[:flags.size] if one and flags.size <= _FIRST_CHUNK
+                 else np.repeat(np.arange(1, len(evaluated) + 1),
+                                [b.size for b in evaluated]))
+    return SvtOutcome.trusted(answer_ids=ids[rows], flags=flags,
+                              traverses=traverses, n_c=n_c, n_a=flags.size,
+                              halt_reason=halt, correction_used=r)
+
+
 def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
             noise_override: Optional[Callable] = None) -> SvtOutcome:
     """Run one mechanism invocation over a query stream.
@@ -340,13 +366,16 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     traverse, except on a PCG64 generator without ``resample`` or
     ``noise_override``: there chunk ends start at ``_FIRST_CHUNK`` and
     double, and at the halt the query draws left unmade are skipped once,
-    with ``advance``, so outcome and generator state are the same. Draw
-    order is fixed for reproducibility: one threshold draw up front, then
-    query noise for each traverse in evaluation order; under ``resample``,
-    threshold redraws happen per positive after the traverse's query
-    draws. A ``noise_override`` replaces both noise sources with a
-    deterministic callable ``(role, query_id, traverse) -> float`` where
-    role is "threshold" (query_id -1, traverse = redraw index) or "query".
+    with ``advance``, so outcome and generator state are the same. Without
+    either, a run of one traverse of at most one chunk and k_max queries
+    skips both loops, with the same draws and bits. Draw order is fixed
+    for reproducibility: one threshold draw up front, then query noise for
+    each traverse in evaluation order; under ``resample``, threshold
+    redraws happen per positive after the traverse's query draws. A
+    ``noise_override`` replaces both noise sources with a deterministic
+    callable ``(role, query_id, traverse) -> float`` where role is
+    "threshold" (query_id -1, traverse = redraw index) or "query"; a value
+    that is not finite raises ``ValueError`` naming the call.
 
     Ties (noisy score exactly equal to the corrected noisy threshold) are
     answered positively.
@@ -362,34 +391,50 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         r = float(cfg.correction_override)
 
     ids, scores, thresholds = queries.columns
-    if noise_override is None:
-        draw_threshold = partial(noise_mod.sample, thr_dist, rng)
-
-        def draw_query(batch: np.ndarray, traverse: int) -> np.ndarray:
-            return noise_mod.sample(qry_dist, rng, size=batch.size)
-    else:
-        redraws = (float(noise_override("threshold", -1, k))
-                   for k in itertools.count())
-        draw_threshold = partial(next, redraws)
-
-        def draw_query(batch: np.ndarray, traverse: int) -> np.ndarray:
-            return np.array([float(noise_override("query", i, traverse))
-                             for i in ids[batch].tolist()])
-
-    batch = queries.order
-    evaluated: list[np.ndarray] = []
-    flagged: list[np.ndarray] = []
-    n_a = n_c = 0
-    rho = draw_threshold()
-    halt = HaltReason.EXHAUSTED
+    plain = not cfg.resample and noise_override is None
     last = cfg.max_traverses if cfg.append else 1
     # Chunks of a traverse end at first, 2 first, 4 first, ..., so a
     # traverse of at most first queries is one chunk. Only a generator with
     # an exact skip gets _FIRST_CHUNK: under resample the threshold redraws
     # follow the traverse's query draws, and an override draws nothing to
     # skip. Elsewhere first is k_max, which bounds every traverse.
-    first = (_FIRST_CHUNK if not cfg.resample and noise_override is None
-             and type(rng.bit_generator) in _SKIPPABLE else cfg.k_max)
+    first = (_FIRST_CHUNK if plain and type(rng.bit_generator) in _SKIPPABLE
+             else cfg.k_max)
+    batch = queries.order
+    if plain and last == 1 and batch.size <= min(first, cfg.k_max):
+        rho = noise_mod.sample(thr_dist, rng)
+        base = noise_mod.sample(qry_dist, rng, size=batch.size)
+        base += scores[batch] - thresholds[batch]
+        base -= r
+        flags, n_c = _cut(base >= rho, cfg.c)
+        halt = (HaltReason.POSITIVE_BUDGET if n_c == cfg.c
+                else HaltReason.EXHAUSTED)
+        return _outcome(ids, [batch[:flags.size]], [flags], n_c, halt, r)
+
+    if noise_override is None:
+        draw_threshold = partial(noise_mod.sample, thr_dist, rng)
+
+        def draw_query(batch: np.ndarray, traverse: int) -> np.ndarray:
+            return noise_mod.sample(qry_dist, rng, size=batch.size)
+    else:
+        def draw(role: str, query_id: int, traverse: int) -> float:
+            value = float(noise_override(role, query_id, traverse))
+            checks.finite(**{f"noise_override{role, query_id, traverse}":
+                             value})
+            return value
+
+        redraws = (draw("threshold", -1, k) for k in itertools.count())
+        draw_threshold = partial(next, redraws)
+
+        def draw_query(batch: np.ndarray, traverse: int) -> np.ndarray:
+            return np.array([draw("query", i, traverse)
+                             for i in ids[batch].tolist()])
+
+    evaluated: list[np.ndarray] = []
+    flagged: list[np.ndarray] = []
+    n_a = n_c = 0
+    rho = draw_threshold()
+    halt = HaltReason.EXHAUSTED
 
     for traverse in range(1, last + 1):
         if batch.size > cfg.k_max - n_a:
@@ -417,13 +462,11 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
             else:
                 flags = base >= rho
 
-            flag_pos = flags.nonzero()[0]
-            room = cfg.c - n_c
-            if flag_pos.size >= room:
-                flags = flags[:int(flag_pos[room - 1]) + 1]
+            flags, positives = _cut(flags, cfg.c - n_c)
+            n_c += positives
+            if n_c == cfg.c:
                 halt = HaltReason.POSITIVE_BUDGET
             parts.append(flags)
-            n_c += min(flag_pos.size, room)
             if drawn == batch.size or halt is HaltReason.POSITIVE_BUDGET:
                 break
         flags = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -435,16 +478,4 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         batch = batch[~flags]
     if drawn < batch.size:
         _skip_draws(rng, batch.size - drawn)
-
-    if len(evaluated) == 1:
-        answer_ids, flags = ids[evaluated[0]], flagged[0]
-        traverses = np.empty(flags.size, dtype=np.int64)  # np.ones is slower
-        traverses.fill(1)
-    else:
-        answer_ids = ids[np.concatenate(evaluated)]
-        flags = np.concatenate(flagged)
-        traverses = np.repeat(np.arange(1, len(evaluated) + 1),
-                              [b.size for b in evaluated])
-    return SvtOutcome.trusted(answer_ids=answer_ids, flags=flags,
-                              traverses=traverses, n_c=n_c, n_a=n_a,
-                              halt_reason=halt, correction_used=r)
+    return _outcome(ids, evaluated, flagged, n_c, halt, r)

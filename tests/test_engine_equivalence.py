@@ -319,6 +319,40 @@ def test_long_stream_on_each_bit_generator_matches_reference(bit_generator,
     assert out.n_a == n_a
 
 
+# --- the straight path's boundary ------------------------------------------
+# A run of one traverse without resample or a noise override, on at most
+# min(first chunk, k_max) queries, skips the engine's loops. On each side of
+# that boundary (n next to FIRST, k_max at n - 1 and n, a halt at the c-th
+# positive or none) the engine must still give the oracle's answers,
+# counters and generator end state, on each bit generator (the first chunk
+# is k_max where there is no exact skip) and for every variant.
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                  np.random.SFC64, np.random.Philox]
+BOUNDARY = [(n, hits, k_max) for n in (FIRST - 1, FIRST, FIRST + 1)
+            for hits in ((5, n - 3), (5,)) for k_max in (n - 1, n)]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                         ids=lambda g: g.__name__)
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_straight_path_boundary_matches_reference(variant, bit_generator):
+    """Each (generator, variant) pair runs two of the twelve boundary
+    points, rotated so that every generator meets all twelve."""
+    shift = BIT_GENERATORS.index(bit_generator) + list(Variant).index(variant)
+    for n, hits, k_max in BOUNDARY[shift % 6::6]:
+        out = assert_same_end_state(
+            long_stream(n, hits), config(variant=variant, c=2, k_max=k_max),
+            bit_generator)
+        if len(hits) == 2:
+            expected = (HaltReason.POSITIVE_BUDGET, n - 2)
+        elif k_max < n:
+            expected = (HaltReason.QUERY_BUDGET, k_max)
+        else:
+            expected = (HaltReason.EXHAUSTED, n)
+        assert (out.halt_reason, out.n_a) == expected
+
+
 def test_shuffled_dataset_stream_matches_reference():
     """The lazy stream of :func:`data.shuffle_and_stream`, on the generator
     that shuffled it, as a sweep cell runs it."""

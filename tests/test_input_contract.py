@@ -487,6 +487,33 @@ def test_formerly_accepted_input_is_rejected(key, probe):
         probe()
 
 
+# A noise override's value that is not finite (it answered NaN draws
+# negative, and +inf query or -inf threshold draws positive). Each case is
+# (role, query id, traverse or redraw index, value, run options); query 1
+# sits above its threshold and query 2 below it.
+NON_FINITE_DRAWS = [
+    ("threshold", -1, 0, NAN, {}),
+    ("threshold", -1, 0, -INF, {}),
+    ("threshold", -1, 1, INF, dict(resample=True)),
+    ("query", 1, 1, NAN, {}),
+    ("query", 2, 1, INF, {}),
+    ("query", 2, 2, -INF, dict(append=True, max_traverses=2)),
+    ("query", 2, 2, np.float64(NAN), dict(append=True, max_traverses=2)),
+]
+
+
+@pytest.mark.parametrize("role, qid, index, value, kw", NON_FINITE_DRAWS)
+def test_non_finite_noise_override_is_rejected(role, qid, index, value, kw):
+    def override(r, i, t):
+        return value if (r, i, t) == (role, qid, index) else 0.0
+
+    stream = QueryStream.with_threshold([(1, 5.0), (2, -5.0)], 0.0)
+    cfg = SvtConfig(**SVT, correction_override=0.0, **kw)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"noise_override{role, qid, index}")):
+        run_svt(stream, cfg, np.random.default_rng(0), override)
+
+
 QUERY_OBJ = correction.CorrectionQuery(**QUERY)
 EVALUATIONS = {
     **{f"{f.__name__}[{d.kind.value}]": functools.partial(f, d)

@@ -369,8 +369,9 @@ def test_empirical_privacy_ratio_single_comparison():
     n = 50_000
     flags = {}
     for label, score in (("low", 500.0), ("high", 501.0)):
+        queries = stream([score])  # immutable: every run sees this input
         root = np.random.default_rng(99)  # shared noise: paired comparison
-        flags[label] = sum(run_svt(stream([score]), cfg, child).n_c
+        flags[label] = sum(run_svt(queries, cfg, child).n_c
                            for child in root.spawn(n))
     p_low = flags["low"] / n
     p_high = flags["high"] / n
@@ -378,6 +379,20 @@ def test_empirical_privacy_ratio_single_comparison():
     rel_err = math.sqrt((1 - p_low) / (p_low * n) + (1 - p_high) / (p_high * n))
     bound = math.exp(cfg.eps1 + cfg.eps2 / cfg.c)
     assert ratio <= bound * (1 + 3 * rel_err)
+
+
+def test_traverse_column_is_shared_and_read_only():
+    """A one-traverse outcome's traverse column is a read-only slice of one
+    shared array: writing to it raises, and a later run's column is intact."""
+    cfg = cfg_with(c=3)
+    queries = stream([400.0, 600.0, 450.0])
+    first = run_svt(queries, cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        first.traverses[0] = 2
+    with pytest.raises(ValueError):
+        first.traverses.flags.writeable = True
+    later = run_svt(queries, cfg, np.random.default_rng(1))
+    assert later.traverses.tolist() == [1] * later.n_a == [1, 1, 1]
 
 
 @pytest.mark.parametrize("field", ["c", "k_max", "max_traverses", "k_est"])
