@@ -33,7 +33,7 @@ import numpy as np
 
 from . import allocation, checks, correction, data, metrics, noise
 from .allocation import Variant
-from .svt import QueryStream, SvtConfig, run_svt
+from .svt import QueryStream, SvtConfig, run_svt, sealed
 
 UPPER_BOUND = "upper"  # pseudo-variant: rank by exponentially perturbed scores
 
@@ -310,9 +310,8 @@ def near_threshold_stream(k: int, threshold: float, alpha: float,
     if low - margin == low or high + margin == high:
         raise ValueError(f"margin={margin} rounds away at "
                          f"threshold={threshold} and alpha={alpha}")
-    scored = [(i, low - margin) for i in range(1, k + 1)]
-    scored.append((k + 1, high + margin))
-    return QueryStream.with_threshold(scored, threshold)
+    scores = np.append(np.full(k, low - margin), high + margin)
+    return QueryStream(sealed(np.arange(1, k + 2)), sealed(scores), threshold)
 
 
 def _series_accuracy(k: int = 50, eps: float = 1.0, delta: float = 1.0,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -12,32 +11,21 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import checks
-from .svt import QueryStream, Record, columns, frozen
+from .svt import QueryStream, Record, frozen, sealed
 
 BINARY_THRESHOLD = 500.0
 ZIPF_THRESHOLD = 200.0
 _INT64 = np.iinfo(np.int64)
+_ROW = [("id", np.int64), ("score", float)]
 
 
-class Items(Sequence):
-    """Read-only view of parallel id and score arrays as (id, score) pairs."""
+class Items:
+    """Read-only view of parallel id and score arrays as (id, score) pairs,
+    the form perfbench hands to ``GroundTruth.from_items``."""
 
     def __init__(self, ids: np.ndarray, scores: np.ndarray) -> None:
         self.ids = ids
         self.scores = scores
-
-    @classmethod
-    def of(cls, pairs: Iterable[tuple[int, float]]) -> "Items":
-        """``pairs`` if it already is a view, else a view of new arrays."""
-        if isinstance(pairs, Items):
-            return pairs
-        return cls(*columns(pairs, (np.int64, float)))
-
-    def __len__(self) -> int:
-        return self.ids.size
-
-    def __getitem__(self, i: int) -> tuple[int, float]:
-        return int(self.ids[i]), float(self.scores[i])
 
     def __iter__(self) -> Iterator[tuple[int, float]]:
         return zip(self.ids.tolist(), self.scores.tolist())
@@ -45,21 +33,20 @@ class Items(Sequence):
 
 @dataclass(frozen=True, init=False, eq=False)
 class ScoredDataset(Record):
-    """Items -- unique int64 ids with finite float64 scores -- and the
-    predefined selection threshold. ``items`` is taken as (id, score) pairs
-    or an :class:`Items` view, and reads back as a view."""
+    """Items -- unique int64 ids with finite float64 scores, taken as
+    aligned columns -- and the predefined selection threshold. ``items``
+    reads them as an :class:`Items` view of (id, score) pairs, the view
+    perfbench reads."""
 
     name: str
     ids: np.ndarray
     scores: np.ndarray
     threshold: float
 
-    def __init__(self, name: str, items: Iterable[tuple[int, float]],
-                 threshold: float) -> None:
-        items = Items.of(items)
+    def __init__(self, name: str, ids, scores, threshold: float) -> None:
         checks.finite(threshold=threshold)
-        vars(self).update(name=name, ids=frozen(items.ids, np.int64),
-                          scores=frozen(items.scores, float),
+        vars(self).update(name=name, ids=frozen(ids, np.int64),
+                          scores=frozen(scores, float),
                           threshold=float(threshold))
         if self.ids.size == 0:
             raise ValueError("a dataset needs at least one item")
@@ -81,8 +68,8 @@ def gen_binary(n_items: int = 10000, n_positive: int = 100) -> ScoredDataset:
     if n_positive > n_items:
         raise ValueError(f"n_positive={n_positive} exceeds n_items={n_items}")
     ids = np.arange(1, n_items + 1)
-    return ScoredDataset("binary",
-                         Items(ids, np.where(ids <= n_positive, 1000.0, 0.0)),
+    return ScoredDataset("binary", sealed(ids),
+                         sealed(np.where(ids <= n_positive, 1000.0, 0.0)),
                          BINARY_THRESHOLD)
 
 
@@ -92,7 +79,8 @@ def gen_zipf(n_items: int = 10000) -> ScoredDataset:
     # IEEE division is correctly rounded, so each score is bit-identical
     # to the Python float 10000.0 / i.
     ids = np.arange(1, n_items + 1)
-    return ScoredDataset("zipf", Items(ids, 10000.0 / ids), ZIPF_THRESHOLD)
+    return ScoredDataset("zipf", sealed(ids), sealed(10000.0 / ids),
+                         ZIPF_THRESHOLD)
 
 
 def ingest_transactions(path: str | Path, threshold: float) -> ScoredDataset:
@@ -122,7 +110,8 @@ def ingest_transactions(path: str | Path, threshold: float) -> ScoredDataset:
             counts.update(ids)
     if not counts:
         raise ValueError(f"{path}: no transactions found")
-    return ScoredDataset(path.stem, sorted(counts.items()), float(threshold))
+    ids, scores = zip(*sorted(counts.items()))
+    return ScoredDataset(path.stem, ids, scores, float(threshold))
 
 
 def write_scores(ds: ScoredDataset, path: str | Path) -> None:
@@ -156,18 +145,17 @@ def read_scores(path: str | Path) -> ScoredDataset:
                 warnings.filterwarnings("ignore", "loadtxt: input contained")
                 # By path, not through fh: numpy's own reader takes 0.19 s
                 # for 10^6 rows where reading fh takes 0.24 s.
-                rows = np.loadtxt(path, dtype=[("id", np.int64),
-                                               ("score", float)],
-                                  delimiter=",", comments=None, ndmin=1,
-                                  skiprows=1, encoding="utf-8")
-            items = Items(rows["id"], rows["score"])
+                rows = np.loadtxt(path, dtype=_ROW, delimiter=",",
+                                  comments=None, ndmin=1, skiprows=1,
+                                  encoding="utf-8")
         except ValueError:
             # The line-by-line parser accepts blank lines with spaces and
             # names the line of a malformed row.
             fh.seek(body)
-            items = Items.of(_score_rows(fh, path))
+            rows = np.array(list(_score_rows(fh, path)), dtype=_ROW)
+    rows = sealed(rows)
     try:
-        return ScoredDataset(name, items, threshold)
+        return ScoredDataset(name, rows["id"], rows["score"], threshold)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -193,4 +181,4 @@ def shuffle_and_stream(ds: ScoredDataset, rng: np.random.Generator) -> QueryStre
     The stream reads the dataset's arrays through the permutation."""
     # The dataset's ids are unique and its values finite: no second check.
     return QueryStream.permuted(ds.ids, ds.scores, ds.threshold,
-                                rng.permutation(ds.n_items))
+                                sealed(rng.permutation(ds.n_items)))

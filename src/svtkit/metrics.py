@@ -17,7 +17,7 @@ import numpy as np
 
 from . import checks
 from .data import Items
-from .svt import Record, SvtOutcome, frozen
+from .svt import Record, SvtOutcome, frozen, sealed
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -26,7 +26,6 @@ class GroundTruth(Record):
 
     ``ids`` covers every item; ``scores[i]`` is the true score of
     ``ids[i]``. c is the selection size the metrics target.
-    ``ranked_ids`` reads the ids back as a tuple.
     """
 
     ids: np.ndarray
@@ -34,10 +33,10 @@ class GroundTruth(Record):
     threshold: float
     c: int
 
-    def __init__(self, ranked_ids, scores, threshold: float, c: int) -> None:
+    def __init__(self, ids, scores, threshold: float, c: int) -> None:
         checks.finite(threshold=threshold)
         checks.count(1, c=c)
-        vars(self).update(ids=frozen(ranked_ids, np.int64),
+        vars(self).update(ids=frozen(ids, np.int64),
                           scores=frozen(scores, float),
                           threshold=float(threshold), c=c)
         if self.ids.size == 0:
@@ -51,14 +50,13 @@ class GroundTruth(Record):
     @classmethod
     def from_items(cls, items: Iterable[tuple[int, float]], threshold: float,
                    c: int) -> "GroundTruth":
-        items = Items.of(items)
+        if not isinstance(items, Items):
+            pairs = list(items)
+            items = Items(frozen([p[0] for p in pairs], np.int64),
+                          frozen([p[1] for p in pairs], float))
         order = np.lexsort((items.ids, -items.scores))
-        return cls(ranked_ids=items.ids[order], scores=items.scores[order],
-                   threshold=threshold, c=c)
-
-    @property
-    def ranked_ids(self) -> tuple[int, ...]:
-        return tuple(self.ids.tolist())
+        return cls(sealed(items.ids[order]), sealed(items.scores[order]),
+                   threshold, c)
 
     def top_c_ids(self) -> tuple[int, ...]:
         return tuple(self.ids[:self.c].tolist())

@@ -21,7 +21,7 @@ import inspect
 import itertools
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,36 +44,35 @@ class QueryEntry(NamedTuple):
     threshold: float
 
 
-class Answer(NamedTuple):
-    query_id: int
-    flagged: bool
-    traverse: int
-
-
 def frozen(values, dtype) -> np.ndarray:
     """A read-only one-dimensional view of ``values`` as ``dtype``. An
     integer ``dtype`` takes only integers within its range and rejects
-    anything else with ``ValueError``: a float id is never truncated."""
+    anything else with ``ValueError``: a float id is never truncated. An
+    array of ``dtype`` is viewed, not copied; one made here, from a list
+    or by conversion, is :func:`sealed`."""
+    array = np.asarray(values)
     if np.issubdtype(dtype, np.integer):
-        values = np.asarray(values)
-        if values.size and not (values.dtype.kind in "iu" and (
-                np.can_cast(values.dtype, dtype)
-                or values.max() <= np.iinfo(dtype).max)):
+        if array.size and not (array.dtype.kind in "iu" and (
+                np.can_cast(array.dtype, dtype)
+                or array.max() <= np.iinfo(dtype).max)):
             raise ValueError(f"ids and other integer columns must be "
                              f"integers within {np.dtype(dtype)}, got "
-                             f"{values.dtype} values")
-    array = np.asarray(values, dtype=dtype).view()
+                             f"{array.dtype} values")
+    array = np.asarray(array, dtype=dtype)
     if array.ndim != 1:
         raise ValueError(f"expected a 1-d array, got shape {array.shape}")
+    if array is not values and array.base is None:
+        return sealed(array)
+    array = array.view()
     array.flags.writeable = False
     return array
 
 
-def columns(rows: Iterable[Sequence], dtypes: Sequence) -> list[np.ndarray]:
-    """Split tuple rows into one read-only array per position."""
-    rows = [tuple(row) for row in rows]
-    return [frozen([row[k] for row in rows], dtype)
-            for k, dtype in enumerate(dtypes)]
+def sealed(array: np.ndarray) -> np.ndarray:
+    """A read-only view of an array the library made, itself marked
+    read-only so that no view of it can be made writable again."""
+    array.flags.writeable = False
+    return array.view()
 
 
 class Record:
@@ -105,10 +104,11 @@ class Record:
 @dataclass(frozen=True, init=False, eq=False)
 class QueryStream(Record):
     """An ordered stream of queries: unique int64 ids with finite float64
-    scores and thresholds. It is built from (id, score, threshold) rows, or
-    by :meth:`permuted` as a view of a dataset's columns read in a given
-    order. ``ids``, ``scores`` and ``thresholds`` read the stream in order
-    and ``==`` compares them; it iterates as :class:`QueryEntry` tuples.
+    scores and thresholds, taken as aligned columns; a single threshold
+    number serves every query. :meth:`permuted` builds one as a view of a
+    dataset's columns read in a given order. ``ids``, ``scores`` and
+    ``thresholds`` read the stream in order and ``==`` compares them; it
+    iterates as :class:`QueryEntry` tuples, the view perfbench reads.
 
     ``columns`` holds the source (ids, scores, thresholds) and ``order`` the
     int64 source row of each stream position, so the engine gathers only the
@@ -119,17 +119,15 @@ class QueryStream(Record):
     order: np.ndarray
     _compared = ("ids", "scores", "thresholds")
 
-    def __init__(self, entries: Iterable[Sequence]) -> None:
-        source = tuple(columns(entries, (np.int64, float, float)))
-        vars(self).update(columns=source, order=np.arange(source[0].size))
-        checks.unique_finite(*source)
-
-    @classmethod
-    def with_threshold(cls, scored: Iterable[tuple[int, float]],
-                       threshold: float) -> "QueryStream":
-        """Build a stream where every query shares one threshold."""
-        checks.finite(threshold=threshold)
-        return cls((i, s, threshold) for i, s in scored)
+    def __init__(self, ids, scores, thresholds) -> None:
+        ids, scores = frozen(ids, np.int64), frozen(scores, float)
+        if np.ndim(thresholds) == 0:
+            checks.finite(thresholds=thresholds)
+            thresholds = np.broadcast_to(frozen([thresholds], float), ids.shape)
+        thresholds = frozen(thresholds, float)
+        vars(self).update(columns=(ids, scores, thresholds),
+                          order=sealed(np.arange(ids.size)))
+        checks.unique_finite(ids, scores, thresholds)
 
     @classmethod
     def permuted(cls, ids: np.ndarray, scores: np.ndarray, threshold: float,
@@ -137,7 +135,7 @@ class QueryStream(Record):
         """The rows ``order`` of id and score columns that already meet the
         class's invariants, each query with ``threshold``; nothing is copied
         or checked."""
-        thresholds = np.broadcast_to(np.float64(threshold), ids.shape)
+        thresholds = np.broadcast_to(frozen([threshold], float), ids.shape)
         return cls.trusted(columns=(ids, scores, thresholds), order=order)
 
     def _read(self, column: int) -> np.ndarray:
@@ -214,32 +212,28 @@ class SvtConfig:
 
 @dataclass(frozen=True, init=False, eq=False)
 class SvtOutcome(Record):
-    """One run's answers in evaluation order (queried id, flag, traverse)
-    and its counters. ``answers`` and ``positives`` are derived views; the
-    constructor takes them too."""
+    """One run's answers in evaluation order as aligned columns (queried
+    id, flag, traverse). ``n_a`` (answers), ``n_c`` (positives) and
+    ``positives`` (the flagged ids) are read off the columns."""
 
     answer_ids: np.ndarray
     flags: np.ndarray
     traverses: np.ndarray
-    n_c: int
-    n_a: int
     halt_reason: HaltReason
     correction_used: float
 
-    def __init__(self, answers: Iterable[Sequence], positives: Iterable[int],
-                 n_c: int, n_a: int, halt_reason: HaltReason,
+    def __init__(self, answer_ids, flags, traverses, halt_reason: HaltReason,
                  correction_used: float) -> None:
-        ids, flags, traverses = columns(answers, (np.int64, bool, np.int64))
-        vars(self).update(answer_ids=ids, flags=flags, traverses=traverses,
-                          n_c=n_c, n_a=n_a, halt_reason=halt_reason,
+        vars(self).update(answer_ids=frozen(answer_ids, np.int64),
+                          flags=frozen(flags, bool),
+                          traverses=frozen(traverses, np.int64),
+                          halt_reason=halt_reason,
                           correction_used=correction_used)
-        if tuple(positives) != self.positives:
-            raise ValueError("positives must be the flagged answer ids")
+        if not self.answer_ids.size == self.flags.size == self.traverses.size:
+            raise ValueError("answer ids, flags and traverses must align")
 
-    @property
-    def answers(self) -> tuple[Answer, ...]:
-        return tuple(map(Answer, self.answer_ids.tolist(), self.flags.tolist(),
-                         self.traverses.tolist()))
+    n_a = property(lambda self: self.flags.size)
+    n_c = property(lambda self: int(np.count_nonzero(self.flags)))
 
     @property
     def positives(self) -> tuple[int, ...]:
@@ -340,7 +334,7 @@ def _cut(flags: np.ndarray, room: int) -> tuple[np.ndarray, int]:
     return flags, flag_pos.size
 
 
-def _outcome(ids: np.ndarray, evaluated: list, flagged: list, n_c: int,
+def _outcome(ids: np.ndarray, evaluated: list, flagged: list,
              halt: HaltReason, r: float) -> SvtOutcome:
     """One outcome from each traverse's evaluated source rows and flags."""
     one = len(evaluated) == 1
@@ -350,8 +344,8 @@ def _outcome(ids: np.ndarray, evaluated: list, flagged: list, n_c: int,
                  else np.repeat(np.arange(1, len(evaluated) + 1),
                                 [b.size for b in evaluated]))
     return SvtOutcome.trusted(answer_ids=ids[rows], flags=flags,
-                              traverses=traverses, n_c=n_c, n_a=flags.size,
-                              halt_reason=halt, correction_used=r)
+                              traverses=traverses, halt_reason=halt,
+                              correction_used=r)
 
 
 def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
@@ -409,7 +403,7 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         flags, n_c = _cut(base >= rho, cfg.c)
         halt = (HaltReason.POSITIVE_BUDGET if n_c == cfg.c
                 else HaltReason.EXHAUSTED)
-        return _outcome(ids, [batch[:flags.size]], [flags], n_c, halt, r)
+        return _outcome(ids, [batch[:flags.size]], [flags], halt, r)
 
     if noise_override is None:
         draw_threshold = partial(noise_mod.sample, thr_dist, rng)
@@ -478,4 +472,4 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         batch = batch[~flags]
     if drawn < batch.size:
         _skip_draws(rng, batch.size - drawn)
-    return _outcome(ids, evaluated, flagged, n_c, halt, r)
+    return _outcome(ids, evaluated, flagged, halt, r)

@@ -206,7 +206,7 @@ def test_criterion_6_accuracy_bound_holds():
         alpha = metrics.accuracy_alpha_bound(k, eps, beta_target)
         stream = cli.near_threshold_stream(k, 1000.0, alpha)
         truth = metrics.GroundTruth.from_items(
-            [(e.query_id, e.score) for e in stream], 1000.0, c=1)
+            zip(stream.ids.tolist(), stream.scores.tolist()), 1000.0, c=1)
         cfg = SvtConfig(delta=1.0, eps1=eps / 2, eps2=eps / 2, c=1,
                         k_max=k + 1, variant=Variant.EXP_OPT_CORR,
                         alpha=alpha, k_est=k)

@@ -315,7 +315,7 @@ def test_main_gen_binary_positive_count(tmp_path):
     assert cli.main(["gen", "--dataset", "binary", "--n-items", "80",
                      "--n-positive", "5", "--out", str(out)]) == 0
     ds = data.read_scores(out)
-    assert sum(1 for _, s in ds.items if s > ds.threshold) == 5
+    assert np.count_nonzero(ds.scores > ds.threshold) == 5
 
 
 def test_main_ingest(tmp_path):
@@ -324,7 +324,9 @@ def test_main_ingest(tmp_path):
     out = tmp_path / "basket.scores"
     assert cli.main(["ingest", "--path", str(raw), "--threshold", "2",
                      "--out", str(out)]) == 0
-    assert dict(data.read_scores(out).items) == {1: 1.0, 2: 3.0, 3: 1.0}
+    ds = data.read_scores(out)
+    assert dict(zip(ds.ids.tolist(), ds.scores.tolist())) == {
+        1: 1.0, 2: 3.0, 3: 1.0}
 
 
 def test_main_sweep_stdout(capsys):

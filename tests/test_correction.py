@@ -365,8 +365,8 @@ from svtkit import Variant, noise
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-stream = svtkit.QueryStream.with_threshold(
-    [(i, float(i)) for i in range(1, 60)], 30.0)
+stream = svtkit.QueryStream(range(1, 60), [float(i) for i in range(1, 60)],
+                            30.0)
 for variant in (Variant.LAP, Variant.EXP_MEAN_CORR, Variant.EXP_OPT_CORR):
     cfg = svtkit.SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=3, k_max=59,
                            variant=variant, k_est=10)

@@ -14,14 +14,13 @@ def test_binary_defaults():
     ds = data.gen_binary()
     assert ds.n_items == 10000
     assert ds.threshold == 500.0
-    scores = {s for _, s in ds.items}
-    assert scores == {0.0, 1000.0}
-    assert sum(1 for _, s in ds.items if s == 1000.0) == 100
+    assert set(ds.scores.tolist()) == {0.0, 1000.0}
+    assert np.count_nonzero(ds.scores == 1000.0) == 100
 
 
 def test_binary_no_positives():
     ds = data.gen_binary(50, 0)
-    assert all(s == 0.0 for _, s in ds.items)
+    assert (ds.scores == 0.0).all()
 
 
 def test_binary_rejects_excess_positives():
@@ -33,9 +32,9 @@ def test_zipf_scores():
     ds = data.gen_zipf()
     assert ds.n_items == 10000
     assert ds.threshold == 200.0
-    assert ds.items[0] == (1, 10000.0)
-    assert ds.items[49] == (50, 200.0)  # exactly at threshold
-    scores = [s for _, s in ds.items]
+    assert (ds.ids[0], ds.scores[0]) == (1, 10000.0)
+    assert (ds.ids[49], ds.scores[49]) == (50, 200.0)  # exactly at threshold
+    scores = ds.scores.tolist()
     assert all(a > b for a, b in zip(scores, scores[1:]))
 
 
@@ -43,7 +42,8 @@ def test_ingest_hand_case(tmp_path):
     f = tmp_path / "tiny.dat"
     f.write_text("1 2\n2 3\n2\n")
     ds = data.ingest_transactions(f, threshold=2.0)
-    assert dict(ds.items) == {1: 1.0, 2: 3.0, 3: 1.0}
+    assert dict(zip(ds.ids.tolist(), ds.scores.tolist())) == {
+        1: 1.0, 2: 3.0, 3: 1.0}
     assert ds.threshold == 2.0
     assert ds.name == "tiny"
 
@@ -52,7 +52,7 @@ def test_ingest_duplicate_item_in_line_counts_once(tmp_path):
     f = tmp_path / "dup.dat"
     f.write_text("5 5 5\n5\n")
     ds = data.ingest_transactions(f, threshold=1.0)
-    assert dict(ds.items) == {5: 2.0}
+    assert dict(zip(ds.ids.tolist(), ds.scores.tolist())) == {5: 2.0}
 
 
 def test_ingest_skips_blank_lines_and_sums(tmp_path):
@@ -60,8 +60,8 @@ def test_ingest_skips_blank_lines_and_sums(tmp_path):
     f.write_text("1 2 3\n\n2 3\n   \n3\n")
     ds = data.ingest_transactions(f, threshold=1.0)
     # sum of scores equals sum of distinct-item counts per transaction
-    assert sum(s for _, s in ds.items) == 3 + 2 + 1
-    assert max(s for _, s in ds.items) <= 3  # no score beyond the line count
+    assert ds.scores.sum() == 3 + 2 + 1
+    assert ds.scores.max() <= 3  # no score beyond the line count
 
 
 def test_ingest_malformed_line_reports_number(tmp_path):
@@ -111,7 +111,7 @@ def test_scores_roundtrip_awkward_name_and_threshold(tmp_path):
 
 @pytest.mark.parametrize("threshold", [np.float64(1.0), np.float32(0.1)])
 def test_scores_roundtrip_numpy_scalar_threshold(tmp_path, threshold):
-    ds = data.ScoredDataset("s", [(1, 2.0), (2, 0.5)], threshold)
+    ds = data.ScoredDataset("s", [1, 2], [2.0, 0.5], threshold)
     assert type(ds.threshold) is float
     path = tmp_path / "s.scores"
     data.write_scores(ds, path)
@@ -122,7 +122,7 @@ def test_scores_roundtrip_numpy_scalar_threshold(tmp_path, threshold):
 
 @pytest.mark.parametrize("name", ["two\nlines", "carriage\rreturn"])
 def test_write_scores_rejects_a_line_break_in_the_name(tmp_path, name):
-    ds = data.ScoredDataset(name, [(1, 2.0)], 1.0)
+    ds = data.ScoredDataset(name, [1], [2.0], 1.0)
     path = tmp_path / "s.scores"
     with pytest.raises(ValueError, match=re.escape(repr(name))):
         data.write_scores(ds, path)
@@ -134,8 +134,8 @@ def test_shuffle_and_stream_permutation():
     rng = np.random.default_rng(9)
     s = data.shuffle_and_stream(ds, rng)
     assert len(s) == 100
-    assert sorted(e.query_id for e in s) == list(range(1, 101))
-    assert all(e.threshold == ds.threshold for e in s)
+    assert sorted(s.ids.tolist()) == list(range(1, 101))
+    assert (s.thresholds == ds.threshold).all()
     again = data.shuffle_and_stream(ds, np.random.default_rng(9))
     assert s == again
     other = data.shuffle_and_stream(ds, np.random.default_rng(10))
@@ -144,11 +144,13 @@ def test_shuffle_and_stream_permutation():
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
-        data.ScoredDataset(name="x", items=(), threshold=1.0)
+        data.ScoredDataset(name="x", ids=(), scores=(), threshold=1.0)
     with pytest.raises(ValueError):
-        data.ScoredDataset(name="x", items=((1, 1.0), (1, 2.0)), threshold=1.0)
+        data.ScoredDataset(name="x", ids=(1, 1), scores=(1.0, 2.0),
+                           threshold=1.0)
     with pytest.raises(ValueError):
-        data.ScoredDataset(name="x", items=((1, 1.0),), threshold=float("nan"))
+        data.ScoredDataset(name="x", ids=(1,), scores=(1.0,),
+                           threshold=float("nan"))
 
 
 def test_read_scores_requires_header(tmp_path):

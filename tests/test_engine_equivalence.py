@@ -107,7 +107,8 @@ def assert_same_run(queries, cfg, seed, override=None):
     new = run_svt(queries, cfg, np.random.default_rng(seed), recorder("new"))
     answers, n_c, n_a, halt, r = reference_run(
         queries, cfg, np.random.default_rng(seed), recorder("ref"))
-    assert [tuple(a) for a in new.answers] == answers
+    assert list(zip(new.answer_ids.tolist(), new.flags.tolist(),
+                    new.traverses.tolist())) == answers
     assert new.answer_ids.tolist() == [a[0] for a in answers]
     assert new.flags.tolist() == [a[1] for a in answers]
     assert new.traverses.tolist() == [a[2] for a in answers]
@@ -129,9 +130,7 @@ def config(**kw) -> SvtConfig:
 def near_threshold(n: int, seed: int, spread: float = 8.0) -> QueryStream:
     rng = np.random.default_rng(seed)
     ids = rng.permutation(np.arange(10, 10 + 3 * n))[:n]
-    return QueryStream.with_threshold(
-        zip(ids.tolist(), (500.0 + spread * rng.standard_normal(n)).tolist()),
-        500.0)
+    return QueryStream(ids, 500.0 + spread * rng.standard_normal(n), 500.0)
 
 
 def scripted(role, qid, trav):
@@ -226,8 +225,7 @@ def test_generator_end_state_matches_reference(variant, c, resample,
                  k_est=10, **traverses)
     for seed in (0, 1, 2):
         near = near_threshold(40, seed, spread=2.0)
-        queries = QueryStream.with_threshold(
-            zip(near.ids.tolist(), near.scores.tolist()), 530.0)
+        queries = QueryStream(near.ids, near.scores, 530.0)
         new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         run_svt(queries, cfg, new)
         reference_run(queries, cfg, ref)
@@ -248,8 +246,7 @@ def long_stream(n: int, hits=()) -> QueryStream:
     ``hits``, 1000 above: far beyond every noise these configs draw."""
     scores = np.full(n, -1000.0)
     scores[list(hits)] = 1000.0
-    return QueryStream.with_threshold(zip(range(1, n + 1), scores.tolist()),
-                                      0.0)
+    return QueryStream(range(1, n + 1), scores, 0.0)
 
 
 def assert_same_end_state(queries, cfg, bit_generator=np.random.PCG64,
@@ -262,7 +259,8 @@ def assert_same_end_state(queries, cfg, bit_generator=np.random.PCG64,
         rng.integers(0, 10, dtype=np.int32)
     out = run_svt(queries, cfg, new)
     answers, n_c, n_a, halt, r = reference_run(queries, cfg, ref)
-    assert [tuple(a) for a in out.answers] == answers
+    assert list(zip(out.answer_ids.tolist(), out.flags.tolist(),
+                    out.traverses.tolist())) == answers
     assert (out.n_c, out.n_a, out.halt_reason) == (n_c, n_a, halt)
     np.testing.assert_equal(new.bit_generator.state, ref.bit_generator.state)
     return out
@@ -365,6 +363,7 @@ def test_shuffled_dataset_stream_matches_reference():
         assert stream == data.shuffle_and_stream(ds, ref)
         out = run_svt(stream, cfg, new)
         answers, *counters = reference_run(stream, cfg, ref)
-        assert [tuple(a) for a in out.answers] == answers
+        assert list(zip(out.answer_ids.tolist(), out.flags.tolist(),
+                        out.traverses.tolist())) == answers
         assert [out.n_c, out.n_a, out.halt_reason] == counters[:3]
         assert new.bit_generator.state == ref.bit_generator.state

@@ -24,7 +24,7 @@ import svtkit
 from svtkit import allocation, checks, cli, correction, data, metrics, noise
 from svtkit.allocation import Variant
 from svtkit.noise import Kind
-from svtkit.svt import QueryStream, SvtConfig, run_svt
+from svtkit.svt import HaltReason, QueryStream, SvtConfig, SvtOutcome, run_svt
 
 NAN, INF = math.nan, math.inf
 NOT_NUMBERS = (True, False, np.bool_(True), "1", None, [1.0], 1j)
@@ -116,7 +116,7 @@ def _series(kind):
 
 
 def _runner():
-    stream = QueryStream.with_threshold([(1, 2.0), (2, 0.0)], 1.0)
+    stream = QueryStream([1, 2], [2.0, 0.0], 1.0)
     cfg = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=1, k_max=2,
                     variant=Variant.LAP)
     return lambda rng: run_svt(stream, cfg, rng)
@@ -171,7 +171,7 @@ ENTRIES = [
      dict(seed=count(0), eps=POSITIVE, traverses=count(1),
           repetition=count(0))),
     ("GroundTruth", metrics.GroundTruth,
-     dict(ranked_ids=[1, 2], scores=[2.0, 1.0], threshold=1.5, c=1),
+     dict(ids=[1, 2], scores=[2.0, 1.0], threshold=1.5, c=1),
      dict(threshold=FINITE, c=count(1))),
     ("GroundTruth", lambda s, **kw: metrics.GroundTruth([1], [s], **kw),
      dict(threshold=1.5, c=1), dict(s=ELEMENT)),
@@ -179,17 +179,17 @@ ENTRIES = [
      dict(items=[(1, 2.0)], threshold=1.5, c=1),
      dict(threshold=FINITE, c=count(1))),
     ("ScoredDataset", data.ScoredDataset,
-     dict(name="d", items=[(1, 2.0)], threshold=1.0), dict(threshold=FINITE)),
+     dict(name="d", ids=[1], scores=[2.0], threshold=1.0),
+     dict(threshold=FINITE)),
     ("ScoredDataset",
-     lambda s, **kw: data.ScoredDataset("d", [(1, 0.0), (2, s)], **kw),
+     lambda s, **kw: data.ScoredDataset("d", [1, 2], [0.0, s], **kw),
      dict(threshold=1.0), dict(s=ELEMENT)),
-    ("QueryStream", lambda s, t: QueryStream([(1, s, t)]),
+    ("QueryStream", lambda s, t: QueryStream([1], [s], [t]),
      dict(s=1.0, t=0.0), dict(s=ELEMENT, t=ELEMENT)),
-    ("QueryStream.with_threshold", QueryStream.with_threshold,
-     dict(scored=[(1, 2.0)], threshold=1.0), dict(threshold=FINITE)),
-    ("QueryStream.with_threshold",
-     lambda s, **kw: QueryStream.with_threshold([(1, s)], **kw),
-     dict(threshold=1.0), dict(s=ELEMENT)),
+    # Two queries, so the rejected [1.0] is a misaligned column.
+    ("QueryStream", QueryStream,
+     dict(ids=[1, 2], scores=[2.0, 0.0], thresholds=1.0),
+     dict(thresholds=FINITE)),
     ("NoiseDist", noise.NoiseDist, dict(kind=Kind.LAPLACE, scale=1.0),
      dict(scale=POSITIVE, location=FINITE)),
     ("laplace", noise.laplace, dict(scale=1.0),
@@ -286,7 +286,8 @@ REGISTRY = [pytest.param(fn, base, field, rule, id=f"{name}.{field}")
 EXEMPT = {
     "HaltReason": "an enumeration",
     "Variant": "an enumeration",
-    "SvtOutcome": "a result record: run_svt writes its counts",
+    "SvtOutcome": "a result record with no scalar to check: run_svt writes "
+                  "it, and COLUMNS below covers its constructor's columns",
     "run_svt": "takes a checked QueryStream and SvtConfig; its hot path "
                "adds no check",
     "shuffle_and_stream": "takes a checked ScoredDataset and a Generator",
@@ -418,13 +419,13 @@ PROBES = {
         lambda: cli.ExperimentConfig(**SWEEP, traverses=(1, np.int64(1))),
     # Ids: integers within int64, neither truncated nor an OverflowError.
     "ScoredDataset, id 1.5":
-        lambda: data.ScoredDataset("x", [(1.5, 1.0)], 0.0),
-    "QueryStream, id 1.5": lambda: QueryStream([(1.5, 1.0, 0.0)]),
+        lambda: data.ScoredDataset("x", [1.5], [1.0], 0.0),
+    "QueryStream, id 1.5": lambda: QueryStream([1.5], [1.0], 0.0),
     "GroundTruth.from_items, id 1.7":
         lambda: metrics.GroundTruth.from_items([(1.7, 1.0)], 0.0, 1),
     "ScoredDataset, id 10**20":
-        lambda: data.ScoredDataset("x", [(10**20, 1.0)], 0.0),
-    "QueryStream, id 10**20": lambda: QueryStream([(10**20, 1.0, 0.0)]),
+        lambda: data.ScoredDataset("x", [10**20], [1.0], 0.0),
+    "QueryStream, id 10**20": lambda: QueryStream([10**20], [1.0], 0.0),
     "GroundTruth, id 10**20":
         lambda: metrics.GroundTruth([10**20], [1.0], 0.0, 1),
     "GroundTruth, uint64 id 2**63": lambda: metrics.GroundTruth(
@@ -439,11 +440,11 @@ PROBES = {
     "finite(x=10**400)": lambda: checks.finite(x=10**400),
     "nonnegative(x=10**400)": lambda: checks.nonnegative(x=10**400),
     "ScoredDataset(threshold=10**400)":
-        lambda: data.ScoredDataset("x", [(1, 1.0)], 10**400),
+        lambda: data.ScoredDataset("x", [1], [1.0], 10**400),
     "GroundTruth(threshold=-10**400)":
         lambda: metrics.GroundTruth([1], [1.0], -10**400, 1),
-    "QueryStream.with_threshold(threshold=10**400)":
-        lambda: QueryStream.with_threshold([(1, 1.0)], 10**400),
+    "QueryStream(thresholds=10**400)":
+        lambda: QueryStream([1], [1.0], 10**400),
     # Sequence parameters of plot-series: a JSON list or a tuple only.
     "plot-series(kind=accuracy, alphas=5)":
         lambda: cli.emit_plot_series("accuracy", alphas=5),
@@ -507,7 +508,7 @@ def test_non_finite_noise_override_is_rejected(role, qid, index, value, kw):
     def override(r, i, t):
         return value if (r, i, t) == (role, qid, index) else 0.0
 
-    stream = QueryStream.with_threshold([(1, 5.0), (2, -5.0)], 0.0)
+    stream = QueryStream([1, 2], [5.0, -5.0], 0.0)
     cfg = SvtConfig(**SVT, correction_override=0.0, **kw)
     with pytest.raises(ValueError,
                        match=re.escape(f"noise_override{role, qid, index}")):
@@ -543,8 +544,8 @@ def test_ids_within_int64_are_kept():
     truth = metrics.GroundTruth(ids, [3.0, 2.0, 1.0], 0.0, 1)
     assert truth.ids.tolist() == ids.tolist()
     small = np.array([5, 1], dtype=np.uint64)
-    assert QueryStream([(i, 0.0, 0.0) for i in small]).ids.tolist() == [5, 1]
-    assert len(QueryStream([])) == 0
+    assert QueryStream(small, [0.0, 0.0], 0.0).ids.tolist() == [5, 1]
+    assert len(QueryStream([], [], [])) == 0
 
 
 _INT64 = np.iinfo(np.int64)
@@ -569,17 +570,107 @@ def test_distinct_ids_at_the_int64_ends_are_accepted():
     checks.unique_finite(ids[:1])
 
 
-def test_with_threshold_matches_row_constructor():
-    pairs = [(3, 1.5), (1, -2.0), (2, 0.0)]
-    built = QueryStream.with_threshold(pairs, 7)
-    assert built == QueryStream((i, s, 7) for i, s in pairs)
+def test_one_threshold_matches_a_threshold_column():
+    ids, scores = [3, 1, 2], [1.5, -2.0, 0.0]
+    built = QueryStream(ids, scores, 7)
+    assert built == QueryStream(ids, scores, [7, 7, 7])
     assert built.thresholds.dtype == np.float64
     assert not built.thresholds.flags.writeable
-    assert len(QueryStream.with_threshold([], 1.0)) == 0
+    assert len(QueryStream([], [], 1.0)) == 0
     with pytest.raises(ValueError):
-        QueryStream.with_threshold([(1, 0.0), (1, 1.0)], 1.0)
+        QueryStream([1, 1], [0.0, 1.0], 1.0)
     with pytest.raises(ValueError):
-        QueryStream.with_threshold([(1, NAN)], 1.0)
+        QueryStream([1], [NAN], 1.0)
+
+
+def _stream(ids=(1, 2), scores=(2.0, 0.0), thresholds=1.0):
+    return QueryStream(ids, scores, thresholds)
+
+
+def _dataset(ids=(1, 2), scores=(2.0, 0.0), threshold=1.0):
+    return data.ScoredDataset("d", ids, scores, threshold)
+
+
+def _outcome(ids=(1, 2), flags=(True, False), traverses=(1, 1)):
+    return SvtOutcome(ids, flags, traverses, HaltReason.EXHAUSTED, 0.0)
+
+
+def _truth(ids=(1, 2), scores=(2.0, 0.0)):
+    return metrics.GroundTruth(ids, scores, 1.0, 1)
+
+
+ALIGN, ONE_D = "must align", "expected a 1-d array"
+NOT_FINITE, NOT_INT64 = "must be finite|must be a number", "within int64"
+ROWS_2D = ((1, 2), (3, 4))
+# The array constructors, one column at a time. Columns of different
+# lengths get the alignment message, not numpy's broadcast error.
+COLUMNS = {
+    "QueryStream, nan score": (_stream, dict(scores=(NAN, 0.0)), NOT_FINITE),
+    "QueryStream, inf score": (_stream, dict(scores=(INF, 0.0)), NOT_FINITE),
+    "QueryStream, nan score, threshold column":
+        (_stream, dict(scores=(0.0, NAN), thresholds=(1.0, 1.0)), NOT_FINITE),
+    "QueryStream, nan threshold": (_stream, dict(thresholds=NAN), NOT_FINITE),
+    "QueryStream, -inf threshold":
+        (_stream, dict(thresholds=-INF), NOT_FINITE),
+    "QueryStream, nan in threshold column":
+        (_stream, dict(thresholds=(1.0, NAN)), NOT_FINITE),
+    "QueryStream, inf in threshold column":
+        (_stream, dict(thresholds=(INF, 1.0)), NOT_FINITE),
+    "QueryStream, float ids": (_stream, dict(ids=(1.0, 2.0)), NOT_INT64),
+    "QueryStream, ids beyond int64":
+        (_stream, dict(ids=(1, 2**63)), NOT_INT64),
+    "QueryStream, 2-d ids": (_stream, dict(ids=ROWS_2D), ONE_D),
+    "QueryStream, 2-d scores": (_stream, dict(scores=ROWS_2D), ONE_D),
+    "QueryStream, 2-d thresholds": (_stream, dict(thresholds=ROWS_2D), ONE_D),
+    "QueryStream, short scores": (_stream, dict(scores=(2.0,)), ALIGN),
+    "QueryStream, long scores":
+        (_stream, dict(scores=(2.0, 0.0, 1.0)), ALIGN),
+    "QueryStream, short threshold column":
+        (_stream, dict(thresholds=(1.0,)), ALIGN),
+    "QueryStream, long threshold column":
+        (_stream, dict(thresholds=(1.0, 1.0, 1.0)), ALIGN),
+    "ScoredDataset, nan score": (_dataset, dict(scores=(NAN, 0.0)), NOT_FINITE),
+    "ScoredDataset, -inf score":
+        (_dataset, dict(scores=(2.0, -INF)), NOT_FINITE),
+    "ScoredDataset, nan threshold":
+        (_dataset, dict(threshold=NAN), NOT_FINITE),
+    "ScoredDataset, inf threshold":
+        (_dataset, dict(threshold=INF), NOT_FINITE),
+    "ScoredDataset, float ids": (_dataset, dict(ids=(1.5, 2.0)), NOT_INT64),
+    "ScoredDataset, ids beyond int64":
+        (_dataset, dict(ids=(2**64, 1)), NOT_INT64),
+    "ScoredDataset, 2-d ids": (_dataset, dict(ids=ROWS_2D), ONE_D),
+    "ScoredDataset, 2-d scores": (_dataset, dict(scores=ROWS_2D), ONE_D),
+    "ScoredDataset, short scores": (_dataset, dict(scores=(2.0,)), ALIGN),
+    "ScoredDataset, short ids": (_dataset, dict(ids=(1,)), ALIGN),
+    "SvtOutcome, float ids": (_outcome, dict(ids=(1.0, 2.0)), NOT_INT64),
+    "SvtOutcome, ids beyond int64":
+        (_outcome, dict(ids=(1, 10**20)), NOT_INT64),
+    "SvtOutcome, float traverses":
+        (_outcome, dict(traverses=(1, 1.5)), NOT_INT64),
+    "SvtOutcome, 2-d ids": (_outcome, dict(ids=ROWS_2D), ONE_D),
+    "SvtOutcome, 2-d flags":
+        (_outcome, dict(flags=((True, False), (False, True))), ONE_D),
+    "SvtOutcome, short flags": (_outcome, dict(flags=(True,)), ALIGN),
+    "SvtOutcome, long traverses":
+        (_outcome, dict(traverses=(1, 1, 2)), ALIGN),
+    "SvtOutcome, short ids": (_outcome, dict(ids=(1,)), ALIGN),
+    "GroundTruth, short scores": (_truth, dict(scores=(2.0,)), ALIGN),
+    "GroundTruth, 2-d scores": (_truth, dict(scores=ROWS_2D), ONE_D),
+}
+
+
+@pytest.mark.parametrize("build, kw, match", COLUMNS.values(),
+                         ids=COLUMNS.keys())
+def test_array_constructor_rejects_column(build, kw, match):
+    with pytest.raises(ValueError, match=match):
+        build(**kw)
+
+
+@pytest.mark.parametrize("build", [_stream, _dataset, _outcome, _truth])
+def test_array_constructor_base_is_accepted(build):
+    record = build()
+    assert record == build()
 
 
 @pytest.mark.parametrize("monotonic", [False, True])

@@ -57,15 +57,15 @@ def test_f1_half():
 def test_ground_truth_tie_break_ascending_id():
     truth = GroundTruth.from_items([(9, 5.0), (2, 5.0), (7, 5.0)],
                                    threshold=1.0, c=2)
-    assert truth.ranked_ids == (2, 7, 9)
+    assert truth.ids.tolist() == [2, 7, 9]
     assert truth.top_c_ids() == (2, 7)
 
 
 def test_ground_truth_validation():
     with pytest.raises(ValueError):
-        GroundTruth(ranked_ids=(1, 2), scores=(1.0,), threshold=0.0, c=1)
+        GroundTruth(ids=(1, 2), scores=(1.0,), threshold=0.0, c=1)
     with pytest.raises(ValueError):
-        GroundTruth(ranked_ids=(1, 2), scores=(1.0, 5.0), threshold=0.0, c=1)
+        GroundTruth(ids=(1, 2), scores=(1.0, 5.0), threshold=0.0, c=1)
     with pytest.raises(ValueError):
         GroundTruth.from_items(ITEMS, threshold=0.0, c=0)
 
@@ -85,13 +85,12 @@ def test_metrics_permutation_invariant_and_bounded(perm, take):
 # --- (alpha, beta)-accuracy --------------------------------------------------
 
 def _worst_case_stream(k: int, threshold: float, alpha: float) -> QueryStream:
-    scored = [(i, threshold - alpha - 1e-6) for i in range(1, k + 1)]
-    scored.append((k + 1, threshold + alpha + 1e-6))
-    return QueryStream.with_threshold(scored, threshold)
+    scores = [threshold - alpha - 1e-6] * k + [threshold + alpha + 1e-6]
+    return QueryStream(range(1, k + 2), scores, threshold)
 
 
 def test_alpha_beta_zero_noise_never_fails():
-    s = QueryStream.with_threshold([(1, 400.0), (2, 600.0)], 500.0)
+    s = QueryStream([1, 2], [400.0, 600.0], 500.0)
     truth = GroundTruth.from_items([(1, 400.0), (2, 600.0)], 500.0, c=1)
     cfg = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=1, k_max=2,
                     variant=Variant.EXP_NO_CORR)
@@ -115,7 +114,7 @@ def test_alpha_beta_estimate_validation():
 def _beta_hat(variant: Variant, alpha: float, trials: int, seed: int,
               k: int = 50, eps: float = 1.0) -> float:
     s = _worst_case_stream(k, 1000.0, alpha)
-    truth = GroundTruth.from_items([(e.query_id, e.score) for e in s],
+    truth = GroundTruth.from_items(zip(s.ids.tolist(), s.scores.tolist()),
                                    1000.0, c=1)
     cfg = SvtConfig(delta=1.0, eps1=eps / 2, eps2=eps / 2, c=1, k_max=k + 1,
                     variant=variant, alpha=alpha, k_est=k,
@@ -186,7 +185,7 @@ def test_non_finite_alpha_rejected(alpha):
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_truth_threshold_rejected(threshold):
     with pytest.raises(ValueError):
-        GroundTruth(ranked_ids=(2, 1), scores=(5.0, 1.0), threshold=threshold, c=1)
+        GroundTruth(ids=(2, 1), scores=(5.0, 1.0), threshold=threshold, c=1)
     with pytest.raises(ValueError):
         GroundTruth.from_items(ITEMS, threshold=threshold, c=1)
 
@@ -194,9 +193,8 @@ def test_non_finite_truth_threshold_rejected(threshold):
 def _scripted(answers):
     """A runner returning one fixed outcome of (id, flagged) answers, all in
     traverse 1."""
-    outcome = SvtOutcome([(i, f, 1) for i, f in answers],
-                         [i for i, f in answers if f], n_c=0,
-                         n_a=len(answers), halt_reason=HaltReason.EXHAUSTED,
+    outcome = SvtOutcome([i for i, _ in answers], [f for _, f in answers],
+                         [1] * len(answers), halt_reason=HaltReason.EXHAUSTED,
                          correction_used=0.0)
     return lambda rng: outcome
 
@@ -258,7 +256,7 @@ _MIXED_CONFIGS = [
 def _mixed_runner():
     """A runner cycling through configs whose outcomes differ in length,
     with traverses > 1 among them."""
-    stream = QueryStream.with_threshold(_MIXED_SCORES, 10.0)
+    stream = QueryStream(*zip(*_MIXED_SCORES), 10.0)
     configs = iter(_MIXED_CONFIGS * 1000)
     return lambda rng: run_svt(stream, next(configs), rng)
 
@@ -293,7 +291,7 @@ def test_mixed_runner_has_appended_traverses():
 def test_batched_estimate_matches_per_trial_loop_on_accuracy_streams(
         monkeypatch, variant, bound):
     s = _worst_case_stream(20, 100.0, 2.0)
-    truth = GroundTruth.from_items([(e.query_id, e.score) for e in s],
+    truth = GroundTruth.from_items(zip(s.ids.tolist(), s.scores.tolist()),
                                    100.0, c=1)
     cfg = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=1, k_max=21,
                     variant=variant, alpha=2.0, k_est=20, delta_dp=0.05)
@@ -363,5 +361,4 @@ def test_f1_matches_the_set_definition():
 
 def test_ground_truth_rejects_nested_arrays():
     with pytest.raises(ValueError, match="expected a 1-d array"):
-        GroundTruth(ranked_ids=[[1, 2]], scores=[[2.0, 1.0]], threshold=0.0,
-                    c=1)
+        GroundTruth(ids=[[1, 2]], scores=[[2.0, 1.0]], threshold=0.0, c=1)

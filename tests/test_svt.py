@@ -28,14 +28,14 @@ def cfg_with(**kw) -> SvtConfig:
 
 
 def stream(scores, threshold=500.0) -> QueryStream:
-    return QueryStream.with_threshold(list(enumerate(scores, start=1)),
-                                      threshold)
+    return QueryStream(range(1, len(scores) + 1), scores, threshold)
 
 
 def test_noiseless_comparison():
     out = run_svt(stream([600.0, 400.0]), cfg_with(c=2),
                   np.random.default_rng(0), noise_override=ZERO)
-    assert [(a.query_id, a.flagged) for a in out.answers] == [(1, True), (2, False)]
+    assert list(zip(out.answer_ids.tolist(), out.flags.tolist())) == [
+        (1, True), (2, False)]
     assert out.positives == (1,)
     assert out.halt_reason is HaltReason.EXHAUSTED
 
@@ -43,7 +43,7 @@ def test_noiseless_comparison():
 def test_tie_is_answered_positively():
     out = run_svt(stream([500.0]), cfg_with(), np.random.default_rng(0),
                   noise_override=ZERO)
-    assert out.answers[0].flagged
+    assert out.flags[0]
 
 
 def test_first_positive_halts_when_c_is_one():
@@ -52,17 +52,17 @@ def test_first_positive_halts_when_c_is_one():
     assert out.halt_reason is HaltReason.POSITIVE_BUDGET
     assert out.n_c == 1
     assert out.n_a == 1
-    assert len(out.answers) == 1
+    assert out.answer_ids.size == 1
 
 
 def test_empty_stream_rejected():
     with pytest.raises(ValueError):
-        run_svt(QueryStream(()), cfg_with(), np.random.default_rng(0))
+        run_svt(QueryStream([], [], []), cfg_with(), np.random.default_rng(0))
 
 
 def test_duplicate_ids_rejected():
     with pytest.raises(ValueError):
-        QueryStream.with_threshold([(1, 1.0), (1, 2.0)], 0.0)
+        QueryStream([1, 1], [1.0, 2.0], 0.0)
 
 
 def test_wrong_arity_override_rejected():
@@ -93,11 +93,11 @@ def test_append_re_enqueues_until_max_traverses():
     assert out.halt_reason is HaltReason.EXHAUSTED
     assert out.n_a == 6
     per_query = {}
-    for a in out.answers:
-        per_query.setdefault(a.query_id, []).append(a.traverse)
+    for qid, trav in zip(out.answer_ids.tolist(), out.traverses.tolist()):
+        per_query.setdefault(qid, []).append(trav)
     assert per_query == {1: [1, 2, 3], 2: [1, 2, 3]}
     # FIFO: traverses interleave as 1 1 2 2 3 3
-    assert [a.traverse for a in out.answers] == [1, 1, 2, 2, 3, 3]
+    assert out.traverses.tolist() == [1, 1, 2, 2, 3, 3]
 
 
 def test_append_off_evaluates_each_query_once():
@@ -113,7 +113,7 @@ def test_every_evaluation_counts():
                        ([0.0, 900.0, 900.0], dict(c=2))]:
         out = run_svt(stream(scores), cfg_with(**kw),
                       np.random.default_rng(0), noise_override=ZERO)
-        assert out.n_a == len(out.answers)
+        assert out.n_a == out.answer_ids.size == out.traverses.size
         assert out.n_a <= cfg_with(**kw).k_max
 
 
@@ -148,12 +148,12 @@ def test_resample_redraws_threshold_after_positive():
 
     out = run_svt(stream([510.0, 510.0, 490.0]), cfg_with(c=2, resample=True),
                   np.random.default_rng(0), noise_override=scripted)
-    assert [a.flagged for a in out.answers] == [True, False, False]
+    assert out.flags.tolist() == [True, False, False]
     assert out.halt_reason is HaltReason.EXHAUSTED
 
     out_plain = run_svt(stream([510.0, 510.0, 490.0]), cfg_with(c=2),
                         np.random.default_rng(0), noise_override=scripted)
-    assert [a.flagged for a in out_plain.answers] == [True, True]
+    assert out_plain.flags.tolist() == [True, True]
     assert out_plain.halt_reason is HaltReason.POSITIVE_BUDGET
 
 
@@ -186,8 +186,8 @@ def test_raising_a_score_never_flips_to_negative():
         bumped[bump_idx] += 30.0
         out = run_svt(stream(bumped), cfg, np.random.default_rng(0),
                       noise_override=frozen)
-        flags = {a.query_id: a.flagged for a in out.answers}
-        base_flags = {a.query_id: a.flagged for a in base.answers}
+        flags = dict(zip(out.answer_ids.tolist(), out.flags.tolist()))
+        base_flags = dict(zip(base.answer_ids.tolist(), base.flags.tolist()))
         qid = bump_idx + 1
         if base_flags.get(qid) and qid in flags:
             assert flags[qid]
@@ -225,7 +225,7 @@ def test_effective_lambda_values():
 
 
 def _dummy_outcome() -> SvtOutcome:
-    return SvtOutcome(answers=(), positives=(), n_c=0, n_a=0,
+    return SvtOutcome(answer_ids=(), flags=(), traverses=(),
                       halt_reason=HaltReason.EXHAUSTED, correction_used=0.0)
 
 
@@ -323,7 +323,7 @@ def test_correction_override_wins_even_at_zero():
     out = run_svt(stream([500.0]), cfg, np.random.default_rng(0),
                   noise_override=ZERO)
     assert out.correction_used == 0.0
-    assert out.answers[0].flagged
+    assert out.flags[0]
 
 
 def test_larger_correction_never_gains_positives():
@@ -477,13 +477,6 @@ def test_memo_keeps_override_zero_apart_from_none():
     assert math.copysign(1.0, negative) == -1.0
 
 
-
-def test_outcome_rejects_positives_that_are_not_the_flagged_ids():
-    with pytest.raises(ValueError, match="positives must be the flagged"):
-        SvtOutcome([(1, True, 1)], [2], n_c=1, n_a=1,
-                   halt_reason=HaltReason.EXHAUSTED, correction_used=0.0)
-
-
 @pytest.mark.parametrize("variant",
                          [v for v in Variant if v is not Variant.GAU])
 def test_delta_dp_ignored_outside_the_gaussian(variant):
@@ -531,12 +524,12 @@ def test_permuted_stream_reads_are_read_only():
 @pytest.mark.parametrize("variant", list(Variant))
 def test_row_built_stream_runs_as_its_identity_permutation(variant):
     ds = data.gen_zipf(300)
-    rows = QueryStream.with_threshold(ds.items, ds.threshold)
+    built = QueryStream(ds.ids, ds.scores, ds.threshold)
     view = QueryStream.permuted(ds.ids, ds.scores, ds.threshold,
                                 np.arange(ds.n_items))
-    assert rows == view
+    assert built == view
     cfg = cfg_with(variant=variant, c=60, k_max=600, append=True,
                    max_traverses=2, k_est=5, delta_dp=1e-3)
     a, b = np.random.default_rng(4), np.random.default_rng(4)
-    assert run_svt(rows, cfg, a) == run_svt(view, cfg, b)
+    assert run_svt(built, cfg, a) == run_svt(view, cfg, b)
     assert a.bit_generator.state == b.bit_generator.state
