@@ -180,6 +180,8 @@ def run_sweep(cfg: ExperimentConfig, out: Optional[IO[str]] = None) -> list[dict
     ds = load_dataset(cfg)
     truth = metrics.GroundTruth.from_items(ds.items, ds.threshold, cfg.c)
     k_est = cfg.k_est if cfg.k_est is not None else max(1, ds.n_items // cfg.c)
+    if Variant.GAU.value in cfg.variants:  # import scipy.special before cells
+        noise.cdf(noise.gaussian(1.0), 0.0)
 
     rows: list[dict] = []
     with contextlib.ExitStack() as stack:

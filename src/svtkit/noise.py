@@ -4,8 +4,11 @@ All four laws used by the mechanism variants live here, one row each of the
 law table ``_LAWS``: Laplace (threshold noise and one query-noise baseline),
 exponential (the one-sided query noise), Gaussian, and Gumbel. Each has a kind,
 a scale and a location, and exposes pdf, cdf, quantile, and inverse-cdf
-sampling from a single uniform stream. The log-survival helpers back the tail
-Lipschitz check that decides whether a law is eligible as pure-DP query noise.
+sampling from a single uniform stream, array draws made in place. Scalar draws
+keep numpy's log and log1p: on an AVX-512 host, the math module's differ from
+them bitwise in 35,032 of 10^7 values of log(2u) and 737,311 of log1p(-u). The
+log-survival helpers back the tail Lipschitz check that decides whether a law
+is eligible as pure-DP query noise.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from . import checks
 EULER_GAMMA = 0.5772156649015329
 
 # Smallest positive double; keeps inverse-cdf sampling finite if the
-# underlying uniform stream ever returns exactly 0.
+# underlying uniform stream ever returns exactly 0. Arrays are clamped to a
+# read-only 0-d copy, which numpy 2 takes faster than a Python float.
 _TINY_U = 5e-324
+_TINY_0D = np.broadcast_to(_TINY_U, ())
 
 
 class Kind(enum.Enum):
@@ -32,6 +37,7 @@ class Kind(enum.Enum):
     EXPONENTIAL = "exponential"
     GAUSSIAN = "gaussian"
     GUMBEL = "gumbel"
+    __hash__ = object.__hash__  # each draw's _LAWS lookup: skip Enum's hash
 
 
 @dataclass(frozen=True)
@@ -118,10 +124,10 @@ def log_sf(d: NoiseDist, x) -> float | np.ndarray:
 def quantile(d: NoiseDist, p) -> float | np.ndarray:
     """Inverse cdf of ``d`` at probability ``p`` in the open interval (0, 1)."""
     checks.instance(numbers.Real, p=p)
-    parr = np.asarray(p, dtype=float)
+    parr = np.array(p, dtype=float)
     if not np.all((0.0 < parr) & (parr < 1.0)):
         raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
-    return _as_given(d.location + d.scale * _LAWS[d.kind].quantile(parr), p)
+    return _as_given(from_uniform(d, parr), p)
 
 
 class _Law(NamedTuple):
@@ -130,10 +136,10 @@ class _Law(NamedTuple):
     ``mean`` and ``variance`` are per unit of scale and of scale squared
     (the symmetric laws' -0.0 keeps location + mean * scale the location,
     bit for bit); ``pdf`` divides by the scale inside its own expression.
-    ``quantile`` takes p, a float or an array, in (0, 1), where no
-    logarithm's argument reaches zero (the Laplace 2(1 - p) stays at or
-    above 2**-52): no law needs clipping or an errstate guard, and the
-    Laplace array form may evaluate both branches everywhere.
+    ``quantile`` takes p in (0, 1), a float or, as ``quantile(p, p)``, an
+    array it overwrites (:func:`from_uniform` makes exponential arrays
+    itself); no logarithm's argument reaches zero there (the Laplace
+    2(1 - p) is at least 2**-52), so no law needs clipping or errstate.
     """
 
     mean: float
@@ -144,10 +150,13 @@ class _Law(NamedTuple):
     quantile: Callable
 
 
-def _laplace_quantile(p):
-    if isinstance(p, float):
+def _laplace_quantile(p, out=None):
+    if out is None:
         return np.log(2.0 * p) if p < 0.5 else -np.log(2.0 * (1.0 - p))
-    return np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
+    # min(p, 1 - p) is each branch's operand, p - (1/2 + 2**-53) its sign
+    sign = p - 0.5000000000000001
+    np.multiply(np.minimum(p, 1.0 - p, out=out), 2.0, out)
+    return np.copysign(np.log(out, out), sign, out)
 
 
 def _gaussian(name: str) -> Callable:
@@ -155,11 +164,11 @@ def _gaussian(name: str) -> Callable:
     first call. Only the Gaussian law needs special functions, and
     scipy.special takes longer to import than the rest of svtkit, so that
     call imports it and puts scipy's functions in the law's row."""
-    def first_call(x):
+    def first_call(*args):
         from scipy.special import log_ndtr, ndtr, ndtri
         law = _LAWS[Kind.GAUSSIAN] = _LAWS[Kind.GAUSSIAN]._replace(
             cdf=ndtr, log_sf=lambda z: log_ndtr(-z), quantile=ndtri)
-        return getattr(law, name)(x)
+        return getattr(law, name)(*args)
     return first_call
 
 
@@ -197,8 +206,26 @@ _LAWS = {
         EULER_GAMMA, math.pi**2 / 6.0,
         lambda z, s: np.exp(-z - _gumbel_exp(z)) / s,
         lambda z: np.exp(-_gumbel_exp(z)), _gumbel_log_sf,
-        lambda p: -np.log(-np.log(p))),
+        lambda p, out=None: np.negative(
+            np.log(np.negative(np.log(p, out), out), out), out)),
 }
+
+
+def from_uniform(d: NoiseDist, u: float | np.ndarray) -> float | np.ndarray:
+    """The draw(s) of ``d`` at uniform(s) ``u`` in [0, 1) raised to the
+    smallest positive double: a float for a float, else written into ``u``."""
+    law = _LAWS[d.kind]
+    if isinstance(u, float):
+        return float(d.location + d.scale * law.quantile(max(u, _TINY_U)))
+    np.maximum(u, _TINY_0D, out=u)
+    if d.kind is not Kind.EXPONENTIAL:
+        np.multiply(law.quantile(u, u), d.scale, u)
+    else:  # = -log1p(-u) * scale bitwise; never -0.0, so + 0.0 changes nothing
+        np.multiply(np.log1p(np.negative(u, u), u), -d.scale, u)
+        if not d.location:
+            return u
+    u += d.location
+    return u
 
 
 def sample(d: NoiseDist, rng: np.random.Generator,
@@ -218,13 +245,7 @@ def sample(d: NoiseDist, rng: np.random.Generator,
     Returns:
         A float when ``size`` is None, otherwise an array of length ``size``.
     """
-    std = _LAWS[d.kind].quantile
-    if size is None:
-        return float(d.location + d.scale * std(max(rng.random(), _TINY_U)))
-    out = std(np.maximum(rng.random(size), _TINY_U))
-    out *= d.scale
-    out += d.location
-    return out
+    return from_uniform(d, rng.random(size))
 
 
 @dataclass(frozen=True)

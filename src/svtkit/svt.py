@@ -20,7 +20,7 @@ import enum
 import inspect
 import itertools
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -58,7 +58,10 @@ def frozen(values, dtype) -> np.ndarray:
             raise ValueError(f"ids and other integer columns must be "
                              f"integers within {np.dtype(dtype)}, got "
                              f"{array.dtype} values")
-    array = np.asarray(array, dtype=dtype)
+    try:
+        array = np.asarray(array, dtype=dtype)
+    except OverflowError:  # a Python int beyond float range
+        raise ValueError("float columns must be finite numbers") from None
     if array.ndim != 1:
         raise ValueError(f"expected a 1-d array, got shape {array.shape}")
     if array is not values and array.base is None:
@@ -71,7 +74,7 @@ def frozen(values, dtype) -> np.ndarray:
 def sealed(array: np.ndarray) -> np.ndarray:
     """A read-only view of an array the library made, itself marked
     read-only so that no view of it can be made writable again."""
-    array.flags.writeable = False
+    array.setflags(False)
     return array.view()
 
 
@@ -209,6 +212,16 @@ class SvtConfig:
         if self.variant.query_kind is Kind.GAUSSIAN:
             checks.probability(delta_dp=self.delta_dp)
 
+    # run_svt's memo hashes the config on every call: hash the fields once per
+    # object, and not into pickles or copies (a Variant's hash is per process).
+    _hash = cached_property(lambda c: hash(tuple(c.__getstate__().values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {name: vars(self)[name] for name in self.__dataclass_fields__}
+
 
 @dataclass(frozen=True, init=False, eq=False)
 class SvtOutcome(Record):
@@ -336,14 +349,14 @@ def _cut(flags: np.ndarray, room: int) -> tuple[np.ndarray, int]:
 
 def _outcome(ids: np.ndarray, evaluated: list, flagged: list,
              halt: HaltReason, r: float) -> SvtOutcome:
-    """One outcome from each traverse's evaluated source rows and flags."""
+    """One outcome from each traverse's evaluated rows and sealed flags."""
     one = len(evaluated) == 1
     rows = evaluated[0] if one else np.concatenate(evaluated)
-    flags = flagged[0] if one else np.concatenate(flagged)
+    flags = flagged[0] if one else sealed(np.concatenate(flagged))
     traverses = (_ONES[:flags.size] if one and flags.size <= _FIRST_CHUNK
-                 else np.repeat(np.arange(1, len(evaluated) + 1),
-                                [b.size for b in evaluated]))
-    return SvtOutcome.trusted(answer_ids=ids[rows], flags=flags,
+                 else sealed(np.repeat(np.arange(1, len(evaluated) + 1),
+                                       [b.size for b in evaluated])))
+    return SvtOutcome.trusted(answer_ids=sealed(ids[rows]), flags=flags,
                               traverses=traverses, halt_reason=halt,
                               correction_used=r)
 
@@ -361,8 +374,8 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     ``noise_override``: there chunk ends start at ``_FIRST_CHUNK`` and
     double, and at the halt the query draws left unmade are skipped once,
     with ``advance``, so outcome and generator state are the same. Without
-    either, a run of one traverse of at most one chunk and k_max queries
-    skips both loops, with the same draws and bits. Draw order is fixed
+    either, one traverse of at most ``_FIRST_CHUNK`` and k_max queries takes
+    one block of draws and skips both loops, bit for bit. Draw order is fixed
     for reproducibility: one threshold draw up front, then query noise for
     each traverse in evaluation order; under ``resample``, threshold
     redraws happen per positive after the traverse's query draws. A
@@ -374,7 +387,8 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     Ties (noisy score exactly equal to the corrected noisy threshold) are
     answered positively.
     """
-    if len(queries) == 0:
+    batch = queries.order
+    if batch.size == 0:
         raise ValueError("empty query stream")
     if noise_override is not None:
         _check_override(noise_override)
@@ -387,6 +401,18 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     ids, scores, thresholds = queries.columns
     plain = not cfg.resample and noise_override is None
     last = cfg.max_traverses if cfg.append else 1
+    if plain and last == 1 and _FIRST_CHUNK >= batch.size <= cfg.k_max:
+        u = rng.random(1 + batch.size)
+        rho = noise_mod.from_uniform(thr_dist, u.item(0))
+        base = noise_mod.from_uniform(qry_dist, u[1:])
+        base += scores[batch] - thresholds[batch]
+        if r:  # x - 0.0 differs from x only in a zero's sign, which >= ignores
+            base -= r
+        flags, n_c = _cut(sealed(base >= rho), cfg.c)
+        halt = (HaltReason.POSITIVE_BUDGET if n_c == cfg.c
+                else HaltReason.EXHAUSTED)
+        return _outcome(ids, [batch[:flags.size]], [flags], halt, r)
+
     # Chunks of a traverse end at first, 2 first, 4 first, ..., so a
     # traverse of at most first queries is one chunk. Only a generator with
     # an exact skip gets _FIRST_CHUNK: under resample the threshold redraws
@@ -394,17 +420,6 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     # skip. Elsewhere first is k_max, which bounds every traverse.
     first = (_FIRST_CHUNK if plain and type(rng.bit_generator) in _SKIPPABLE
              else cfg.k_max)
-    batch = queries.order
-    if plain and last == 1 and batch.size <= min(first, cfg.k_max):
-        rho = noise_mod.sample(thr_dist, rng)
-        base = noise_mod.sample(qry_dist, rng, size=batch.size)
-        base += scores[batch] - thresholds[batch]
-        base -= r
-        flags, n_c = _cut(base >= rho, cfg.c)
-        halt = (HaltReason.POSITIVE_BUDGET if n_c == cfg.c
-                else HaltReason.EXHAUSTED)
-        return _outcome(ids, [batch[:flags.size]], [flags], halt, r)
-
     if noise_override is None:
         draw_threshold = partial(noise_mod.sample, thr_dist, rng)
 
@@ -456,14 +471,14 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
             else:
                 flags = base >= rho
 
-            flags, positives = _cut(flags, cfg.c - n_c)
+            flags, positives = _cut(sealed(flags), cfg.c - n_c)
             n_c += positives
             if n_c == cfg.c:
                 halt = HaltReason.POSITIVE_BUDGET
             parts.append(flags)
             if drawn == batch.size or halt is HaltReason.POSITIVE_BUDGET:
                 break
-        flags = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        flags = parts[0] if len(parts) == 1 else sealed(np.concatenate(parts))
         evaluated.append(batch[:flags.size])
         flagged.append(flags)
         n_a += flags.size

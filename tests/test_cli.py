@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,3 +521,33 @@ def test_main_sweep_config_file_errors_name_the_problem(content, message,
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg_path}: {message}")
+
+
+GAU_IMPORT = """
+import sys
+from svtkit import cli
+seen = []
+run_cell = cli._run_cell
+
+def first_cell(*args):
+    seen.append("scipy.special" in sys.modules)
+    return run_cell(*args)
+
+cli._run_cell = first_cell
+cfg = cli.ExperimentConfig(dataset="zipf", variants=tuple(sys.argv[1:]),
+                           eps_values=(0.5,), c=5, n_items=100)
+cli.run_sweep(cfg)
+print(seen[0])
+"""
+
+
+@pytest.mark.parametrize("variants, loaded", [
+    (("lap", "gau"), True), (("gau",), True), (("lap", "exp-opt"), False)])
+def test_sweep_imports_the_gaussian_row_before_its_first_cell(variants,
+                                                              loaded):
+    """A sweep with gau cells imports scipy.special before its first cell,
+    so no cell's wall_time_ms carries the import; one without loads none."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", GAU_IMPORT, *variants],
+                         env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.split() == [str(loaded)]

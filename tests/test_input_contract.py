@@ -657,6 +657,17 @@ COLUMNS = {
     "SvtOutcome, short ids": (_outcome, dict(ids=(1,)), ALIGN),
     "GroundTruth, short scores": (_truth, dict(scores=(2.0,)), ALIGN),
     "GroundTruth, 2-d scores": (_truth, dict(scores=ROWS_2D), ONE_D),
+    # Python ints beyond float range: numpy raises OverflowError converting.
+    "QueryStream, int score beyond float":
+        (_stream, dict(ids=(1,), scores=(10**400,), thresholds=0.0),
+         NOT_FINITE),
+    "QueryStream, int threshold beyond float":
+        (_stream, dict(ids=(1,), scores=(0.0,), thresholds=(10**400,)),
+         NOT_FINITE),
+    "ScoredDataset, int score beyond float":
+        (_dataset, dict(scores=(2.0, -10**400)), NOT_FINITE),
+    "GroundTruth, int score beyond float":
+        (_truth, dict(scores=(10**400, 0.0)), NOT_FINITE),
 }
 
 

@@ -374,6 +374,27 @@ def test_scalar_draws_are_one_block(d, bit_generator):
                                     block.bit_generator.state)
 
 
+@pytest.mark.parametrize("n", [1, 51, 4096, 4097])
+@pytest.mark.parametrize("d", LAWS + ALL_DISTS + [noise.laplace(1.3, -0.0)],
+                         ids=lambda d: f"{d.kind.value}@{d.location}")
+def test_in_place_draws_equal_sample(d, n):
+    """Draws made in place from the offset view u[1:] of one block, as a
+    run draws its query noise after rho, are noise.sample's draws of the
+    same uniforms bit for bit, signed zeros included (a location of -0.0
+    keeps the Laplace draw's -0.0 at u = 0.5), and are the view itself."""
+    block = np.random.default_rng(n).random(1 + n)
+    block[1:4] = [0.5, 0.0, 1.0 - 2.0**-53][:n]
+    u = block[1:].tolist()
+    want = bits(noise.sample(d, FixedUniform(u), size=n))
+    assert np.array_equal(
+        want, bits(reference_quantile(d, np.maximum(u, noise._TINY_U))))
+    view = block[1:]
+    got = noise.from_uniform(d, view)
+    assert got is view and np.shares_memory(got, block)
+    assert np.array_equal(bits(got), want)
+    assert type(noise.from_uniform(d, block[0].item())) is float
+
+
 def test_gumbel_far_lower_tail_is_quiet():
     """exp(-z) overflows to inf below z of about -709, where the Gumbel
     density, cdf and log-survival still reach their limits: no warning."""

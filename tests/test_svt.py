@@ -6,7 +6,14 @@ correction defaults; Monte Carlo runs then tie the noisy behavior back to
 the analytical difference law and the privacy bound.
 """
 
+import copy
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +402,36 @@ def test_traverse_column_is_shared_and_read_only():
     assert later.traverses.tolist() == [1] * later.n_a == [1, 1, 1]
 
 
+SEALED_RUNS = {
+    "straight path": (dict(c=3), 60, np.random.PCG64),
+    "one traverse, one chunk": (dict(c=3, resample=True), 60, np.random.PCG64),
+    "one traverse, two chunks": (dict(c=6000), 6000, np.random.PCG64),
+    "one traverse past the shared column": (dict(c=6000), 6000,
+                                            np.random.MT19937),
+    "several traverses": (dict(c=60, append=True, max_traverses=3), 60,
+                          np.random.PCG64),
+}
+
+
+@pytest.mark.parametrize("kw, n, bit_generator", SEALED_RUNS.values(),
+                         ids=SEALED_RUNS.keys())
+def test_outcome_columns_cannot_be_made_writable(kw, n, bit_generator):
+    """No column of a run's outcome can be written or made writable again:
+    each is a view of an array marked read-only before it was handed out."""
+    scores = np.random.default_rng(2).normal(500.0, 3.0, n).tolist()
+    cfg = cfg_with(k_max=3 * n, **kw)
+    out = run_svt(stream(scores), cfg, np.random.Generator(bit_generator(7)))
+    assert out.n_a > (svt._FIRST_CHUNK if n > svt._FIRST_CHUNK else 0)
+    assert (out.traverses.max() > 1) == cfg.append
+    for column in (out.answer_ids, out.flags, out.traverses):
+        with pytest.raises(ValueError):
+            column[0] = column[-1]
+        with pytest.raises(ValueError):
+            column.flags.writeable = True
+    assert out == run_svt(stream(scores), cfg,
+                          np.random.Generator(bit_generator(7)))
+
+
 @pytest.mark.parametrize("field", ["c", "k_max", "max_traverses", "k_est"])
 @pytest.mark.parametrize("value", [1.5, 2.0, NAN, INF, "3"])
 def test_count_fields_must_be_integers(field, value):
@@ -475,6 +512,82 @@ def test_memo_keeps_override_zero_apart_from_none():
     negative = run_svt(stream([500.0]), cfg_with(correction_override=-0.0, **base),
                        np.random.default_rng(1)).correction_used
     assert math.copysign(1.0, negative) == -1.0
+
+
+def test_memo_gives_a_replaced_config_its_own_correction():
+    cfg = memo_cfg(Variant.EXP_OPT_CORR, {})
+    hash(cfg)
+    run_svt(memo_stream(), cfg, np.random.default_rng(0))
+    moved = dataclasses.replace(cfg, alpha=7.0)
+    out = run_svt(memo_stream(), moved, np.random.default_rng(0))
+    assert out.correction_used == correction_term(moved)
+    assert out.correction_used != correction_term(cfg)
+    assert svt.config_laws(moved)[2] == correction_term(moved)
+
+
+def _field_tuple(cfg):
+    return tuple(getattr(cfg, f.name) for f in dataclasses.fields(cfg))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_memo_leaves_equality_hash_and_repr_alone(variant):
+    cfg, twin = memo_cfg(variant, {}), memo_cfg(variant, {})
+    before = (hash(_field_tuple(cfg)), repr(cfg))
+    run_svt(memo_stream(), cfg, np.random.default_rng(1))
+    assert (hash(cfg), repr(cfg)) == before == (hash(twin), repr(twin))
+    assert cfg == twin and len({cfg, twin}) == 1
+    assert cfg != dataclasses.replace(cfg, k_est=cfg.k_est + 1)
+    assert "_hash" not in repr(cfg)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_copied_and_pickled_configs_run_like_fresh_ones(variant):
+    cfg = memo_cfg(variant, {})
+    want = run_svt(memo_stream(), cfg, np.random.default_rng(3))
+    copies = [copy.copy(cfg), copy.deepcopy(cfg),
+              pickle.loads(pickle.dumps(cfg))]
+    for other in copies:
+        assert other == cfg and hash(other) == hash(cfg)
+        assert run_svt(memo_stream(), other, np.random.default_rng(3)) == want
+    assert "_hash" not in cfg.__getstate__()
+
+
+PICKLED_CONFIG = """
+import pickle, sys
+from svtkit.svt import SvtConfig
+from svtkit.allocation import Variant
+loaded = pickle.loads(bytes.fromhex(sys.argv[1]))
+fresh = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=2, k_max=40,
+                  variant=Variant.LAP)
+print(hash(loaded) == hash(fresh), len({loaded, fresh}))
+"""
+
+
+def test_pickled_config_hashes_like_a_fresh_one_in_another_process():
+    """A Variant's hash differs between processes, so a config hashed in
+    one process and unpickled in another must hash anew there."""
+    cfg = cfg_with(c=2, k_max=40, variant=Variant.LAP)
+    hash(cfg)
+    other_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = {**os.environ, "PYTHONHASHSEED": other_seed,
+           "PYTHONPATH": str(Path(svt.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", PICKLED_CONFIG,
+                          pickle.dumps(cfg).hex()], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True", "1"]
+
+
+def test_memo_keeps_override_signs_in_either_order():
+    base = dict(variant=Variant.EXP_OPT_CORR)
+    negative = cfg_with(correction_override=-0.0, **base)
+    positive = cfg_with(correction_override=0.0, **base)
+    assert negative == positive and hash(negative) == hash(positive)
+    svt.config_laws.cache_clear()
+    runs = [run_svt(stream([500.0]), cfg, np.random.default_rng(1))
+            for cfg in (negative, positive, negative)]
+    signs = [math.copysign(1.0, out.correction_used) for out in runs]
+    assert signs == [-1.0, 1.0, -1.0]
+    assert svt.config_laws.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("variant",
