@@ -178,7 +178,10 @@ def _score_rows(lines: Iterable[str], path: Path) -> Iterator[tuple[int, float]]
 
 def shuffle_and_stream(ds: ScoredDataset, rng: np.random.Generator) -> QueryStream:
     """Uniformly permute the items and pair each with the dataset threshold.
-    The stream reads the dataset's arrays through the permutation."""
+    The stream reads the dataset's arrays through the permutation; ``rng``
+    must be a ``numpy.random.Generator``."""
+    if not isinstance(rng, np.random.Generator):
+        checks.instance(np.random.Generator, rng=rng)
     # The dataset's ids are unique and its values finite: no second check.
     return QueryStream.permuted(ds.ids, ds.scores, ds.threshold,
                                 sealed(rng.permutation(ds.n_items)))

@@ -316,8 +316,11 @@ def _check_override(noise_override: Callable) -> None:
 
 # The first chunk of a traverse; later chunk ends double, so a run that
 # halts early draws at most max(this, 2 n_a) query noises, not the whole
-# traverse's.
+# traverse's. Traverse 1 opens with a smaller chunk, ending its next one at
+# this, as most early halts come within it; a later traverse exists only
+# after the whole stream was evaluated, so it keeps this first chunk.
 _FIRST_CHUNK = 4096
+_OPENING_CHUNK = 512
 
 # One-traverse outcomes of up to _FIRST_CHUNK answers share slices of this.
 _ONES = np.ones(_FIRST_CHUNK, dtype=np.int64)
@@ -372,8 +375,11 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     a vector, and stops early at the c-th positive. A chunk is the whole
     traverse, except on a PCG64 generator without ``resample`` or
     ``noise_override``: there chunk ends start at ``_FIRST_CHUNK`` and
-    double, and at the halt the query draws left unmade are skipped once,
-    with ``advance``, so outcome and generator state are the same. Without
+    double, traverse 1 opens with an ``_OPENING_CHUNK`` before them (a
+    later traverse exists only after the whole stream was evaluated), and
+    at the halt the query draws left unmade are skipped once, with
+    ``advance``, so outcome and generator state are the same. ``rng``
+    must be a ``numpy.random.Generator`` (``ValueError`` otherwise). Without
     either, one traverse of at most ``_FIRST_CHUNK`` and k_max queries takes
     one block of draws and skips both loops, bit for bit. Draw order is fixed
     for reproducibility: one threshold draw up front, then query noise for
@@ -387,6 +393,8 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     Ties (noisy score exactly equal to the corrected noisy threshold) are
     answered positively.
     """
+    if not isinstance(rng, np.random.Generator):
+        checks.instance(np.random.Generator, rng=rng)
     batch = queries.order
     if batch.size == 0:
         raise ValueError("empty query stream")
@@ -415,11 +423,12 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
 
     # Chunks of a traverse end at first, 2 first, 4 first, ..., so a
     # traverse of at most first queries is one chunk. Only a generator with
-    # an exact skip gets _FIRST_CHUNK: under resample the threshold redraws
-    # follow the traverse's query draws, and an override draws nothing to
-    # skip. Elsewhere first is k_max, which bounds every traverse.
-    first = (_FIRST_CHUNK if plain and type(rng.bit_generator) in _SKIPPABLE
-             else cfg.k_max)
+    # an exact skip gets _FIRST_CHUNK, and traverse 1 on it opens with
+    # _OPENING_CHUNK: under resample the threshold redraws follow the
+    # traverse's query draws, and an override draws nothing to skip.
+    # Elsewhere first is k_max, which bounds every traverse.
+    skippable = plain and type(rng.bit_generator) in _SKIPPABLE
+    first = _FIRST_CHUNK if skippable else cfg.k_max
     if noise_override is None:
         draw_threshold = partial(noise_mod.sample, thr_dist, rng)
 
@@ -451,7 +460,8 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         parts: list[np.ndarray] = []
         drawn = 0
         while True:
-            chunk = batch[drawn:max(2 * drawn, first)]
+            chunk = batch[drawn:_OPENING_CHUNK if skippable and traverse == 1
+                          and not drawn else max(2 * drawn, first)]
             drawn += chunk.size
             # Draw first: the sampler frees its temporaries before the gather.
             base = draw_query(chunk, traverse) + (scores[chunk]

@@ -250,13 +250,14 @@ def long_stream(n: int, hits=()) -> QueryStream:
 
 
 def assert_same_end_state(queries, cfg, bit_generator=np.random.PCG64,
-                          seed=11):
+                          seed=11, int32_draws=1):
     """``run_svt`` against the oracle, answers and generator end state. The
-    generators first hold a spare 32-bit output, which ``advance`` would
-    clear."""
+    generators first make ``int32_draws`` 32-bit draws: after an odd number
+    they hold a spare 32-bit output, after an even one they have consumed
+    it and keep its value; ``advance`` would clear both."""
     new, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
     for rng in (new, ref):
-        rng.integers(0, 10, dtype=np.int32)
+        rng.integers(0, 10, size=int32_draws, dtype=np.int32)
     out = run_svt(queries, cfg, new)
     answers, n_c, n_a, halt, r = reference_run(queries, cfg, ref)
     assert list(zip(out.answer_ids.tolist(), out.flags.tolist(),
@@ -367,3 +368,65 @@ def test_shuffled_dataset_stream_matches_reference():
                         out.traverses.tolist())) == answers
         assert [out.n_c, out.n_a, out.halt_reason] == counters[:3]
         assert new.bit_generator.state == ref.bit_generator.state
+
+
+# --- traverse 1's opening chunk ---------------------------------------------
+# On a generator with an exact skip, traverse 1 opens with a chunk of
+# OPENING queries and its next chunk ends at FIRST, as every later
+# traverse's first chunk does. Each bit generator must give the oracle's
+# answers and end state at the opening chunk's edges.
+
+OPENING = svt._OPENING_CHUNK
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                         ids=lambda g: g.__name__)
+@pytest.mark.parametrize("n_a", [OPENING - 1, OPENING, OPENING + 1])
+def test_halt_at_opening_chunk_edge_matches_reference(bit_generator, n_a):
+    """The c-th positive is the (n_a)-th query: the last but one or last of
+    the opening chunk, or the first after it."""
+    out = assert_same_end_state(long_stream(10**4, (5, 70, n_a - 1)),
+                                config(**LONG), bit_generator)
+    assert (out.halt_reason, out.n_a) == (HaltReason.POSITIVE_BUDGET, n_a)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                         ids=lambda g: g.__name__)
+@pytest.mark.parametrize("k_max", [1, 300, OPENING, OPENING + 1])
+def test_k_max_cut_in_opening_chunk_matches_reference(bit_generator, k_max):
+    out = assert_same_end_state(long_stream(10**4, (5,)),
+                                config(**{**LONG, "k_max": k_max}),
+                                bit_generator)
+    assert (out.halt_reason, out.n_a) == (HaltReason.QUERY_BUDGET, k_max)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                         ids=lambda g: g.__name__)
+def test_append_run_into_traverse_two_matches_reference(bit_generator):
+    """Forty queries at the threshold open the stream, the rest far below
+    it: the run answers some positively in traverse 1 and halts in
+    traverse 2, early in its first chunk, on the negatives it re-appended."""
+    scores = np.full(10**4, -1e6)
+    scores[:40] = 0.0
+    out = assert_same_end_state(
+        QueryStream(range(1, 10**4 + 1), scores, 0.0),
+        config(**{**LONG, "c": 28, "append": True, "max_traverses": 3}),
+        bit_generator)
+    assert out.halt_reason is HaltReason.POSITIVE_BUDGET
+    assert out.traverses[-1] == 2 and out.n_a < 10**4 + 40
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64,
+                                           np.random.PCG64DXSM])
+@pytest.mark.parametrize("n_a", [OPENING - 1, 901])
+def test_skip_keeps_a_consumed_spare_output(bit_generator, n_a):
+    """After two 32-bit draws the spare output is consumed (``has_uint32``
+    0) but its value stays in ``uinteger``: the skip after an early halt
+    must put back both."""
+    rng = np.random.Generator(bit_generator(11))
+    rng.integers(0, 10, size=2, dtype=np.int32)
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == 0 and state["uinteger"] != 0
+    out = assert_same_end_state(long_stream(10**4, (5, 70, n_a - 1)),
+                                config(**LONG), bit_generator, int32_draws=2)
+    assert (out.halt_reason, out.n_a) == (HaltReason.POSITIVE_BUDGET, n_a)

@@ -122,6 +122,14 @@ def _runner():
     return lambda rng: run_svt(stream, cfg, rng)
 
 
+def _long_runner():
+    """A runner over 5,000 queries, past the engine's first chunk."""
+    stream = QueryStream(range(5000), np.zeros(5000), 1.0)
+    cfg = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=1, k_max=5000,
+                    variant=Variant.LAP)
+    return lambda rng: run_svt(stream, cfg, rng)
+
+
 TRUTH = metrics.GroundTruth.from_items([(1, 2.0), (2, 0.0)], 1.0, c=1)
 SVT = dict(delta=1.0, eps1=0.5, eps2=0.5, c=2, k_max=10,
            variant=Variant.EXP_OPT_CORR)
@@ -288,9 +296,10 @@ EXEMPT = {
     "Variant": "an enumeration",
     "SvtOutcome": "a result record with no scalar to check: run_svt writes "
                   "it, and COLUMNS below covers its constructor's columns",
-    "run_svt": "takes a checked QueryStream and SvtConfig; its hot path "
-               "adds no check",
-    "shuffle_and_stream": "takes a checked ScoredDataset and a Generator",
+    "run_svt": "takes a checked QueryStream and SvtConfig; PROBES covers "
+               "its rng",
+    "shuffle_and_stream": "takes a checked ScoredDataset; PROBES covers its "
+                          "rng",
     "optimal_correction": "takes a checked CorrectionQuery",
     "correction_sweep": "evaluation points: NaN in gives NaN out",
     "success_probability_analytical": "evaluation points: NaN in gives "
@@ -475,6 +484,22 @@ PROBES = {
         correction.CorrectionQuery(**QUERY), 0.5),
     "correction_sweep(r_grid=[[0.0, 1.0]])": lambda: correction.correction_sweep(
         correction.CorrectionQuery(**QUERY), [[0.0, 1.0]]),
+    # A random source that is not a Generator: a legacy RandomState ran a
+    # stream of up to 4,096 queries but raised AttributeError on a longer
+    # one, and None or an int raised AttributeError.
+    "run_svt(rng=RandomState), 2 queries":
+        lambda: _runner()(np.random.RandomState(0)),
+    "run_svt(rng=RandomState), 5000 queries":
+        lambda: _long_runner()(np.random.RandomState(0)),
+    "run_svt(rng=None)": lambda: _runner()(None),
+    "run_svt(rng=0)": lambda: _runner()(0),
+    "run_svt(rng=None), 5000 queries": lambda: _long_runner()(None),
+    "shuffle_and_stream(rng=RandomState)": lambda: data.shuffle_and_stream(
+        data.gen_zipf(10), np.random.RandomState(0)),
+    "shuffle_and_stream(rng=None)":
+        lambda: data.shuffle_and_stream(data.gen_zipf(10), None),
+    "shuffle_and_stream(rng=0)":
+        lambda: data.shuffle_and_stream(data.gen_zipf(10), 0),
 }
 
 

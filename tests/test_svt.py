@@ -627,6 +627,30 @@ def test_long_stream_draws_what_it_evaluates(monkeypatch):
         assert sum(sizes) <= max(svt._FIRST_CHUNK, 2 * out.n_a)
 
 
+def test_early_halt_draws_the_opening_chunk(monkeypatch):
+    """A lap run over a 10^4-item shuffled stream that halts within the
+    opening chunk draws exactly that chunk's query noises."""
+    sizes = []
+    sample = noise.sample
+
+    def counted(d, rng, size=None):
+        if size is not None:
+            sizes.append(size)
+        return sample(d, rng, size=size)
+
+    monkeypatch.setattr(noise, "sample", counted)
+    ds = data.gen_zipf(10**4)
+    for seed in range(3):
+        sizes.clear()
+        rng = np.random.default_rng(seed)
+        out = run_svt(data.shuffle_and_stream(ds, rng),
+                      cfg_with(variant=Variant.LAP, c=50, k_max=ds.n_items),
+                      rng)
+        assert out.halt_reason is HaltReason.POSITIVE_BUDGET
+        assert out.n_a <= svt._OPENING_CHUNK == 512
+        assert sizes == [512]
+
+
 def test_permuted_stream_reads_are_read_only():
     ds = data.gen_zipf(20)
     s = data.shuffle_and_stream(ds, np.random.default_rng(0))
