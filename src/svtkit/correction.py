@@ -70,8 +70,10 @@ class DiscretePmf:
 
     def values(self) -> np.ndarray:
         """Left-edge value of each chunk."""
-        idx = self.origin_index + np.arange(len(self.mass))
-        return idx * self.mesh
+        values = np.arange(self.origin_index,
+                           self.origin_index + len(self.mass), dtype=float)
+        values *= self.mesh
+        return values
 
     def total_mass(self) -> float:
         return float(self.neg_inf_mass + self.mass.sum() + self.pos_inf_mass)
@@ -79,10 +81,23 @@ class DiscretePmf:
     @cached_property
     def _steps(self) -> tuple[np.ndarray, np.ndarray]:
         """(chunk values, cdf) for :func:`pmf_cdf`; cdf[0] is the mass below
-        every chunk, so searchsorted indices map straight into it."""
-        cum = np.concatenate(([self.neg_inf_mass],
-                              self.neg_inf_mass + np.cumsum(self.mass)))
-        return self.values(), cum
+        every chunk, so searchsorted indices map straight into it.
+
+        Both are rows of one (2, n + 1) block, which on the default grid
+        (1.28 MB) is the largest array a cold optimizer call allocates.
+        glibc's malloc raises its mmap threshold to the size of the largest
+        block it has unmapped, and its heap trim threshold to twice that,
+        so once one such block is freed the heap keeps the pages of a call
+        for the next one instead of returning and faulting them in again.
+        """
+        n = len(self.mass)
+        values, cum = np.empty((2, n + 1))
+        values = values[:n]
+        values[:] = self.values()
+        cum[0] = self.neg_inf_mass
+        np.cumsum(self.mass, out=cum[1:])
+        cum[1:] += self.neg_inf_mass
+        return values, cum
 
 
 @dataclass(frozen=True)
@@ -135,9 +150,11 @@ def discretize(d: NoiseDist, m: int, B: float) -> DiscretePmf:
     checks.count(2, m=m)
     checks.positive(B=B)
     u = B / (m - 1)
-    edges = np.arange(-m + 1, m) * u  # 2m-1 edges for 2m-2 chunks
-    cdf_edges = np.asarray(noise.cdf(d, edges))
-    mass = np.maximum(np.diff(cdf_edges), 0.0)
+    cdf_edges = np.arange(-m + 1, m, dtype=float)  # 2m-1 edges for 2m-2 chunks
+    cdf_edges *= u
+    noise._cdf_into(d, cdf_edges)  # the edges, overwritten by their cdf
+    mass = np.subtract(cdf_edges[1:], cdf_edges[:-1])
+    np.maximum(mass, 0.0, out=mass)
     return DiscretePmf(mesh=u, origin_index=-m + 1, mass=mass,
                        neg_inf_mass=float(cdf_edges[0]),
                        pos_inf_mass=float(1.0 - cdf_edges[-1]))
@@ -161,8 +178,13 @@ def convolve_difference(x: DiscretePmf, y: DiscretePmf) -> DiscretePmf:
 
     n = len(x.mass) + len(r_mass) - 1
     nf = _fast_len(n)
-    z = np.fft.irfft(np.fft.rfft(x.mass, nf) * np.fft.rfft(r_mass, nf), nf)
-    z_mass = np.maximum(z[:n], 0.0)
+    spectrum = np.fft.rfft(x.mass, nf)
+    r_spectrum = np.fft.rfft(r_mass, nf)
+    spectrum *= r_spectrum
+    # the product's inverse overwrites r_spectrum, whose nf/2+1 complex
+    # entries hold the nf reals
+    z_mass = np.fft.irfft(spectrum, nf, out=r_spectrum.view(float)[:nf])[:n]
+    np.maximum(z_mass, 0.0, out=z_mass)
     x_fin = float(x.mass.sum())
     y_fin = float(r_mass.sum())
     opposing = 0.5 * (x.pos_inf_mass * r_neg + x.neg_inf_mass * r_pos)
@@ -190,10 +212,12 @@ def _fast_len(n: int) -> int:
 
 
 def pmf_cdf(pmf: DiscretePmf, t) -> float | np.ndarray:
-    """Step cdf of a discretized law: P[Z <= t] counting chunks by left edge."""
+    """Step cdf of a discretized law: P[Z <= t] counting chunks by left edge,
+    NaN at a NaN t."""
     values, cum = pmf._steps
-    idx = np.searchsorted(values, np.asarray(t, dtype=float), side="right")
-    return _as_given(cum[idx], t)
+    tarr = np.asarray(t, dtype=float)
+    idx = np.searchsorted(values, tarr, side="right")
+    return _as_given(np.where(np.isnan(tarr), np.nan, cum[idx]), t)
 
 
 def _rate_to_mean(b: float, lam: float) -> float:
@@ -307,17 +331,34 @@ def success_probability_analytical(r, q: CorrectionQuery) -> float | np.ndarray:
 
 def _difference_grid(q: CorrectionQuery) -> DiscretePmf:
     """Discretized Z = X - Y for q's query law X and threshold law Y, on the
-    mesh bounded by the largest |quantile| of either law at e and 1 - e:
-    about 1.9 MB, built once per call."""
+    mesh bounded by the largest |quantile| of either law at e and 1 - e.
+
+    Built once per call; nothing keeps it or any array below after the
+    call returns. On the default grid (m = 20001: 40,000 chunks per law,
+    79,999 difference points) a cold :func:`optimal_correction` call
+    allocates per law one edge array that becomes its cdf (320 KB, dropped
+    in :func:`discretize`) and its mass (320 KB); two spectra (640 KB
+    each), the second overwritten by the grid's mass; the step table
+    (values and cdf, one 1.28 MB block); one 640 KB array per shifted
+    read, which becomes Gamma and then log p; and at alpha = 0 one more
+    for log Gamma. numpy.fft adds its own scratch per transform.
+    """
     laws = noise.exponential(1.0 / q.lam), noise.laplace(q.b)
     B = max(abs(noise.quantile(d, p)) for d in laws for p in (q.e, 1.0 - q.e))
     return convolve_difference(*(discretize(d, q.m, B) for d in laws))
 
 
-def _log_success(q: CorrectionQuery, gamma_plus, gamma_minus) -> np.ndarray:
-    """log p = k log Gamma(r + alpha) + log1p(-Gamma(r - alpha))."""
+def _log_success(q: CorrectionQuery, gamma_plus: np.ndarray,
+                 gamma_minus: np.ndarray) -> np.ndarray:
+    """log p = k log Gamma(r + alpha) + log1p(-Gamma(r - alpha)), written
+    over gamma_minus, and over gamma_plus unless it is gamma_minus."""
     with np.errstate(divide="ignore"):
-        return q.k * np.log(gamma_plus) + np.log1p(-gamma_minus)
+        log_plus = np.log(gamma_plus,
+                          None if gamma_plus is gamma_minus else gamma_plus)
+        log_plus *= q.k
+        log_p = np.log1p(np.negative(gamma_minus, gamma_minus), gamma_minus)
+    log_p += log_plus
+    return log_p
 
 
 def _grid_cdf(pmf: DiscretePmf, shift: float) -> np.ndarray:
@@ -332,14 +373,18 @@ def _grid_cdf(pmf: DiscretePmf, shift: float) -> np.ndarray:
     lo = min(max(-d, 0), n)          # i < lo guesses j = 0
     hi = min(max(n - 1 - d, lo), n)  # i >= hi guesses j = n
     mid = t[lo:hi]
-    ok = np.concatenate((t[:lo] < values[0],
-                         (values[lo + d:hi + d] <= mid)
-                         & (mid < values[lo + d + 1:hi + d + 1]),
-                         t[hi:] >= values[-1]))
-    out = np.concatenate((np.full(lo, cum[0]), cum[lo + 1 + d:hi + 1 + d],
-                          np.full(n - hi, cum[n])))
-    bad = np.flatnonzero(~ok)
-    out[bad] = pmf_cdf(pmf, t[bad])
+    ok = np.empty(n, dtype=bool)  # the guess stands
+    np.less(t[:lo], values[0], ok[:lo])
+    np.less_equal(values[lo + d:hi + d], mid, ok[lo:hi])
+    ok[lo:hi] &= mid < values[lo + d + 1:hi + d + 1]
+    np.greater_equal(t[hi:], values[-1], ok[hi:])
+    bad = np.flatnonzero(np.logical_not(ok, ok))
+    t_bad = t[bad]
+    out = t  # the cdf is written over t
+    out[:lo] = cum[0]
+    out[lo:hi] = cum[lo + 1 + d:hi + 1 + d]
+    out[hi:] = cum[n]
+    out[bad] = pmf_cdf(pmf, t_bad)
     return out
 
 
@@ -390,5 +435,4 @@ def correction_sweep(q: CorrectionQuery, r_grid) -> list[tuple[float, float]]:
     z = _difference_grid(q)
     p = np.exp(_log_success(q, pmf_cdf(z, rarr + q.alpha),
                             pmf_cdf(z, rarr - q.alpha)))
-    p[np.isnan(rarr)] = np.nan
     return [(float(r), float(v)) for r, v in zip(rarr, p)]

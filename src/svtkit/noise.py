@@ -108,7 +108,14 @@ def pdf(d: NoiseDist, x) -> float | np.ndarray:
 
 def cdf(d: NoiseDist, x) -> float | np.ndarray:
     """P[X <= x] for ``d`` at ``x`` (scalar or array)."""
-    return _as_given(_LAWS[d.kind].cdf(_standardize(d, x)), x)
+    return _as_given(_cdf_into(d, np.array(x, dtype=float)), x)
+
+
+def _cdf_into(d: NoiseDist, x: np.ndarray) -> np.ndarray:
+    """:func:`cdf` of ``d`` at the float array ``x``, written over x."""
+    x -= d.location
+    x /= d.scale
+    return _LAWS[d.kind].cdf(x, x)
 
 
 def log_sf(d: NoiseDist, x) -> float | np.ndarray:
@@ -136,10 +143,12 @@ class _Law(NamedTuple):
     ``mean`` and ``variance`` are per unit of scale and of scale squared
     (the symmetric laws' -0.0 keeps location + mean * scale the location,
     bit for bit); ``pdf`` divides by the scale inside its own expression.
-    ``quantile`` takes p in (0, 1), a float or, as ``quantile(p, p)``, an
-    array it overwrites (:func:`from_uniform` makes exponential arrays
-    itself); no logarithm's argument reaches zero there (the Laplace
-    2(1 - p) is at least 2**-52), so no law needs clipping or errstate.
+    ``cdf(z, out)`` writes into ``out`` when given (``out`` may be z), else
+    into a new array. ``quantile`` takes p in (0, 1), a float or, as
+    ``quantile(p, p)``, an array it overwrites (:func:`from_uniform` makes
+    exponential arrays itself); no logarithm's argument reaches zero there
+    (the Laplace 2(1 - p) is at least 2**-52), so no law needs clipping or
+    errstate.
     """
 
     mean: float
@@ -148,6 +157,28 @@ class _Law(NamedTuple):
     cdf: Callable
     log_sf: Callable
     quantile: Callable
+
+
+def _into(z, out):
+    """``out``, or a new float array shaped like z (0-d for a scalar)."""
+    return np.empty_like(z, dtype=float) if out is None else out
+
+
+def _laplace_cdf(z, out=None):
+    # 0.5 exp(-|z|) is 0.5 exp(z) below 0; from 0 up the cdf is 1 minus it.
+    # The mask is taken first: out may be z.
+    upper = z >= 0
+    out = np.abs(z, _into(z, out))
+    np.exp(np.negative(out, out), out)
+    out *= 0.5
+    return np.subtract(1.0, out, out, where=upper)
+
+
+def _exponential_cdf(z, out=None):
+    # -expm1(-clip(z, 0)) is already +0.0 wherever z < 0
+    out = np.clip(z, 0, None, _into(z, out))
+    np.expm1(np.negative(out, out), out)
+    return np.negative(out, out)
 
 
 def _laplace_quantile(p, out=None):
@@ -172,11 +203,16 @@ def _gaussian(name: str) -> Callable:
     return first_call
 
 
-def _gumbel_exp(z):
+def _gumbel_exp(z, out=None):
     # exp(-z) overflows to inf below z of about -709; every Gumbel
     # expression built on it still reaches its limit there.
     with np.errstate(over="ignore"):
-        return np.exp(-z)
+        return np.exp(np.negative(z, out), out)
+
+
+def _gumbel_cdf(z, out=None):
+    out = _gumbel_exp(z, _into(z, out))
+    return np.exp(np.negative(out, out), out)
 
 
 def _gumbel_log_sf(z):
@@ -188,14 +224,13 @@ def _gumbel_log_sf(z):
 _LAWS = {
     Kind.LAPLACE: _Law(
         -0.0, 2.0, lambda z, s: np.exp(-np.abs(z)) / (2.0 * s),
-        lambda z: np.where(z < 0, 0.5 * np.exp(np.clip(z, None, 0)),
-                           1.0 - 0.5 * np.exp(-np.clip(z, 0, None))),
+        _laplace_cdf,
         lambda z: np.where(z < 0, np.log1p(-0.5 * np.exp(np.clip(z, None, 0))),
                            math.log(0.5) - z), _laplace_quantile),
     Kind.EXPONENTIAL: _Law(
         1.0, 1.0,
         lambda z, s: np.where(z < 0, 0.0, np.exp(-np.clip(z, 0, None)) / s),
-        lambda z: np.where(z < 0, 0.0, -np.expm1(-np.clip(z, 0, None))),
+        _exponential_cdf,
         lambda z: np.where(z < 0, 0.0, -np.clip(z, 0, None)),
         lambda p: -np.log1p(-p)),
     Kind.GAUSSIAN: _Law(
@@ -205,7 +240,7 @@ _LAWS = {
     Kind.GUMBEL: _Law(
         EULER_GAMMA, math.pi**2 / 6.0,
         lambda z, s: np.exp(-z - _gumbel_exp(z)) / s,
-        lambda z: np.exp(-_gumbel_exp(z)), _gumbel_log_sf,
+        _gumbel_cdf, _gumbel_log_sf,
         lambda p, out=None: np.negative(
             np.log(np.negative(np.log(p, out), out), out), out)),
 }

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import svtkit
 from svtkit import allocation, correction, noise
@@ -645,3 +645,170 @@ def test_cold_call_searches_and_exponentiates_little(grid_work, bench_queries):
         correction.optimal_correction(q)
         assert grid_work["searched"] <= (0 if q.alpha == 0 else 48), q
         assert 0 < grid_work["exp"] <= 400, q
+
+
+# --- the grid built in place, bit for bit ------------------------------------
+# Each reference is the allocating formula the module used before it wrote
+# every stage into the one array that stage owns; kept as the oracle.
+
+def reference_cdf(d, x):
+    z = (np.asarray(x, dtype=float) - d.location) / d.scale
+    with np.errstate(over="ignore"):
+        if d.kind is noise.Kind.LAPLACE:
+            return np.where(z < 0, 0.5 * np.exp(np.clip(z, None, 0)),
+                            1.0 - 0.5 * np.exp(-np.clip(z, 0, None)))
+        if d.kind is noise.Kind.EXPONENTIAL:
+            return np.where(z < 0, 0.0, -np.expm1(-np.clip(z, 0, None)))
+        if d.kind is noise.Kind.GAUSSIAN:
+            return special.ndtr(z)
+        return np.exp(-np.exp(-z))
+
+
+def reference_discretize(d, m, B):
+    u = B / (m - 1)
+    cdf_edges = reference_cdf(d, np.arange(-m + 1, m) * u)
+    return DiscretePmf(mesh=u, origin_index=-m + 1,
+                       mass=np.maximum(np.diff(cdf_edges), 0.0),
+                       neg_inf_mass=float(cdf_edges[0]),
+                       pos_inf_mass=float(1.0 - cdf_edges[-1]))
+
+
+def reference_convolved_mass(x, y):
+    r_mass = y.mass[::-1]
+    n = len(x.mass) + len(r_mass) - 1
+    nf = correction._fast_len(n)
+    z = np.fft.irfft(np.fft.rfft(x.mass, nf) * np.fft.rfft(r_mass, nf), nf)
+    return np.maximum(z[:n], 0.0)
+
+
+def reference_steps(pmf):
+    values = (pmf.origin_index + np.arange(len(pmf.mass))) * pmf.mesh
+    cum = np.concatenate(([pmf.neg_inf_mass],
+                          pmf.neg_inf_mass + np.cumsum(pmf.mass)))
+    return values, cum
+
+
+def _same_pmf(got: DiscretePmf, want: DiscretePmf) -> bool:
+    return ((got.mesh, got.origin_index) == (want.mesh, want.origin_index)
+            and np.array([got.neg_inf_mass, got.pos_inf_mass]).tobytes()
+            == np.array([want.neg_inf_mass, want.pos_inf_mass]).tobytes()
+            and got.mass.dtype == want.mass.dtype
+            and got.mass.tobytes() == want.mass.tobytes())
+
+
+GRID_LAWS = [noise.exponential(7.5), noise.laplace(3.0),
+             noise.laplace(0.4, location=1.25), noise.gaussian(2.0),
+             noise.gaussian(0.5, location=-3.0), noise.gumbel(1.5),
+             noise.exponential(0.2, location=-0.7)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 801, 20001])
+@pytest.mark.parametrize("d", GRID_LAWS,
+                         ids=lambda d: f"{d.kind.value}@{d.location}")
+def test_discretize_equals_the_allocating_formula(d, m):
+    for B in (0.01, 3.0, 60.0, 1e4):
+        assert _same_pmf(correction.discretize(d, m, B),
+                         reference_discretize(d, m, B)), B
+
+
+def _pmf(origin: int, mass, neg: float = 0.0, pos: float = 0.0,
+         mesh: float = 0.25) -> DiscretePmf:
+    return DiscretePmf(mesh=mesh, origin_index=origin,
+                       mass=np.asarray(mass, dtype=float), neg_inf_mass=neg,
+                       pos_inf_mass=pos)
+
+
+@pytest.mark.parametrize("m", [2, 8, 13, 20, 2001, 20001])
+def test_convolve_difference_equals_the_allocating_formula(m):
+    """Padded lengths odd (m = 2, 8, 20: n = 3, 27, 75) and even (m = 13,
+    2001, 20001: n = 47, 7999, 79999 padded to 48, 8000, 80000)."""
+    for b, lam in ((2.0, 0.25), (150.0, 0.002)):
+        x, y = _discretized_pair(CorrectionQuery(b=b, lam=lam, alpha=0.0,
+                                                 k=1, m=m))
+        z = correction.convolve_difference(x, y)
+        want = reference_convolved_mass(x, y)
+        assert z.mass.dtype == want.dtype
+        assert z.mass.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lengths", [(7, 4), (4, 7), (1, 6), (5, 5)])
+def test_convolve_difference_of_unequal_lengths(lengths):
+    rng = np.random.default_rng(sum(lengths))
+    x, y = (_pmf(-2, rng.random(n) / n, 0.01, 0.02) for n in lengths)
+    got = correction.convolve_difference(x, y).mass
+    want = reference_convolved_mass(x, y)
+    assert len(got) == sum(lengths) - 1 and got.tobytes() == want.tobytes()
+
+
+def _step_grids() -> list:
+    q = CorrectionQuery(b=3.0, lam=0.2, alpha=0.0, k=1, m=801)
+    return [_pmf(0, [1.0]), _pmf(-3, [0.25, 0.0, 0.5], 0.125, 0.125),
+            _pmf(5, [0.5, 0.5], -0.0), *_discretized_pair(q),
+            correction._difference_grid(q),
+            correction._difference_grid(CorrectionQuery(b=2.0, lam=0.25,
+                                                        alpha=0.0, k=1))]
+
+
+def test_steps_equal_the_allocating_formula():
+    for pmf in _step_grids():
+        values, cum = pmf._steps
+        want_values, want_cum = reference_steps(pmf)
+        assert values.tobytes() == want_values.tobytes()
+        assert cum.tobytes() == want_cum.tobytes()
+        assert pmf.values().tobytes() == want_values.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3, 801, 20001])
+def test_grid_cdf_equals_the_allocating_formula(m):
+    z = correction._difference_grid(CorrectionQuery(b=10.0, lam=0.05,
+                                                    alpha=0.0, k=1, m=m))
+    values, cum = reference_steps(z)
+    for alpha in (0.0, z.mesh, 1.0):
+        for shift in (alpha, -alpha):
+            want = cum[np.searchsorted(values, values + shift, side="right")]
+            assert correction._grid_cdf(z, shift).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 50, 2**60 + 1])
+def test_log_success_equals_the_allocating_formula(k):
+    """Into separate arrays (alpha > 0) and into one shared by both reads
+    (alpha = 0), with Gamma at 0, 1 and between."""
+    q = CorrectionQuery(b=1.0, lam=1.0, alpha=0.0, k=k)
+    gamma = np.concatenate(([0.0, 1.0, 5e-324, 1.0 - 2**-53],
+                            np.random.default_rng(k % 97).random(500)))
+    plus, minus = gamma.copy(), gamma[::-1].copy()
+    with np.errstate(divide="ignore"):
+        want = q.k * np.log(plus) + np.log1p(-minus)
+        same = q.k * np.log(gamma) + np.log1p(-gamma)
+    got = correction._log_success(q, plus.copy(), minus.copy())
+    assert got.tobytes() == want.tobytes()
+    shared = gamma.copy()
+    got = correction._log_success(q, shared, shared)
+    assert got.tobytes() == same.tobytes()
+
+
+def test_grid_results_share_no_memory():
+    """Every DiscretePmf the grid returns owns its arrays: two discretize
+    results, two convolutions (of equal and of unequal inputs), and the
+    step tables of all of them share no byte."""
+    pmfs = []
+    for q in (CorrectionQuery(b=3.0, lam=0.2, alpha=0.0, k=1, m=801),) * 2 + (
+            CorrectionQuery(b=5.0, lam=0.1, alpha=0.0, k=1, m=801),):
+        x, y = _discretized_pair(q)
+        pmfs += [x, y, correction.convolve_difference(x, y)]
+    arrays = [a for pmf in pmfs for a in (pmf.mass, *pmf._steps)]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_pmf_cdf_is_nan_at_nan():
+    z = correction._difference_grid(CorrectionQuery(b=3.0, lam=0.2, alpha=0.0,
+                                                    k=1, m=101))
+    got = correction.pmf_cdf(z, math.nan)
+    assert type(got) is float and math.isnan(got)
+    got = correction.pmf_cdf(z, np.array([0.0, np.nan, np.inf, -np.inf]))
+    values, cum = z._steps
+    assert np.isnan(got[1])
+    assert (got[0], got[2], got[3]) == (
+        cum[np.searchsorted(values, 0.0, side="right")], cum[-1], cum[0])

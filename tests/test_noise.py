@@ -2,6 +2,7 @@
 quadrature and round-trip identities, and the log-tail Lipschitz diagnostic.
 """
 
+import inspect
 import math
 import warnings
 
@@ -406,3 +407,32 @@ def test_gumbel_far_lower_tail_is_quiet():
             assert f(d, -1000.0) == 0.0
             out = f(d, xs)
             assert out[0] == 0.0 and np.isfinite(out[2])
+
+
+# --- law rows: cdf into a given array ----------------------------------------
+
+# Signed zeros, infinities, NaN, subnormals, and points past exp's range.
+OUT_Z = [0.0, -0.0, INF, -INF, NAN, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+         750.0, -750.0, 1.5, -1.5, 1e-17, -1e-17, 40.0, -40.0]
+
+
+@pytest.mark.parametrize("kind", list(noise.Kind), ids=lambda k: k.value)
+def test_law_cdf_into_out_equals_cdf(kind):
+    """Each row's cdf(z, out), into a separate array or over z itself, is
+    its out-of-place cdf(z) bit for bit, and that is the per-kind formula;
+    noise.cdf keeps its (d, x) signature."""
+    cdf = noise._LAWS[kind].cdf
+    z = np.array(OUT_Z + np.random.default_rng(5).normal(0, 30, 200).tolist())
+    d = noise.NoiseDist(kind, 1.0)
+    with np.errstate(all="ignore"):
+        want = cdf(z)
+        assert np.array_equal(bits(want), bits(reference_law(d, z)[1]))
+        out = np.full_like(z, 7.0)
+        assert cdf(z, out) is out
+        assert np.array_equal(bits(out), bits(want))
+        inplace = z.copy()
+        assert cdf(inplace, inplace) is inplace
+        assert np.array_equal(bits(inplace), bits(want))
+        for i, x in enumerate(OUT_Z):
+            assert bits(noise.cdf(d, x)) == bits(want[i]), x
+    assert list(inspect.signature(noise.cdf).parameters) == ["d", "x"]
