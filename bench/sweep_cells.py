@@ -1,32 +1,40 @@
-"""Sweep cells by variant group: median cell time and query draws per answer.
+"""Sweep cells by variant group: median and p90 cell time, query draws per answer.
 
 Runs the criterion-7 grid (zipf and binary datasets, six variants, eps 0.1,
 0.5 and 1.0, five appended traverses) and the criterion-8 grid (exp-opt at
 eps 0.5 over 1, 2, 5 and 10 traverses) through ``cli.run_sweep``, once per
 seed, and prints one JSON object. For each variant group -- baseline (lap,
 exp-none, exp-mean), gau, exp-opt and upper, and all cells together -- it
-gives the median of the cells' ``wall_time_ms`` and the query noises drawn
-per answer (draws a skip passes over are not drawn).
+gives the median and 90th percentile of the cells' ``wall_time_ms`` and the
+query noises drawn per answer (draws a skip passes over are not drawn).
 
-``--opening`` takes one or more sizes for ``svt._OPENING_CHUNK``, the first
-chunk of traverse 1; the sizes take turns within each seed, in an order
-that rotates from seed to seed, so they share the machine's state. 4096
-gives the chunk ends of a checkout without an opening chunk. Without
-``--opening`` the checkout's own value runs. Run it against another
-checkout with ``--src``. Standard library and numpy only.
+Each side of a comparison runs every seed in one process, in an order that
+rotates from seed to seed, so the sides share the machine's state; their
+rows must be equal apart from ``wall_time_ms``, or the run stops.
+``--against`` loads a second checkout's ``svtkit`` under another package
+name and compares it with this one; the report gives each group's median
+and p90 change against it. ``--opening`` instead takes one or more sizes
+for ``svt._OPENING_CHUNK``, the first chunk of traverse 1; 4096 gives the
+chunk ends of a checkout without an opening chunk. ``--src`` and
+``--against`` take a checkout's root or the directory holding its
+``svtkit``. Standard library and numpy only.
 
     python3 bench/sweep_cells.py --seeds 20
+    python3 bench/sweep_cells.py --against /path/to/other/checkout
     python3 bench/sweep_cells.py --opening 256,512,1024
-    python3 bench/sweep_cells.py --src /path/to/other/checkout/src
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import statistics
 import sys
 from pathlib import Path
+
+import numpy as np
 
 C7 = dict(variants=("exp-opt", "exp-mean", "exp-none", "lap", "gau", "upper"),
           eps_values=(0.1, 0.5, 1.0), c=50, traverses=(5,), append=True)
@@ -38,76 +46,142 @@ GRIDS = (
 )
 GROUPS = {"lap": "baseline", "exp-none": "baseline", "exp-mean": "baseline",
           "gau": "gau", "exp-opt": "exp-opt", "upper": "upper"}
+GROUP_ORDER = ("baseline", "gau", "exp-opt", "upper", "all")
+
+
+def package_dir(path: str) -> Path:
+    """The directory holding the ``svtkit`` package of a checkout."""
+    root = Path(path).resolve()
+    for candidate in (root, root / "src"):
+        if (candidate / "svtkit" / "__init__.py").is_file():
+            return candidate
+    raise SystemExit(f"no svtkit package under {root}")
+
+
+def load(src: Path, name: str):
+    """The ``cli``, ``noise`` and ``svt`` modules of the ``svtkit`` in
+    ``src``, imported as package ``name`` so two checkouts can share one
+    process (svtkit imports its own modules relatively)."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "svtkit" / "__init__.py",
+        submodule_search_locations=[str(src / "svtkit")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return [importlib.import_module(f"{name}.{m}")
+            for m in ("cli", "noise", "svt")]
+
+
+class Side:
+    """One checkout (and opening chunk) under test: its cells' times and
+    draw counts per group. Query draws are counted per cell: run_sweep
+    flushes its sink after the header and after each row, and each flush
+    opens the next cell's count."""
+
+    def __init__(self, label: str, src: Path, name: str, opening) -> None:
+        self.label, self.src = label, src
+        self.cli, noise, self.svt = load(src, name)
+        if opening is not None:
+            if not hasattr(self.svt, "_OPENING_CHUNK"):
+                raise SystemExit(f"{src} has no svt._OPENING_CHUNK to set")
+            self.svt._OPENING_CHUNK = opening
+        self.cells: dict[str, list[float]] = {}
+        self.counts: dict[str, list[int]] = {}
+        self.drawn: list[int] = []
+        from_uniform = noise.from_uniform
+
+        def counted(d, u):
+            if isinstance(u, np.ndarray):
+                self.drawn[-1] += u.size
+            return from_uniform(d, u)
+
+        noise.from_uniform = counted
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        self.drawn.append(0)
+
+    def one_pass(self, seed: int, record: bool = True) -> list[dict]:
+        all_rows = []
+        for grid in GRIDS:
+            self.drawn[:] = [0]
+            rows = self.cli.run_sweep(
+                self.cli.ExperimentConfig(seed=seed, **grid), out=self)
+            all_rows += rows
+            if not record:
+                continue
+            for row, draws in zip(rows, self.drawn[1:]):
+                for group in (GROUPS[row["variant"]], "all"):
+                    self.cells.setdefault(group, []).append(
+                        row["wall_time_ms"])
+                    total = self.counts.setdefault(group, [0, 0])
+                    total[0] += draws
+                    total[1] += row["n_a"]
+        return all_rows
+
+    def groups(self) -> dict:
+        def p90(values):
+            return statistics.quantiles(values, n=10, method="inclusive")[-1]
+
+        return {group: {
+            "cells": len(self.cells[group]),
+            "cell_ms_p50": round(statistics.median(self.cells[group]), 4),
+            "cell_ms_p90": round(p90(self.cells[group]), 4),
+            "draws_per_answer": round(self.counts[group][0]
+                                      / self.counts[group][1], 3)}
+            for group in GROUP_ORDER}
+
+
+def untimed(rows: list[dict]) -> list[dict]:
+    return [{k: v for k, v in row.items() if k != "wall_time_ms"}
+            for row in rows]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve()
                                              .parents[1] / "src"),
-                        help="directory holding the svtkit package")
+                        help="this side's checkout (default: this one)")
+    parser.add_argument("--against", default=None,
+                        help="a second checkout to compare, in one process")
     parser.add_argument("--seeds", type=int, default=20,
                         help="root seeds 0 .. N-1, one sweep pass each")
     parser.add_argument("--opening", default=None,
                         help="comma-separated sizes of traverse 1's first "
                              "chunk (default: the checkout's own)")
     args = parser.parse_args()
-    sys.path.insert(0, args.src)
-    import numpy as np
+    if args.against and args.opening:
+        parser.error("--against and --opening do not combine")
+    src = package_dir(args.src)
+    if args.against:
+        sides = [Side("src", src, "svtkit_src", None),
+                 Side("against", package_dir(args.against),
+                      "svtkit_against", None)]
+    elif args.opening:
+        sides = [Side(f"opening {size}", src, f"svtkit_opening_{size}",
+                      int(size)) for size in args.opening.split(",")]
+    else:
+        sides = [Side("src", src, "svtkit_src", None)]
 
-    from svtkit import cli, noise, svt
-
-    sizes = ([int(s) for s in args.opening.split(",")] if args.opening
-             else [getattr(svt, "_OPENING_CHUNK", None)])
-    if args.opening and not hasattr(svt, "_OPENING_CHUNK"):
-        parser.error(f"{args.src} has no svt._OPENING_CHUNK to set")
-
-    # Query draws per cell: run_sweep flushes its sink after the header and
-    # after each row, and each flush opens the next cell's count.
-    drawn: list[int] = []
-    from_uniform = noise.from_uniform
-
-    def counted(d, u):
-        if isinstance(u, np.ndarray):
-            drawn[-1] += u.size
-        return from_uniform(d, u)
-
-    class Sink:
-        def write(self, text: str) -> int:
-            return len(text)
-
-        def flush(self) -> None:
-            drawn.append(0)
-
-    noise.from_uniform = counted
-
-    def one_pass(seed: int, size, cells: dict, counts: dict) -> None:
-        if size is not None:
-            svt._OPENING_CHUNK = size
-        for grid in GRIDS:
-            drawn[:] = [0]
-            rows = cli.run_sweep(cli.ExperimentConfig(seed=seed, **grid),
-                                 out=Sink())
-            for row, draws in zip(rows, drawn[1:]):
-                for group in (GROUPS[row["variant"]], "all"):
-                    cells.setdefault(group, []).append(row["wall_time_ms"])
-                    total = counts.setdefault(group, [0, 0])
-                    total[0] += draws
-                    total[1] += row["n_a"]
-
-    results = {size: ({}, {}) for size in sizes}
-    one_pass(10**6, sizes[0], {}, {})  # warm-up: imports, caches
+    for side in sides:
+        side.one_pass(10**6, record=False)  # warm-up: imports, caches
     for seed in range(args.seeds):
-        turn = seed % len(sizes)
-        for size in sizes[turn:] + sizes[:turn]:
-            one_pass(seed, size, *results[size])
-    report = {"src": args.src, "seeds": args.seeds, "results": [
-        {"opening_chunk": size, "groups": {
-            group: {"cells": len(cells[group]),
-                    "cell_ms_p50": round(statistics.median(cells[group]), 4),
-                    "draws_per_answer": round(counts[group][0]
-                                              / counts[group][1], 3)}
-            for group in ("baseline", "gau", "exp-opt", "upper", "all")}}
-        for size, (cells, counts) in results.items()]}
+        turn = seed % len(sides)
+        rows = [side.one_pass(seed) for side in sides[turn:] + sides[:turn]]
+        if any(untimed(r) != untimed(rows[0]) for r in rows[1:]):
+            raise SystemExit(f"seed {seed}: the sides' rows differ")
+    results = [{"side": side.label, "src": str(side.src),
+                "opening_chunk": getattr(side.svt, "_OPENING_CHUNK", None),
+                "groups": side.groups()} for side in sides]
+    report = {"seeds": args.seeds, "rows_equal": True, "results": results}
+    if args.against:
+        new, base = (r["groups"] for r in results)
+        report["change_vs_against"] = {group: {
+            stat: round(new[group][stat] / base[group][stat] - 1, 4)
+            for stat in ("cell_ms_p50", "cell_ms_p90")}
+            for group in GROUP_ORDER}
     print(json.dumps(report, indent=2))
     return 0
 

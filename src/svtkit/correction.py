@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -329,6 +329,18 @@ def success_probability_analytical(r, q: CorrectionQuery) -> float | np.ndarray:
     return _as_given(out, r)
 
 
+# glibc's malloc serves a block above its mmap threshold (128 KB at start)
+# from freshly mapped pages and unmaps them on free, and returns free heap
+# top beyond a trim threshold to the system. Freeing a mapped block of up to
+# 32 MB raises the mmap threshold to its size and the trim threshold to
+# twice that. So one 4 MB block, made and freed before the first grid, keeps
+# every grid's arrays (640 KB to 1.28 MB each) on heap pages that the grid
+# before freed, not on pages faulted in anew. Elsewhere it is one spare block.
+@cache
+def _raise_mmap_threshold() -> None:
+    np.empty(1 << 19)
+
+
 def _difference_grid(q: CorrectionQuery) -> DiscretePmf:
     """Discretized Z = X - Y for q's query law X and threshold law Y, on the
     mesh bounded by the largest |quantile| of either law at e and 1 - e.
@@ -343,6 +355,7 @@ def _difference_grid(q: CorrectionQuery) -> DiscretePmf:
     read, which becomes Gamma and then log p; and at alpha = 0 one more
     for log Gamma. numpy.fft adds its own scratch per transform.
     """
+    _raise_mmap_threshold()
     laws = noise.exponential(1.0 / q.lam), noise.laplace(q.b)
     B = max(abs(noise.quantile(d, p)) for d in laws for p in (q.e, 1.0 - q.e))
     return convolve_difference(*(discretize(d, q.m, B) for d in laws))

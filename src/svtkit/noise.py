@@ -274,12 +274,14 @@ def sample(d: NoiseDist, rng: np.random.Generator,
 
     Args:
         d: the law to sample.
-        rng: a seeded numpy Generator.
+        rng: a seeded ``numpy.random.Generator`` (``ValueError`` otherwise).
         size: None for one scalar draw, else the number of draws.
 
     Returns:
         A float when ``size`` is None, otherwise an array of length ``size``.
     """
+    if not isinstance(rng, np.random.Generator):
+        checks.instance(np.random.Generator, rng=rng)
     return from_uniform(d, rng.random(size))
 
 

@@ -306,25 +306,15 @@ def config_laws(cfg: SvtConfig) -> tuple[NoiseDist, NoiseDist, float]:
     return noise_pair(cfg) + (correction_term(cfg),)
 
 
-def _check_override(noise_override: Callable) -> None:
-    try:
-        inspect.signature(noise_override).bind("threshold", -1, 0)
-    except TypeError:
-        raise ValueError("noise_override must be callable as "
-                         "(role, query_id, traverse)") from None
-
-
 # The first chunk of a traverse; later chunk ends double, so a run that
-# halts early draws at most max(this, 2 n_a) query noises, not the whole
-# traverse's. Traverse 1 opens with a smaller chunk, ending its next one at
-# this, as most early halts come within it; a later traverse exists only
-# after the whole stream was evaluated, so it keeps this first chunk.
+# halts early draws at most max(this, 2 n_a) query noises. Most early halts
+# come within traverse 1's smaller opening chunk; a later traverse exists
+# only after the whole stream was evaluated, so it keeps this first chunk.
 _FIRST_CHUNK = 4096
 _OPENING_CHUNK = 512
 
 # One-traverse outcomes of up to _FIRST_CHUNK answers share slices of this.
-_ONES = np.ones(_FIRST_CHUNK, dtype=np.int64)
-_ONES.flags.writeable = False
+_ONES = sealed(np.ones(_FIRST_CHUNK, dtype=np.int64))
 
 # Bit generators whose ``advance(k)`` lands where k more float64 draws
 # would: each such draw takes one 64-bit output. Philox's advance counts
@@ -342,6 +332,19 @@ def _skip_draws(rng: np.random.Generator, k: int) -> None:
                   "uinteger": before["uinteger"]}
 
 
+def _excess(noise: np.ndarray, rows: np.ndarray, scores: np.ndarray,
+            thresholds: np.ndarray, r: float) -> np.ndarray:
+    """``noise`` plus the rows' scores less their thresholds and a non-zero r,
+    in place (``x - 0.0`` differs from x only in a zero's sign)."""
+    gap = scores[rows]
+    gap -= (thresholds[:rows.size] if thresholds.strides == (0,)
+            else thresholds[rows])
+    noise += gap
+    if r:
+        noise -= r
+    return noise
+
+
 def _cut(flags: np.ndarray, room: int) -> tuple[np.ndarray, int]:
     """``flags`` up to its ``room``-th positive, and the positives kept."""
     flag_pos = flags.nonzero()[0]
@@ -352,14 +355,22 @@ def _cut(flags: np.ndarray, room: int) -> tuple[np.ndarray, int]:
 
 def _outcome(ids: np.ndarray, evaluated: list, flagged: list,
              halt: HaltReason, r: float) -> SvtOutcome:
-    """One outcome from each traverse's evaluated rows and sealed flags."""
-    one = len(evaluated) == 1
-    rows = evaluated[0] if one else np.concatenate(evaluated)
-    flags = flagged[0] if one else sealed(np.concatenate(flagged))
-    traverses = (_ONES[:flags.size] if one and flags.size <= _FIRST_CHUNK
-                 else sealed(np.repeat(np.arange(1, len(evaluated) + 1),
-                                       [b.size for b in evaluated])))
-    return SvtOutcome.trusted(answer_ids=sealed(ids[rows]), flags=flags,
+    """One outcome from each traverse's evaluated rows and sealed flags, its
+    ids taken and traverse numbers filled per traverse (every row was read
+    before, so ``take`` skips the bounds check and its buffered copy)."""
+    flags = flagged[0] if len(flagged) == 1 else sealed(np.concatenate(flagged))
+    if len(evaluated) == 1 and flags.size <= _FIRST_CHUNK:
+        answer_ids, traverses = ids[evaluated[0]], _ONES[:flags.size]
+    else:
+        traverses = np.empty(flags.size, dtype=np.int64)
+        answer_ids = np.empty_like(traverses)
+        end = 0
+        for traverse, rows in enumerate(evaluated, 1):
+            start, end = end, end + rows.size
+            ids.take(rows, out=answer_ids[start:end], mode="clip")
+            traverses[start:end] = traverse
+        traverses = sealed(traverses)
+    return SvtOutcome.trusted(answer_ids=sealed(answer_ids), flags=flags,
                               traverses=traverses, halt_reason=halt,
                               correction_used=r)
 
@@ -368,24 +379,28 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
             noise_override: Optional[Callable] = None) -> SvtOutcome:
     """Run one mechanism invocation over a query stream.
 
-    Each step of the outer loop is one traverse: the whole queue on the
-    first, the negatives re-appended by the previous one after that, cut
-    short by k_max, for at most ``max_traverses`` traverses (one without
-    ``append``). The inner loop evaluates the traverse in chunks, each as
-    a vector, and stops early at the c-th positive. A chunk is the whole
-    traverse, except on a PCG64 generator without ``resample`` or
-    ``noise_override``: there chunk ends start at ``_FIRST_CHUNK`` and
-    double, traverse 1 opens with an ``_OPENING_CHUNK`` before them (a
-    later traverse exists only after the whole stream was evaluated), and
-    at the halt the query draws left unmade are skipped once, with
-    ``advance``, so outcome and generator state are the same. ``rng``
-    must be a ``numpy.random.Generator`` (``ValueError`` otherwise). Without
-    either, one traverse of at most ``_FIRST_CHUNK`` and k_max queries takes
-    one block of draws and skips both loops, bit for bit. Draw order is fixed
-    for reproducibility: one threshold draw up front, then query noise for
-    each traverse in evaluation order; under ``resample``, threshold
-    redraws happen per positive after the traverse's query draws. A
-    ``noise_override`` replaces both noise sources with a deterministic
+    The outer loop steps over traverses: the whole queue, then the
+    negatives the previous traverse re-appended, cut short by k_max, at
+    most ``max_traverses`` of them (one without ``append``). The inner loop
+    steps over a traverse's chunks and stops at the c-th positive. A chunk
+    step pays for its draws and its score gather: the query noise from
+    ``noise.sample`` takes the gaps and a non-zero r in place, a stream's
+    one shared threshold (a stride-0 column) is read as a slice, and the
+    positives are counted before the c-th is looked for. A chunk is the
+    whole traverse, except on a PCG64 generator without ``resample`` (its
+    redraws follow the chunk's query draws) or ``noise_override`` (nothing
+    to skip): there chunk ends start at ``_FIRST_CHUNK`` and double,
+    traverse 1 opens with an ``_OPENING_CHUNK``, and the query draws a halt
+    leaves unmade are skipped once, with ``advance``, so outcome and
+    generator state are the same. Without either, one traverse of at most
+    ``_FIRST_CHUNK`` and k_max queries skips both loops and draws rho with
+    its query noise as one block, bit for bit: through the loop, a
+    51-query call costs about 20 % more. ``rng`` must be a
+    ``numpy.random.Generator`` (``ValueError`` otherwise). Draw order is
+    fixed for reproducibility: one threshold draw up front, then query
+    noise for each traverse in evaluation order; under ``resample``,
+    threshold redraws happen per positive after the chunk's query draws.
+    A ``noise_override`` replaces both noise sources with a deterministic
     callable ``(role, query_id, traverse) -> float`` where role is
     "threshold" (query_id -1, traverse = redraw index) or "query"; a value
     that is not finite raises ``ValueError`` naming the call.
@@ -399,7 +414,11 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     if batch.size == 0:
         raise ValueError("empty query stream")
     if noise_override is not None:
-        _check_override(noise_override)
+        try:
+            inspect.signature(noise_override).bind("threshold", -1, 0)
+        except TypeError:
+            raise ValueError("noise_override must be callable as "
+                             "(role, query_id, traverse)") from None
 
     thr_dist, qry_dist, r = config_laws(cfg)
     if cfg.correction_override is not None:
@@ -412,21 +431,13 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     if plain and last == 1 and _FIRST_CHUNK >= batch.size <= cfg.k_max:
         u = rng.random(1 + batch.size)
         rho = noise_mod.from_uniform(thr_dist, u.item(0))
-        base = noise_mod.from_uniform(qry_dist, u[1:])
-        base += scores[batch] - thresholds[batch]
-        if r:  # x - 0.0 differs from x only in a zero's sign, which >= ignores
-            base -= r
+        base = _excess(noise_mod.from_uniform(qry_dist, u[1:]), batch,
+                       scores, thresholds, r)
         flags, n_c = _cut(sealed(base >= rho), cfg.c)
         halt = (HaltReason.POSITIVE_BUDGET if n_c == cfg.c
                 else HaltReason.EXHAUSTED)
         return _outcome(ids, [batch[:flags.size]], [flags], halt, r)
 
-    # Chunks of a traverse end at first, 2 first, 4 first, ..., so a
-    # traverse of at most first queries is one chunk. Only a generator with
-    # an exact skip gets _FIRST_CHUNK, and traverse 1 on it opens with
-    # _OPENING_CHUNK: under resample the threshold redraws follow the
-    # traverse's query draws, and an override draws nothing to skip.
-    # Elsewhere first is k_max, which bounds every traverse.
     skippable = plain and type(rng.bit_generator) in _SKIPPABLE
     first = _FIRST_CHUNK if skippable else cfg.k_max
     if noise_override is None:
@@ -464,9 +475,8 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
                           and not drawn else max(2 * drawn, first)]
             drawn += chunk.size
             # Draw first: the sampler frees its temporaries before the gather.
-            base = draw_query(chunk, traverse) + (scores[chunk]
-                                                  - thresholds[chunk]) - r
-
+            base = _excess(draw_query(chunk, traverse), chunk, scores,
+                           thresholds, r)
             if cfg.resample:
                 flags = np.zeros(chunk.size, dtype=bool)
                 i = 0
@@ -480,11 +490,11 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
                     i = hit + 1
             else:
                 flags = base >= rho
-
-            flags, positives = _cut(sealed(flags), cfg.c - n_c)
-            n_c += positives
-            if n_c == cfg.c:
+            flags, positives = sealed(flags), np.count_nonzero(flags)
+            if positives >= cfg.c - n_c:
+                flags, positives = _cut(flags, cfg.c - n_c)
                 halt = HaltReason.POSITIVE_BUDGET
+            n_c += positives
             parts.append(flags)
             if drawn == batch.size or halt is HaltReason.POSITIVE_BUDGET:
                 break

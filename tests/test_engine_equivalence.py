@@ -241,12 +241,19 @@ def test_generator_end_state_matches_reference(variant, c, resample,
 FIRST = svt._FIRST_CHUNK
 
 
-def long_stream(n: int, hits=()) -> QueryStream:
+def long_stream(n: int, hits=(), varied: bool = False) -> QueryStream:
     """n queries 1000 below their threshold, except those at positions
-    ``hits``, 1000 above: far beyond every noise these configs draw."""
+    ``hits``, 1000 above: far beyond every noise these configs draw. The
+    stream shares the threshold 0.0 (a stride-0 column, which the engine
+    reads as a slice) or, ``varied``, gives each query its own, cycling
+    through -3000.0 .. 3000.0 (a column the engine gathers), so that a
+    threshold read from another row would move that query's answer."""
+    thresholds = 1000.0 * (np.arange(n) % 7 - 3) if varied else 0.0
     scores = np.full(n, -1000.0)
     scores[list(hits)] = 1000.0
-    return QueryStream(range(1, n + 1), scores, 0.0)
+    queries = QueryStream(range(1, n + 1), scores + thresholds, thresholds)
+    assert (queries.columns[2].strides == (0,)) is not varied
+    return queries
 
 
 def assert_same_end_state(queries, cfg, bit_generator=np.random.PCG64,
@@ -268,9 +275,7 @@ def assert_same_end_state(queries, cfg, bit_generator=np.random.PCG64,
 
 
 LONG = dict(variant=Variant.LAP, c=3, k_max=10**6)
-
-
-@pytest.mark.parametrize("n, hits, kw, halt, n_a", [
+LONG_CASES = [
     # a halt in the first chunk
     (10**4, (5, 70, 900), {}, HaltReason.POSITIVE_BUDGET, 901),
     # a halt in the fourth chunk, [2 FIRST, 4 FIRST)
@@ -293,13 +298,45 @@ LONG = dict(variant=Variant.LAP, c=3, k_max=10**6)
     # k_max == n: traverse 2 starts empty with a query-budget cut
     (10**4, (5, 9000), dict(c=5, append=True, max_traverses=3, k_max=10**4),
      HaltReason.QUERY_BUDGET, 10**4),
-])
+]
+
+
+@pytest.mark.parametrize("n, hits, kw, halt, n_a", LONG_CASES)
 @pytest.mark.parametrize("variant", [Variant.LAP, Variant.EXP_MEAN_CORR])
 def test_long_stream_matches_reference(n, hits, kw, halt, n_a, variant):
     assert n > FIRST
     out = assert_same_end_state(long_stream(n, hits),
                                 config(**{**LONG, "variant": variant, **kw}))
     assert (out.halt_reason, out.n_a) == (halt, n_a)
+
+
+@pytest.mark.parametrize("n, hits, kw, halt, n_a", LONG_CASES)
+@pytest.mark.parametrize("variant", [Variant.LAP, Variant.EXP_MEAN_CORR])
+def test_long_stream_with_per_query_thresholds_matches_reference(
+        n, hits, kw, halt, n_a, variant):
+    """The long-stream cases on a threshold column whose values differ, so
+    each chunk gathers its thresholds, through every chunk and traverse."""
+    out = assert_same_end_state(long_stream(n, hits, varied=True),
+                                config(**{**LONG, "variant": variant, **kw}))
+    assert (out.halt_reason, out.n_a) == (halt, n_a)
+
+
+def test_chunk_schedule_of_a_fourth_chunk_halt(monkeypatch):
+    """Traverse 1 of 2 * 10**4 queries on a PCG64 generator draws its query
+    noise in chunks of 512, 3,584, 4,096 and 8,192 (ends at 512, FIRST,
+    2 FIRST, 4 FIRST) and halts in the fourth, after one threshold draw."""
+    sizes = []
+    sample = noise_mod.sample
+
+    def recorded(d, rng, size=None):
+        sizes.append(size)
+        return sample(d, rng, size)
+
+    monkeypatch.setattr(noise_mod, "sample", recorded)
+    out = run_svt(long_stream(2 * 10**4, (5, 9000, 15000)), config(**LONG),
+                  np.random.default_rng(11))
+    assert sizes == [None, 512, 3584, 4096, 8192]
+    assert (out.halt_reason, out.n_a) == (HaltReason.POSITIVE_BUDGET, 15001)
 
 
 @pytest.mark.parametrize("bit_generator", [
@@ -332,17 +369,14 @@ BOUNDARY = [(n, hits, k_max) for n in (FIRST - 1, FIRST, FIRST + 1)
             for hits in ((5, n - 3), (5,)) for k_max in (n - 1, n)]
 
 
-@pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
-                         ids=lambda g: g.__name__)
-@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-def test_straight_path_boundary_matches_reference(variant, bit_generator):
+def assert_boundary_points(variant, bit_generator, varied=False):
     """Each (generator, variant) pair runs two of the twelve boundary
     points, rotated so that every generator meets all twelve."""
     shift = BIT_GENERATORS.index(bit_generator) + list(Variant).index(variant)
     for n, hits, k_max in BOUNDARY[shift % 6::6]:
         out = assert_same_end_state(
-            long_stream(n, hits), config(variant=variant, c=2, k_max=k_max),
-            bit_generator)
+            long_stream(n, hits, varied),
+            config(variant=variant, c=2, k_max=k_max), bit_generator)
         if len(hits) == 2:
             expected = (HaltReason.POSITIVE_BUDGET, n - 2)
         elif k_max < n:
@@ -350,6 +384,21 @@ def test_straight_path_boundary_matches_reference(variant, bit_generator):
         else:
             expected = (HaltReason.EXHAUSTED, n)
         assert (out.halt_reason, out.n_a) == expected
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                         ids=lambda g: g.__name__)
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_straight_path_boundary_matches_reference(variant, bit_generator):
+    assert_boundary_points(variant, bit_generator)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                         ids=lambda g: g.__name__)
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_straight_path_boundary_with_per_query_thresholds_matches_reference(
+        variant, bit_generator):
+    assert_boundary_points(variant, bit_generator, varied=True)
 
 
 def test_shuffled_dataset_stream_matches_reference():

@@ -500,6 +500,14 @@ PROBES = {
         lambda: data.shuffle_and_stream(data.gen_zipf(10), None),
     "shuffle_and_stream(rng=0)":
         lambda: data.shuffle_and_stream(data.gen_zipf(10), 0),
+    # noise.sample raised AttributeError on a random source without
+    # ``random``, and drew from a legacy RandomState.
+    "noise.sample(rng=None)":
+        lambda: noise.sample(noise.laplace(1.0), None, size=3),
+    "noise.sample(rng=None), one draw":
+        lambda: noise.sample(noise.laplace(1.0), None),
+    "noise.sample(rng=RandomState)": lambda: noise.sample(
+        noise.exponential(1.0), np.random.RandomState(0), size=3),
 }
 
 

@@ -204,10 +204,12 @@ def reference_quantile(d, p):
     return d.location + d.scale * out
 
 
-class FixedUniform:
-    """Stands in for a Generator whose uniform stream is ``values``."""
+class FixedUniform(np.random.Generator):
+    """A Generator whose uniform stream is ``values`` (``noise.sample``
+    takes only a Generator); its bit generator is never read."""
 
     def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
         self.values = list(values)
 
     def random(self, size=None):
