@@ -1,56 +1,155 @@
-"""Cold correction calls: page faults, CPU time and peak memory per call.
+"""Cold correction calls: time, page faults and memory per call.
 
 Runs ``correction.optimal_correction`` on the 320 queries of perfbench's
 correction-cold workload at one seed (batches 0-19, 16 queries each), with
 the memo cleared before every call so each one builds its grid, after one
-unmeasured warm-up call. Prints the minor page faults (``ru_minflt``) and
-the user and system CPU milliseconds per call, and the process's maximum
-resident set size. The queries come from ``perfbench/workloads.py``, so
-they follow that workload's distribution. Standard library and numpy only.
+unmeasured warm-up call. Prints the median milliseconds per call and its
+split into discretize (both laws), transforms (``convolve_difference``)
+and read (the rest: the grid bound, the shifted reads of Gamma, log p and
+the argmax), each a median over the calls, and the minor page faults
+(``ru_minflt``) per call. One checkout alone also gets the user and system
+CPU milliseconds per call and the process's maximum resident set size.
+
+``--against`` loads a second checkout's ``svtkit`` under another package
+name and runs it in the same process, query by query in alternating
+order, so both sides share the machine's state; every ``(r, p)`` must be
+equal bit for bit, or the run stops. ``--rounds`` repeats the 320 queries.
+``--src`` and ``--against`` take a checkout's root or the directory
+holding its ``svtkit``. The queries come from ``perfbench/workloads.py``,
+so they follow that workload's distribution. Standard library and numpy
+only.
 
     python3 bench/cold_correction.py
-    python3 bench/cold_correction.py --src /path/to/other/checkout/src
+    python3 bench/cold_correction.py --against /path/to/other/checkout
 """
 
 from __future__ import annotations
 
 import argparse
 import resource
+import statistics
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
+
+from sweep_cells import load, package_dir
 
 ROOT = Path(__file__).resolve().parents[1]
 BATCHES = 20
 
 
+class Side:
+    """One checkout's ``svtkit.correction``, imported as package ``name``
+    so two checkouts can share one process, with its ``discretize`` and
+    ``convolve_difference`` timed per call."""
+
+    def __init__(self, label: str, src: Path, name: str) -> None:
+        self.label, self.src = label, src
+        self.correction, = load(src, name, "correction")
+        self.spent = {"discretize": 0.0, "transforms": 0.0}
+        self.rows: list[tuple[float, float, float, float, int]] = []
+        for stage, fname in (("discretize", "discretize"),
+                             ("transforms", "convolve_difference")):
+            setattr(self.correction, fname,
+                    self._timed(stage, getattr(self.correction, fname)))
+
+    def _timed(self, stage: str, fn):
+        def timed(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                self.spent[stage] += time.perf_counter() - t0
+        return timed
+
+    def query(self, q):
+        """q rebuilt from this side's ``CorrectionQuery``."""
+        return self.correction.CorrectionQuery(b=q.b, lam=q.lam,
+                                               alpha=q.alpha, k=q.k,
+                                               m=q.m, e=q.e)
+
+    def cold_call(self, q, record: bool = True) -> tuple[float, float]:
+        self.correction.optimal_correction.cache_clear()
+        self.spent.update(discretize=0.0, transforms=0.0)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        got = self.correction.optimal_correction(q)
+        total = time.perf_counter() - t0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        if record:
+            grid = self.spent["discretize"] + self.spent["transforms"]
+            self.rows.append((total, self.spent["discretize"],
+                              self.spent["transforms"], total - grid, faults))
+        return got
+
+    def report(self) -> dict:
+        columns = list(zip(*self.rows))
+        out = {name: 1e3 * statistics.median(col) for name, col in
+               zip(("call", "discretize", "transforms", "read"), columns)}
+        out["faults"] = sum(columns[4]) / len(self.rows)
+        return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="directory holding the svtkit package")
+                        help="this side's checkout (default: this one)")
+    parser.add_argument("--against", default=None,
+                        help="a second checkout to compare, in one process")
     parser.add_argument("--seed", type=int, default=0,
                         help="perfbench seed of the queries")
+    parser.add_argument("--rounds", type=int, default=1,
+                        help="passes over the queries")
     args = parser.parse_args()
-    sys.path[:0] = [args.src, str(ROOT / "perfbench")]
-    from svtkit import correction
+    src = package_dir(args.src)
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from workloads import correction_queries
 
+    sides = [Side("src", src, "svtkit_src")]
+    if args.against:
+        sides.append(Side("against", package_dir(args.against),
+                          "svtkit_against"))
     queries = [q for j in range(BATCHES)
                for q in correction_queries(args.seed, j)]
-    correction.optimal_correction(queries[0])  # warm-up
+    per_side = [[side.query(q) for q in queries] for side in sides]
+    for side, qs in zip(sides, per_side):
+        side.cold_call(qs[0], record=False)  # warm-up
+    order = list(zip(sides, per_side))
     before = resource.getrusage(resource.RUSAGE_SELF)
-    for q in queries:
-        correction.optimal_correction.cache_clear()
-        correction.optimal_correction(q)
+    for r in range(args.rounds):
+        for i in range(len(queries)):
+            turn = (r + i) % len(sides)
+            got = [side.cold_call(qs[i])
+                   for side, qs in order[turn:] + order[:turn]]
+            if any(np.array(g).tobytes() != np.array(got[0]).tobytes()
+                   for g in got[1:]):
+                raise SystemExit(f"query {i}: the sides' (r, p) differ: "
+                                 f"{got}")
     after = resource.getrusage(resource.RUSAGE_SELF)
-    n = len(queries)
-    faults = (after.ru_minflt - before.ru_minflt) / n
-    user_ms = 1e3 * (after.ru_utime - before.ru_utime) / n
-    sys_ms = 1e3 * (after.ru_stime - before.ru_stime) / n
-    print(f"svtkit from {args.src}, {n} cold calls at seed {args.seed}")
-    print(f"minor faults per call  {faults:.0f}")
-    print(f"user ms per call       {user_ms:.2f}")
-    print(f"sys ms per call        {sys_ms:.2f}")
-    print(f"max RSS                {after.ru_maxrss / 1024:.1f} MB")
+
+    n = args.rounds * len(queries)
+    print(f"{n} cold calls per side at seed {args.seed}"
+          + (", (r, p) equal on every call" if args.against else ""))
+    print(f"{'side':8} {'ms/call':>8} {'discretize':>11} {'transforms':>11}"
+          f" {'read':>7} {'faults':>7}   src")
+    reports = [side.report() for side in sides]
+    for side, rep in zip(sides, reports):
+        print(f"{side.label:8} {rep['call']:8.3f} {rep['discretize']:11.3f}"
+              f" {rep['transforms']:11.3f} {rep['read']:7.3f}"
+              f" {rep['faults']:7.2f}   {side.src}")
+    if args.against:
+        new, base = reports
+        print("change   " + "  ".join(
+            f"{name} {new[name] / base[name] - 1:+.1%}"
+            for name in ("call", "discretize", "transforms", "read")))
+    else:
+        print(f"user ms per call       "
+              f"{1e3 * (after.ru_utime - before.ru_utime) / n:.2f}")
+        print(f"sys ms per call        "
+              f"{1e3 * (after.ru_stime - before.ru_stime) / n:.2f}")
+        print(f"max RSS                {after.ru_maxrss / 1024:.1f} MB")
     return 0
 
 

@@ -58,18 +58,17 @@ def package_dir(path: str) -> Path:
     raise SystemExit(f"no svtkit package under {root}")
 
 
-def load(src: Path, name: str):
-    """The ``cli``, ``noise`` and ``svt`` modules of the ``svtkit`` in
-    ``src``, imported as package ``name`` so two checkouts can share one
-    process (svtkit imports its own modules relatively)."""
+def load(src: Path, name: str, *modules: str) -> list:
+    """The named modules of the ``svtkit`` in ``src``, imported as package
+    ``name`` so two checkouts can share one process (svtkit imports its
+    own modules relatively)."""
     spec = importlib.util.spec_from_file_location(
         name, src / "svtkit" / "__init__.py",
         submodule_search_locations=[str(src / "svtkit")])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return [importlib.import_module(f"{name}.{m}")
-            for m in ("cli", "noise", "svt")]
+    return [importlib.import_module(f"{name}.{m}") for m in modules]
 
 
 class Side:
@@ -80,7 +79,7 @@ class Side:
 
     def __init__(self, label: str, src: Path, name: str, opening) -> None:
         self.label, self.src = label, src
-        self.cli, noise, self.svt = load(src, name)
+        self.cli, noise, self.svt = load(src, name, "cli", "noise", "svt")
         if opening is not None:
             if not hasattr(self.svt, "_OPENING_CHUNK"):
                 raise SystemExit(f"{src} has no svt._OPENING_CHUNK to set")

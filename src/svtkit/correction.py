@@ -16,8 +16,9 @@ for.
 
 At the grid's own values r, r +- alpha is the grid moved by about
 alpha/mesh chunks, so the optimizer guesses each step-cdf index from that
-shift, checks it exactly and binary-searches only the failures; it
-exponentiates log p only near its maximum. Both keep every result bit.
+shift and binary-searches only the guesses that fail. It reads log p only
+in a window that holds its maximum (checked; else the whole grid), and
+exponentiates it only near that maximum. Each keeps every result bit.
 
 The closed-form Gamma of the same difference is kept as an independent
 oracle: the tests and the benchmark check the grid against it.
@@ -79,25 +80,20 @@ class DiscretePmf:
         return float(self.neg_inf_mass + self.mass.sum() + self.pos_inf_mass)
 
     @cached_property
-    def _steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(chunk values, cdf) for :func:`pmf_cdf`; cdf[0] is the mass below
-        every chunk, so searchsorted indices map straight into it.
-
-        Both are rows of one (2, n + 1) block, which on the default grid
-        (1.28 MB) is the largest array a cold optimizer call allocates.
-        glibc's malloc raises its mmap threshold to the size of the largest
-        block it has unmapped, and its heap trim threshold to twice that,
-        so once one such block is freed the heap keeps the pages of a call
-        for the next one instead of returning and faulting them in again.
-        """
-        n = len(self.mass)
-        values, cum = np.empty((2, n + 1))
-        values = values[:n]
-        values[:] = self.values()
+    def _cum(self) -> np.ndarray:
+        """Running cdf: cum[0] is the mass below every chunk, cum[i + 1]
+        the step cdf at chunk i's value."""
+        cum = np.empty(len(self.mass) + 1)
         cum[0] = self.neg_inf_mass
         np.cumsum(self.mass, out=cum[1:])
         cum[1:] += self.neg_inf_mass
-        return values, cum
+        return cum
+
+    @cached_property
+    def _steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(chunk values, :attr:`_cum`) for :func:`pmf_cdf`, whose
+        searchsorted indices map straight into the cdf."""
+        return self.values(), self._cum
 
 
 @dataclass(frozen=True)
@@ -127,6 +123,10 @@ class CorrectionQuery:
         checks.count(1, k=self.k)
         checks.count(2, m=self.m)
         checks.within(2.0 ** -54, 0.5, e=self.e)
+        e_up = 1.0 - (1.0 - self.e)  # the upper tail at 1 - e, as rounded
+        if max(self.b * -math.log(2.0 * min(self.e, e_up)),  # the grid's
+               -math.log(e_up) / self.lam) == math.inf:     # bound
+            raise ValueError(f"b, lam and e overflow the grid bound: {self}")
 
     @classmethod
     def from_budget(cls, eps1: float, eps2: float, c: int, delta: float,
@@ -152,7 +152,10 @@ def discretize(d: NoiseDist, m: int, B: float) -> DiscretePmf:
     u = B / (m - 1)
     cdf_edges = np.arange(-m + 1, m, dtype=float)  # 2m-1 edges for 2m-2 chunks
     cdf_edges *= u
-    noise._cdf_into(d, cdf_edges)  # the edges, overwritten by their cdf
+    zeros = (int(np.searchsorted(cdf_edges, d.location))  # the edges below
+             if d.kind is noise.Kind.EXPONENTIAL else 0)  # where cdf is +0.0
+    cdf_edges[:zeros] = 0.0
+    noise._cdf_into(d, cdf_edges[zeros:])  # the rest, overwritten by cdf
     mass = np.subtract(cdf_edges[1:], cdf_edges[:-1])
     np.maximum(mass, 0.0, out=mass)
     return DiscretePmf(mesh=u, origin_index=-m + 1, mass=mass,
@@ -334,7 +337,7 @@ def success_probability_analytical(r, q: CorrectionQuery) -> float | np.ndarray:
 # top beyond a trim threshold to the system. Freeing a mapped block of up to
 # 32 MB raises the mmap threshold to its size and the trim threshold to
 # twice that. So one 4 MB block, made and freed before the first grid, keeps
-# every grid's arrays (640 KB to 1.28 MB each) on heap pages that the grid
+# every grid's arrays (up to 640 KB each) on heap pages that the grid
 # before freed, not on pages faulted in anew. Elsewhere it is one spare block.
 @cache
 def _raise_mmap_threshold() -> None:
@@ -344,17 +347,12 @@ def _raise_mmap_threshold() -> None:
 def _difference_grid(q: CorrectionQuery) -> DiscretePmf:
     """Discretized Z = X - Y for q's query law X and threshold law Y, on the
     mesh bounded by the largest |quantile| of either law at e and 1 - e.
-
-    Built once per call; nothing keeps it or any array below after the
-    call returns. On the default grid (m = 20001: 40,000 chunks per law,
-    79,999 difference points) a cold :func:`optimal_correction` call
-    allocates per law one edge array that becomes its cdf (320 KB, dropped
-    in :func:`discretize`) and its mass (320 KB); two spectra (640 KB
-    each), the second overwritten by the grid's mass; the step table
-    (values and cdf, one 1.28 MB block); one 640 KB array per shifted
-    read, which becomes Gamma and then log p; and at alpha = 0 one more
-    for log Gamma. numpy.fft adds its own scratch per transform.
-    """
+    Nothing keeps it or its arrays after the call. A cold
+    :func:`optimal_correction` call on the default grid (m = 20001) makes
+    per law an edge array that becomes its cdf, then its mass (320 KB
+    each); two 640 KB spectra, the second overwritten by Z's mass; Z's
+    running cdf (640 KB); and a few arrays of the window's size per read
+    (640 KB if the whole grid is read). numpy.fft adds its own scratch."""
     _raise_mmap_threshold()
     laws = noise.exponential(1.0 / q.lam), noise.laplace(q.b)
     B = max(abs(noise.quantile(d, p)) for d in laws for p in (q.e, 1.0 - q.e))
@@ -374,31 +372,48 @@ def _log_success(q: CorrectionQuery, gamma_plus: np.ndarray,
     return log_p
 
 
-def _grid_cdf(pmf: DiscretePmf, shift: float) -> np.ndarray:
-    """``pmf_cdf(pmf, values + shift)`` at the grid's own values, bit for
-    bit. Element i guesses index j = i + 1 + floor(shift / mesh), clipped
-    to [0, n]; a guess stands where values[j-1] <= t < values[j] (open at
-    j = 0 and j = n), and the rest (rounding ties) go through pmf_cdf."""
-    values, cum = pmf._steps
-    n = len(values)
-    t = values + shift
-    d = int(min(max(shift // pmf.mesh, -n - 1), n))
-    lo = min(max(-d, 0), n)          # i < lo guesses j = 0
-    hi = min(max(n - 1 - d, lo), n)  # i >= hi guesses j = n
-    mid = t[lo:hi]
-    ok = np.empty(n, dtype=bool)  # the guess stands
-    np.less(t[:lo], values[0], ok[:lo])
-    np.less_equal(values[lo + d:hi + d], mid, ok[lo:hi])
-    ok[lo:hi] &= mid < values[lo + d + 1:hi + d + 1]
-    np.greater_equal(t[hi:], values[-1], ok[hi:])
+def _grid_cdf(pmf: DiscretePmf, shift: float, start: int,
+              stop: int) -> np.ndarray:
+    """``pmf_cdf(pmf, values + shift)`` at the values of index start to
+    stop - 1, bit for bit, each value (origin + i) * mesh.
+    Element i guesses index j = i + 1 + floor(shift / mesh), clipped to
+    [0, n]; a guess stands where values[j-1] <= t < values[j] (open at j = 0
+    and j = n), and the rest (rounding ties) go through pmf_cdf."""
+    cum, n, o, u = pmf._cum, len(pmf.mass), pmf.origin_index, pmf.mesh
+    d = int(min(max(shift // u, -n - 1), n))
+    lo = min(max(-d, start), stop)      # i < lo guesses j = 0
+    hi = min(max(n - 1 - d, lo), stop)  # i >= hi guesses j = n
+    t = np.arange(o + start, o + stop, dtype=float) * u + shift
+    edges = np.arange(o + lo + d, o + hi + d + 1, dtype=float) * u  # j-1, j
+    a, b = lo - start, hi - start  # lo and hi within t
+    mid = t[a:b]
+    ok = np.empty(len(t), dtype=bool)  # the guess stands
+    np.less(t[:a], o * u, ok[:a])
+    np.less_equal(edges[:-1], mid, ok[a:b])
+    ok[a:b] &= mid < edges[1:]
+    np.greater_equal(t[b:], (o + n - 1) * u, ok[b:])
     bad = np.flatnonzero(np.logical_not(ok, ok))
     t_bad = t[bad]
     out = t  # the cdf is written over t
-    out[:lo] = cum[0]
-    out[lo:hi] = cum[lo + 1 + d:hi + 1 + d]
-    out[hi:] = cum[n]
-    out[bad] = pmf_cdf(pmf, t_bad)
+    out[:a] = cum[0]
+    out[a:b] = cum[lo + 1 + d:hi + 1 + d]
+    out[b:] = cum[n]
+    if len(bad):
+        out[bad] = pmf_cdf(pmf, t_bad)
     return out
+
+
+def _read(q: CorrectionQuery, z: DiscretePmf, lo: int,
+          hi: int) -> tuple[np.ndarray, float]:
+    """log p at the grid indices lo to hi - 1, and a bound on it at every
+    other index: k log Gamma(r + alpha) at lo bounds it below lo, and
+    log1p(-Gamma(r - alpha)) at hi - 1 from hi on, as both Gammas grow."""
+    gamma_plus = _grid_cdf(z, q.alpha, lo, hi)
+    gamma_minus = _grid_cdf(z, -q.alpha, lo, hi) if q.alpha else gamma_plus
+    with np.errstate(divide="ignore"):
+        below = q.k * np.log(gamma_plus[0]) if lo else -np.inf
+        above = np.log1p(-gamma_minus[-1]) if hi < len(z.mass) else -np.inf
+    return _log_success(q, gamma_plus, gamma_minus), max(below, above)
 
 
 def _first_argmax_exp(log_p: np.ndarray) -> tuple[int, float]:
@@ -428,10 +443,23 @@ def optimal_correction(q: CorrectionQuery) -> tuple[float, float]:
         (r_op, p_at_r_op): the maximizing grid value and p there.
     """
     z = _difference_grid(q)
-    gamma_plus = _grid_cdf(z, q.alpha)
-    gamma_minus = _grid_cdf(z, -q.alpha) if q.alpha else gamma_plus
-    best, p = _first_argmax_exp(_log_success(q, gamma_plus, gamma_minus))
-    return float(z._steps[0][best]), p
+    cum, n = z._cum, len(z.mass)
+    # The window: where k log Gamma(r + alpha) and log1p(-Gamma(r - alpha)),
+    # bounds of log p, both reach 1 below its value at the first Gamma >= k/(k+1).
+    i = min(np.searchsorted(cum[1:], q.k / (q.k + 1)), n - 1)
+    level = _read(q, z, i, i + 1)[0][0] - 1.0
+    w = math.ceil(min(q.alpha / z.mesh, n)) + 3
+    lo = min(max(np.searchsorted(cum, math.exp(level / q.k)) - w, 0), i)
+    hi = max(min(np.searchsorted(cum, -math.expm1(level), "right") + w, n), i + 1)
+    log_p, outside = _read(q, z, lo, hi)
+    top = log_p.max()
+    # The whole grid where an index outside may come within 1e-3 of the top
+    # (0.5 is far above rounding), a cdf above 1 gives NaN, or top < -700.
+    if hi - lo < n and not (top >= -700.0 and cum[-1] <= 1.0
+                            and outside <= top - 0.5):
+        lo, log_p = 0, _read(q, z, 0, n)[0]
+    best, p = _first_argmax_exp(log_p)
+    return float((z.origin_index + lo + best) * z.mesh), p
 
 
 def correction_sweep(q: CorrectionQuery, r_grid) -> list[tuple[float, float]]:

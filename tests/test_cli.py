@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +426,16 @@ def test_main_reports_errors(capsys):
     assert cli.main(["sweep", "--dataset", "zipf", "--eps", "0.5",
                      "--variants", "warp"]) == 1
     assert "warp" in capsys.readouterr().err
+
+
+def test_main_rejects_a_correction_grid_beyond_float_range(capsys):
+    """At eps 1e-306 the exp-opt query's grid bound overflows: the query is
+    refused as it is built, naming its fields, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["correction-table", "--eps", "1e-306"]) == 1
+    assert ("error: b, lam and e overflow the grid bound"
+            in capsys.readouterr().err)
 
 
 def test_token_parsers():

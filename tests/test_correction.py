@@ -579,18 +579,110 @@ def test_optimal_correction_matches_oracle_where_p_is_subnormal(last_grid):
     assert ((p > 0) & (p < np.finfo(float).tiny)).sum() > 10_000
 
 
+@pytest.fixture
+def windows(monkeypatch):
+    """The (lo, hi) of every read of log p; an optimizer call's first is
+    its one-index read of the level."""
+    seen = []
+
+    def recording(q, z, lo, hi):
+        seen.append((int(lo), int(hi)))
+        return read(q, z, lo, hi)
+
+    read = correction._read
+    monkeypatch.setattr(correction, "_read", recording)
+    return seen
+
+
+def _window_kind(reads: list, n: int) -> str:
+    if len(reads) == 3 and reads[2] == (0, n):
+        return "whole grid after a window"
+    (lo, hi), = reads[1:]
+    return {(True, True): "inner", (False, True): "clipped at 0",
+            (True, False): "clipped at n",
+            (False, False): "clipped at both ends"}[lo > 0, hi < n]
+
+
+# One query per branch of the window, with the branch it takes.
+WINDOW_BRANCHES = [
+    # log p is below -700 everywhere (p = 0.0, first at the grid's first
+    # value): the whole grid, where _first_argmax_exp takes every entry
+    (CorrectionQuery(b=2.0, lam=0.5, alpha=0.0, k=10**30),
+     "whole grid after a window"),
+    (CorrectionQuery(b=10.0, lam=0.05, alpha=1e308, k=50, m=2),
+     "clipped at both ends"),
+    (CorrectionQuery(b=10.0, lam=0.05, alpha=1e308, k=50, m=3),
+     "clipped at both ends"),
+    (CorrectionQuery(b=1.0, lam=1.0, alpha=0.0, k=10**9), "clipped at n"),
+    # large k with large alpha: a window of about 20,000 indices, then one
+    # that alpha/mesh (about 42,000) pushes to the grid's end
+    (CorrectionQuery(b=1.0, lam=1.0, alpha=20.0, k=10**9), "inner"),
+    (CorrectionQuery(b=10.0, lam=0.05, alpha=1000.0, k=10**9), "clipped at n"),
+    (CorrectionQuery(b=10.0, lam=0.05, alpha=37.0, k=300), "inner"),
+]
+
+
+@pytest.mark.parametrize("q, kind", WINDOW_BRANCHES,
+                         ids=[kind for _, kind in WINDOW_BRANCHES])
+def test_optimal_correction_matches_oracle_in_each_window_branch(
+        q, kind, last_grid, windows):
+    windows.clear()
+    _assert_matches_oracle([q], last_grid)
+    assert _window_kind(windows, len(last_grid[-1].mass)) == kind
+
+
+def test_a_window_that_misses_the_maximum_falls_back_to_the_whole_grid(
+        monkeypatch, bench_queries, last_grid, windows):
+    """A level read 100 above its value makes a one-index window around
+    the index it was read at; the edge check rejects it, and the whole
+    grid gives the oracle's (r, p)."""
+    def raised(q, z, lo, hi):
+        log_p, outside = read(q, z, lo, hi)
+        return (log_p + 100.0 if len(windows) == 1 else log_p), outside
+
+    read = correction._read
+    monkeypatch.setattr(correction, "_read", raised)
+    for q in bench_queries(0, 1)[:4]:
+        windows.clear()
+        _assert_matches_oracle([q], last_grid)
+        n = len(last_grid[-1].mass)
+        (i, _), (lo, hi), whole = windows
+        assert (lo, hi, whole) == (i, i + 1, (0, n)), q
+
+
+def test_a_cdf_above_one_reads_the_whole_grid(last_grid, windows):
+    """On this coarse grid with e = 1e-16 the running cdf ends 4.4e-16
+    above 1, so log1p(-Gamma(r - alpha)) is NaN at the top of the grid and
+    the full read's first argmax is a NaN there, far outside any window.
+    The optimizer reads the whole grid and gives that same (r, p)."""
+    q = CorrectionQuery(b=250.08870189657935, lam=0.8074762124510707,
+                        alpha=0.0, k=1, m=101, e=1e-16)
+    windows.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _assert_matches_oracle([q], last_grid)
+    z = last_grid[-1]
+    assert z._cum[-1] > 1.0 and windows[-1] == (0, len(z.mass))
+    assert math.isnan(correction.optimal_correction(q)[1])
+
+
 @pytest.mark.parametrize("m", [2, 3, 101, 2001])
 def test_grid_cdf_equals_a_binary_search(m):
+    """On the whole grid and on windows at either end, in the middle and
+    of one index."""
     z = correction._difference_grid(CorrectionQuery(b=3.0, lam=0.2, alpha=0.0,
                                                     k=1, m=m))
     values, cum = z._steps
-    u = z.mesh
+    u, n = z.mesh, len(values)
+    windows = {(0, n), (0, 1), (n - 1, n), (1, n - 1), (n // 3, 2 * n // 3),
+               (n // 2, n // 2 + 1)}
     for shift in (0.0, u, 3 * u, 7.5 * u, np.nextafter(u, 0.0),
                   np.nextafter(u, 1.0), 1e-300, 1.0, 1e308, 0.5 * values[-1]):
         for s in (shift, -shift):
             want = cum[np.searchsorted(values, values + s, side="right")]
-            got = correction._grid_cdf(z, s)
-            assert got.tobytes() == want.tobytes(), s
+            for lo, hi in windows:
+                got = correction._grid_cdf(z, s, lo, hi)
+                assert got.tobytes() == want[lo:hi].tobytes(), (s, lo, hi)
 
 
 @pytest.mark.parametrize("log_p", [
@@ -617,20 +709,25 @@ def test_first_argmax_exp_matches_full_exp(log_p):
 def grid_work(monkeypatch):
     """Elements an optimizer call sends to the binary search (the fallback
     of the shifted read goes through pmf_cdf) and to np.exp in this module."""
-    work = {"searched": 0, "exp": 0}
+    work = {"searched": 0, "exp": 0, "log": 0, "log1p": 0}
 
     def searching(pmf, t):
         work["searched"] += np.size(t)
         return search(pmf, t)
 
-    def exponentiating(x, *args, **kwargs):
-        if sys._getframe(1).f_code.co_filename == correction.__file__:
-            work["exp"] += np.size(x)
-        return exp(x, *args, **kwargs)
+    def counted(name):
+        ufunc = getattr(np, name)
 
-    search, exp = correction.pmf_cdf, np.exp
+        def counting(x, *args, **kwargs):
+            if sys._getframe(1).f_code.co_filename == correction.__file__:
+                work[name] += np.size(x)
+            return ufunc(x, *args, **kwargs)
+        return counting
+
+    search = correction.pmf_cdf
     monkeypatch.setattr(correction, "pmf_cdf", searching)
-    monkeypatch.setattr(np, "exp", exponentiating)
+    for name in ("exp", "log", "log1p"):
+        monkeypatch.setattr(np, name, counted(name))
     return work
 
 
@@ -645,6 +742,24 @@ def test_cold_call_searches_and_exponentiates_little(grid_work, bench_queries):
         correction.optimal_correction(q)
         assert grid_work["searched"] <= (0 if q.alpha == 0 else 48), q
         assert 0 < grid_work["exp"] <= 400, q
+
+
+def test_cold_call_takes_logs_of_a_tenth_of_the_grid(grid_work,
+                                                     bench_queries):
+    """Gamma and log p are read only in the window (at most 4,150 of the
+    79,999 grid points over seed 0's 320 benchmark queries), so a silent
+    read of the whole grid fails here."""
+    split = allocation.split(0.1, Variant.EXP_OPT_CORR, 50)
+    table = [CorrectionQuery.from_budget(split.eps1, split.eps2, 50, 1.0,
+                                         False, alpha, 200)
+             for alpha in (0.0, 3.0)]
+    tenth = (4 * correction.DEFAULT_MESH_COUNT - 5) // 10
+    for q in table + bench_queries(0, 0) + bench_queries(3, 7):
+        correction.optimal_correction.cache_clear()
+        grid_work.update(log=0, log1p=0)
+        correction.optimal_correction(q)
+        assert 0 < grid_work["log"] <= tenth, q
+        assert 0 < grid_work["log1p"] <= tenth, q
 
 
 # --- the grid built in place, bit for bit ------------------------------------
@@ -699,7 +814,8 @@ def _same_pmf(got: DiscretePmf, want: DiscretePmf) -> bool:
 GRID_LAWS = [noise.exponential(7.5), noise.laplace(3.0),
              noise.laplace(0.4, location=1.25), noise.gaussian(2.0),
              noise.gaussian(0.5, location=-3.0), noise.gumbel(1.5),
-             noise.exponential(0.2, location=-0.7)]
+             noise.exponential(0.2, location=-0.7),
+             noise.exponential(2.0, location=1.5)]
 
 
 @pytest.mark.parametrize("m", [2, 3, 801, 20001])
@@ -766,7 +882,8 @@ def test_grid_cdf_equals_the_allocating_formula(m):
     for alpha in (0.0, z.mesh, 1.0):
         for shift in (alpha, -alpha):
             want = cum[np.searchsorted(values, values + shift, side="right")]
-            assert correction._grid_cdf(z, shift).tobytes() == want.tobytes()
+            got = correction._grid_cdf(z, shift, 0, len(z.mass))
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 50, 2**60 + 1])

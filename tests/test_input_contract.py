@@ -352,6 +352,14 @@ PROBES = {
     # 1 - e rounds to 1.0: the grid's quantile failed naming no field.
     "CorrectionQuery(e=1e-17)":
         lambda: correction.CorrectionQuery(**QUERY, e=1e-17),
+    # A grid bound beyond float range: numpy warned of an overflow, then
+    # discretize raised naming its own B.
+    "CorrectionQuery(b=1e308)":
+        lambda: correction.CorrectionQuery(**dict(QUERY, b=1e308)),
+    "CorrectionQuery(lam=1e-307)":
+        lambda: correction.CorrectionQuery(**dict(QUERY, lam=1e-307)),
+    "CorrectionQuery(b=5e306, e=1e-16)":
+        lambda: correction.CorrectionQuery(**dict(QUERY, b=5e306), e=1e-16),
     "optimal_w(c=nan)": lambda: allocation.optimal_w(Variant.LAP, NAN),
     "split(c=1.5)": lambda: allocation.split(1.0, Variant.LAP, 1.5),
     "calibrate(c=1.5)":
