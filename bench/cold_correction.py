@@ -4,11 +4,17 @@ Runs ``correction.optimal_correction`` on the 320 queries of perfbench's
 correction-cold workload at one seed (batches 0-19, 16 queries each), with
 the memo cleared before every call so each one builds its grid, after one
 unmeasured warm-up call. Prints the median milliseconds per call and its
-split into discretize (both laws), transforms (``convolve_difference``)
-and read (the rest: the grid bound, the shifted reads of Gamma, log p and
-the argmax), each a median over the calls, and the minor page faults
-(``ru_minflt``) per call. One checkout alone also gets the user and system
-CPU milliseconds per call and the process's maximum resident set size.
+split into discretize (both laws, written into their arrays: ``_discretize``
+where a checkout has it, else ``discretize``), forward (the ``numpy.fft.rfft``
+calls), inverse (the rest of ``convolve_difference``: the product, the
+``irfft`` and the brackets) and read (the rest: the grid bound, the shifted
+reads of Gamma, log p and the argmax), each a median over the calls, and the
+minor page faults (``ru_minflt``) per call. After the timed calls, an
+untimed pass over the queries under ``tracemalloc`` gives each side's peak
+traced allocation in one cold call (the largest over the queries; numpy's
+arrays are traced, its FFT scratch is not), printed beside the process's
+maximum resident set size. One checkout alone also gets the user and
+system CPU milliseconds per call.
 
 ``--against`` loads a second checkout's ``svtkit`` under another package
 name and runs it in the same process, query by query in alternating
@@ -30,6 +36,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,31 +45,40 @@ from sweep_cells import load, package_dir
 
 ROOT = Path(__file__).resolve().parents[1]
 BATCHES = 20
+COLUMNS = ("call", "discretize", "forward", "inverse", "read")
+
+# Seconds spent in numpy.fft.rfft since the running cold call began; one
+# side runs at a time, so each call's forward transforms are its own.
+forward = [0.0]
+
+
+def _timed(spent: list | dict, key, fn):
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[key] += time.perf_counter() - t0
+    return timed
 
 
 class Side:
     """One checkout's ``svtkit.correction``, imported as package ``name``
-    so two checkouts can share one process, with its ``discretize`` and
+    so two checkouts can share one process, with its discretize step and
     ``convolve_difference`` timed per call."""
 
     def __init__(self, label: str, src: Path, name: str) -> None:
         self.label, self.src = label, src
         self.correction, = load(src, name, "correction")
-        self.spent = {"discretize": 0.0, "transforms": 0.0}
-        self.rows: list[tuple[float, float, float, float, int]] = []
-        for stage, fname in (("discretize", "discretize"),
-                             ("transforms", "convolve_difference")):
+        self.spent = {"discretize": 0.0, "convolve": 0.0}
+        self.rows: list[tuple[float, float, float, float, float, int]] = []
+        self.peak = 0
+        discretize = ("_discretize" if hasattr(self.correction, "_discretize")
+                      else "discretize")
+        for stage, fname in (("discretize", discretize),
+                             ("convolve", "convolve_difference")):
             setattr(self.correction, fname,
-                    self._timed(stage, getattr(self.correction, fname)))
-
-    def _timed(self, stage: str, fn):
-        def timed(*args):
-            t0 = time.perf_counter()
-            try:
-                return fn(*args)
-            finally:
-                self.spent[stage] += time.perf_counter() - t0
-        return timed
+                    _timed(self.spent, stage, getattr(self.correction, fname)))
 
     def query(self, q):
         """q rebuilt from this side's ``CorrectionQuery``."""
@@ -72,23 +88,41 @@ class Side:
 
     def cold_call(self, q, record: bool = True) -> tuple[float, float]:
         self.correction.optimal_correction.cache_clear()
-        self.spent.update(discretize=0.0, transforms=0.0)
+        self.spent.update(discretize=0.0, convolve=0.0)
+        forward[0] = 0.0
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         got = self.correction.optimal_correction(q)
         total = time.perf_counter() - t0
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         if record:
-            grid = self.spent["discretize"] + self.spent["transforms"]
-            self.rows.append((total, self.spent["discretize"],
-                              self.spent["transforms"], total - grid, faults))
+            discretize, convolve = (self.spent["discretize"],
+                                    self.spent["convolve"])
+            self.rows.append((total, discretize, forward[0],
+                              convolve - forward[0],
+                              total - discretize - convolve, faults))
         return got
+
+    def trace_peaks(self, queries) -> None:
+        """Set ``peak`` to the largest peak of traced allocation in a cold
+        call on one of ``queries``, over what was traced before the call."""
+        tracemalloc.start()
+        try:
+            for q in queries:
+                self.correction.optimal_correction.cache_clear()
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                self.correction.optimal_correction(q)
+                self.peak = max(self.peak,
+                                tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
 
     def report(self) -> dict:
         columns = list(zip(*self.rows))
-        out = {name: 1e3 * statistics.median(col) for name, col in
-               zip(("call", "discretize", "transforms", "read"), columns)}
-        out["faults"] = sum(columns[4]) / len(self.rows)
+        out = {name: 1e3 * statistics.median(col)
+               for name, col in zip(COLUMNS, columns)}
+        out["faults"] = sum(columns[-1]) / len(self.rows)
         return out
 
 
@@ -106,6 +140,8 @@ def main() -> int:
     src = package_dir(args.src)
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from workloads import correction_queries
+
+    np.fft.rfft = _timed(forward, 0, np.fft.rfft)
 
     sides = [Side("src", src, "svtkit_src")]
     if args.against:
@@ -128,28 +164,32 @@ def main() -> int:
                 raise SystemExit(f"query {i}: the sides' (r, p) differ: "
                                  f"{got}")
     after = resource.getrusage(resource.RUSAGE_SELF)
+    for side, qs in order:
+        side.trace_peaks(qs)
 
     n = args.rounds * len(queries)
     print(f"{n} cold calls per side at seed {args.seed}"
           + (", (r, p) equal on every call" if args.against else ""))
-    print(f"{'side':8} {'ms/call':>8} {'discretize':>11} {'transforms':>11}"
-          f" {'read':>7} {'faults':>7}   src")
+    print(f"{'side':8} {'ms/call':>8} {'discretize':>11} {'forward':>8}"
+          f" {'inverse':>8} {'read':>7} {'faults':>7} {'peak MB':>8}   src")
     reports = [side.report() for side in sides]
     for side, rep in zip(sides, reports):
         print(f"{side.label:8} {rep['call']:8.3f} {rep['discretize']:11.3f}"
-              f" {rep['transforms']:11.3f} {rep['read']:7.3f}"
-              f" {rep['faults']:7.2f}   {side.src}")
+              f" {rep['forward']:8.3f} {rep['inverse']:8.3f}"
+              f" {rep['read']:7.3f} {rep['faults']:7.2f}"
+              f" {side.peak / 2**20:8.2f}   {side.src}")
     if args.against:
         new, base = reports
         print("change   " + "  ".join(
-            f"{name} {new[name] / base[name] - 1:+.1%}"
-            for name in ("call", "discretize", "transforms", "read")))
+            f"{name} {new[name] / base[name] - 1:+.1%}" for name in COLUMNS)
+            + f"  peak {sides[0].peak / sides[1].peak - 1:+.1%}")
     else:
         print(f"user ms per call       "
               f"{1e3 * (after.ru_utime - before.ru_utime) / n:.2f}")
         print(f"sys ms per call        "
               f"{1e3 * (after.ru_stime - before.ru_stime) / n:.2f}")
-        print(f"max RSS                {after.ru_maxrss / 1024:.1f} MB")
+    print(f"max RSS                {after.ru_maxrss / 1024:.1f} MB"
+          + (" (one process, both sides)" if args.against else ""))
     return 0
 
 

@@ -87,6 +87,8 @@ class DiscretePmf:
         cum[0] = self.neg_inf_mass
         np.cumsum(self.mass, out=cum[1:])
         cum[1:] += self.neg_inf_mass
+        if cum[-1] > 1.0:  # rounding can carry the sum past 1
+            np.minimum(cum, 1.0, out=cum)
         return cum
 
     @cached_property
@@ -149,6 +151,11 @@ def discretize(d: NoiseDist, m: int, B: float) -> DiscretePmf:
     """
     checks.count(2, m=m)
     checks.positive(B=B)
+    return _discretize(d, m, B, np.empty(2 * m - 2))
+
+
+def _discretize(d: NoiseDist, m: int, B: float, mass: np.ndarray) -> DiscretePmf:
+    """:func:`discretize`, its masses written into ``mass`` (any view)."""
     u = B / (m - 1)
     cdf_edges = np.arange(-m + 1, m, dtype=float)  # 2m-1 edges for 2m-2 chunks
     cdf_edges *= u
@@ -156,7 +163,7 @@ def discretize(d: NoiseDist, m: int, B: float) -> DiscretePmf:
              if d.kind is noise.Kind.EXPONENTIAL else 0)  # where cdf is +0.0
     cdf_edges[:zeros] = 0.0
     noise._cdf_into(d, cdf_edges[zeros:])  # the rest, overwritten by cdf
-    mass = np.subtract(cdf_edges[1:], cdf_edges[:-1])
+    np.subtract(cdf_edges[1:], cdf_edges[:-1], mass)
     np.maximum(mass, 0.0, out=mass)
     return DiscretePmf(mesh=u, origin_index=-m + 1, mass=mass,
                        neg_inf_mass=float(cdf_edges[0]),
@@ -166,7 +173,9 @@ def discretize(d: NoiseDist, m: int, B: float) -> DiscretePmf:
 def convolve_difference(x: DiscretePmf, y: DiscretePmf) -> DiscretePmf:
     """Law of Z = X - Y for independent discretized X and Y.
 
-    Reflects y's grid and convolves the mass arrays with FFT. Bracket
+    Reflects y's grid and convolves the mass arrays with FFT, both forward
+    transforms as one ``rfft`` of a (2, nf) block whose rows are x.mass and
+    y.mass[::-1] zero-padded, made unless they are its rows already. Bracket
     algebra: a pair with one infinite operand lands in that bracket, two
     matching infinities stay there, and the mass of the opposing pairs
     (-inf of one with +inf of the other) is split evenly between both
@@ -181,8 +190,15 @@ def convolve_difference(x: DiscretePmf, y: DiscretePmf) -> DiscretePmf:
 
     n = len(x.mass) + len(r_mass) - 1
     nf = _fast_len(n)
-    spectrum = np.fft.rfft(x.mass, nf)
-    r_spectrum = np.fft.rfft(r_mass, nf)
+    rows = x.mass.base
+    if not (getattr(rows, "shape", None) == (2, nf) and all(
+            a.__array_interface__ == row[:len(a)].__array_interface__
+            for a, row in zip((x.mass, r_mass), rows))):
+        rows = np.zeros((2, nf))
+        rows[0, :len(x.mass)], rows[1, :len(r_mass)] = x.mass, r_mass
+    # numpy's pocketfft transforms rows in SIMD pairs, bits equal to one row
+    # at a time, but only rows already nf long: a row it pads runs alone
+    spectrum, r_spectrum = np.fft.rfft(rows, axis=1)
     spectrum *= r_spectrum
     # the product's inverse overwrites r_spectrum, whose nf/2+1 complex
     # entries hold the nf reals
@@ -197,6 +213,7 @@ def convolve_difference(x: DiscretePmf, y: DiscretePmf) -> DiscretePmf:
                        mass=z_mass, neg_inf_mass=neg, pos_inf_mass=pos)
 
 
+@lru_cache(maxsize=64)
 def _fast_len(n: int) -> int:
     """The least 2**a * 3**b * 5**c at or above n, the padded length
     ``scipy.fft.next_fast_len(n, True)`` gives a real transform."""
@@ -337,7 +354,7 @@ def success_probability_analytical(r, q: CorrectionQuery) -> float | np.ndarray:
 # top beyond a trim threshold to the system. Freeing a mapped block of up to
 # 32 MB raises the mmap threshold to its size and the trim threshold to
 # twice that. So one 4 MB block, made and freed before the first grid, keeps
-# every grid's arrays (up to 640 KB each) on heap pages that the grid
+# every grid's arrays (up to 1.28 MB each) on heap pages that the grid
 # before freed, not on pages faulted in anew. Elsewhere it is one spare block.
 @cache
 def _raise_mmap_threshold() -> None:
@@ -349,14 +366,27 @@ def _difference_grid(q: CorrectionQuery) -> DiscretePmf:
     mesh bounded by the largest |quantile| of either law at e and 1 - e.
     Nothing keeps it or its arrays after the call. A cold
     :func:`optimal_correction` call on the default grid (m = 20001) makes
-    per law an edge array that becomes its cdf, then its mass (320 KB
-    each); two 640 KB spectra, the second overwritten by Z's mass; Z's
-    running cdf (640 KB); and a few arrays of the window's size per read
-    (640 KB if the whole grid is read). numpy.fft adds its own scratch."""
+    a (2, 80000) block of both laws' zero-padded masses and one of their
+    spectra, Z's mass written over the second (1.28 MB each); per law an
+    edge array for its cdf (320 KB); Z's running cdf (640 KB); and arrays
+    of the window's size per read. numpy.fft adds its own scratch."""
     _raise_mmap_threshold()
     laws = noise.exponential(1.0 / q.lam), noise.laplace(q.b)
-    B = max(abs(noise.quantile(d, p)) for d in laws for p in (q.e, 1.0 - q.e))
-    return convolve_difference(*(discretize(d, q.m, B) for d in laws))
+    B = float(np.abs([noise.from_uniform(d, np.array([q.e, 1.0 - q.e]))
+                      for d in laws]).max())
+    return _block_difference(*laws, q.m, B)
+
+
+def _block_difference(x_law: NoiseDist, y_law: NoiseDist, m: int,
+                      B: float) -> DiscretePmf:
+    """``convolve_difference`` of both laws discretized on (m, B), their
+    masses written into the block it transforms, y's reversed into row 1."""
+    n = 2 * m - 2
+    rows = np.empty((2, _fast_len(2 * n - 1)))
+    rows[:, n:] = 0.0
+    x_mass, r_mass = rows[:, :n]
+    return convolve_difference(_discretize(x_law, m, B, x_mass),
+                               _discretize(y_law, m, B, r_mass[::-1]))
 
 
 def _log_success(q: CorrectionQuery, gamma_plus: np.ndarray,
@@ -454,9 +484,8 @@ def optimal_correction(q: CorrectionQuery) -> tuple[float, float]:
     log_p, outside = _read(q, z, lo, hi)
     top = log_p.max()
     # The whole grid where an index outside may come within 1e-3 of the top
-    # (0.5 is far above rounding), a cdf above 1 gives NaN, or top < -700.
-    if hi - lo < n and not (top >= -700.0 and cum[-1] <= 1.0
-                            and outside <= top - 0.5):
+    # (0.5 is far above rounding) or top < -700.
+    if hi - lo < n and not (top >= -700.0 and outside <= top - 0.5):
         lo, log_p = 0, _read(q, z, 0, n)[0]
     best, p = _first_argmax_exp(log_p)
     return float((z.origin_index + lo + best) * z.mesh), p

@@ -113,7 +113,8 @@ def cdf(d: NoiseDist, x) -> float | np.ndarray:
 
 def _cdf_into(d: NoiseDist, x: np.ndarray) -> np.ndarray:
     """:func:`cdf` of ``d`` at the float array ``x``, written over x."""
-    x -= d.location
+    if d.location:  # x - 0.0 is x; each cdf maps -0.0 as it maps +0.0
+        x -= d.location
     x /= d.scale
     return _LAWS[d.kind].cdf(x, x)
 

@@ -650,20 +650,23 @@ def test_a_window_that_misses_the_maximum_falls_back_to_the_whole_grid(
         assert (lo, hi, whole) == (i, i + 1, (0, n)), q
 
 
-def test_a_cdf_above_one_reads_the_whole_grid(last_grid, windows):
-    """On this coarse grid with e = 1e-16 the running cdf ends 4.4e-16
-    above 1, so log1p(-Gamma(r - alpha)) is NaN at the top of the grid and
-    the full read's first argmax is a NaN there, far outside any window.
-    The optimizer reads the whole grid and gives that same (r, p)."""
+def test_a_cdf_summed_above_one_is_clipped_at_one(last_grid):
+    """On this coarse grid with e = 1e-16 the running cdf sums to 4.4e-16
+    above 1, first past it at index 297 of 400. Clipped at 1, it makes
+    log1p(-Gamma(r - alpha)) -inf there, not NaN: the optimizer and the
+    sweep give finite p without a warning, and the full read's (r, p)."""
     q = CorrectionQuery(b=250.08870189657935, lam=0.8074762124510707,
                         alpha=0.0, k=1, m=101, e=1e-16)
-    windows.clear()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         _assert_matches_oracle([q], last_grid)
-    z = last_grid[-1]
-    assert z._cum[-1] > 1.0 and windows[-1] == (0, len(z.mass))
-    assert math.isnan(correction.optimal_correction(q)[1])
+        z = last_grid[-1]
+        sweep = correction.correction_sweep(q, [0.0, 1000.0, 9000.0])
+    _, summed = reference_steps(z)
+    assert len(summed) == 400 and int(np.argmax(summed > 1.0)) == 297
+    assert z._cum.tobytes() == np.minimum(summed, 1.0).tobytes()
+    assert correction.optimal_correction(q) == (0.0, 0.25)
+    assert all(math.isfinite(p) for _, p in sweep)
 
 
 @pytest.mark.parametrize("m", [2, 3, 101, 2001])
@@ -796,6 +799,21 @@ def reference_convolved_mass(x, y):
     return np.maximum(z[:n], 0.0)
 
 
+def reference_convolve(x, y):
+    """The whole :func:`correction.convolve_difference`, its mass by the
+    three-call formula and its brackets by the same algebra."""
+    r_neg, r_pos = y.pos_inf_mass, y.neg_inf_mass
+    x_fin, y_fin = float(x.mass.sum()), float(y.mass[::-1].sum())
+    opposing = 0.5 * (x.pos_inf_mass * r_neg + x.neg_inf_mass * r_pos)
+    return DiscretePmf(
+        mesh=x.mesh, origin_index=x.origin_index - y.origin_index
+        - len(y.mass) + 1, mass=reference_convolved_mass(x, y),
+        neg_inf_mass=x_fin * r_neg + x.neg_inf_mass * y_fin
+        + x.neg_inf_mass * r_neg + opposing,
+        pos_inf_mass=x_fin * r_pos + x.pos_inf_mass * y_fin
+        + x.pos_inf_mass * r_pos + opposing)
+
+
 def reference_steps(pmf):
     values = (pmf.origin_index + np.arange(len(pmf.mass))) * pmf.mesh
     cum = np.concatenate(([pmf.neg_inf_mass],
@@ -845,6 +863,59 @@ def test_convolve_difference_equals_the_allocating_formula(m):
         want = reference_convolved_mass(x, y)
         assert z.mass.dtype == want.dtype
         assert z.mass.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3, 101, 2001, 20001])
+def test_two_row_transform_equals_the_three_call_formula(m):
+    """Both forward transforms in one two-row rfft give the bits of one
+    padded rfft per law, through the copy into a new block (a direct call
+    on discretize's arrays) and through the block the grid writes into,
+    for every ordered pair of GRID_LAWS. Which rows numpy pairs depends on
+    its build, so this runs on each host the tests run on."""
+    B = 9.0
+    for xd in GRID_LAWS:
+        for yd in GRID_LAWS:
+            x, y = (correction.discretize(d, m, B) for d in (xd, yd))
+            want = reference_convolve(x, y)
+            assert _same_pmf(correction.convolve_difference(x, y),
+                             want), (xd, yd)
+            assert _same_pmf(correction._block_difference(xd, yd, m, B),
+                             want), (xd, yd)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """(name, shape, C-contiguous, n) of every numpy.fft call while active."""
+    calls = []
+
+    def recorded(name):
+        fft = getattr(np.fft, name)
+
+        def recording(a, *args, **kwargs):
+            a = np.asarray(a)
+            calls.append((name, a.shape, a.flags.c_contiguous,
+                          args[0] if args else kwargs.get("n")))
+            return fft(a, *args, **kwargs)
+        return recording
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, recorded(name))
+    return calls
+
+
+def test_cold_call_makes_one_two_row_rfft_and_one_irfft(transforms,
+                                                       bench_queries):
+    """A silent return to one transform per law, or to rows numpy pads
+    (an n longer than the rows), fails here."""
+    for q in bench_queries(0, 0)[:4] + [
+            CorrectionQuery(b=2.0, lam=0.25, alpha=1.0, k=3, m=m)
+            for m in (2, 3, 101)]:
+        correction.optimal_correction.cache_clear()
+        transforms.clear()
+        correction.optimal_correction(q)
+        nf = correction._fast_len(4 * q.m - 5)
+        assert transforms == [("rfft", (2, nf), True, None),
+                              ("irfft", (nf // 2 + 1,), True, nf)], q
 
 
 @pytest.mark.parametrize("lengths", [(7, 4), (4, 7), (1, 6), (5, 5)])
@@ -902,6 +973,34 @@ def test_log_success_equals_the_allocating_formula(k):
     shared = gamma.copy()
     got = correction._log_success(q, shared, shared)
     assert got.tobytes() == same.tobytes()
+
+
+def _quantile_bound(q: CorrectionQuery) -> float:
+    laws = noise.exponential(1.0 / q.lam), noise.laplace(q.b)
+    return max(abs(noise.quantile(d, p)) for d in laws
+               for p in (q.e, 1.0 - q.e))
+
+
+def _extreme_queries() -> list:
+    """e from its least allowed value to near 0.5, with b and lam far apart."""
+    extremes = (1e-300, 1e-5, 1.0, 1e5, 1e300)
+    return [CorrectionQuery(b=b, lam=lam, alpha=0.0, k=1, m=3, e=e)
+            for e in (2.0**-54 * 1.0001, 1e-16, 1e-10, 0.3, 0.49)
+            for b in extremes for lam in extremes]
+
+
+def test_one_call_bound_equals_the_four_quantiles(monkeypatch,
+                                                  bench_queries):
+    """One from_uniform call per law on [e, 1 - e] gives the largest
+    |quantile| of the four, bit for bit."""
+    bounds = []  # the B that _difference_grid hands on
+    monkeypatch.setattr(correction, "_block_difference",
+                        lambda x_law, y_law, m, B: bounds.append(B))
+    for q in ([q for j in range(20) for q in bench_queries(0, j)]
+              + _extreme_queries()):
+        correction._difference_grid(q)
+        assert type(bounds[-1]) is float, q
+        assert bounds[-1].hex() == _quantile_bound(q).hex(), q
 
 
 def test_grid_results_share_no_memory():
