@@ -178,7 +178,8 @@ def run_sweep(cfg: ExperimentConfig, out: Optional[IO[str]] = None) -> list[dict
     partial results.
     """
     ds = load_dataset(cfg)
-    truth = metrics.GroundTruth.from_items(ds.items, ds.threshold, cfg.c)
+    truth = metrics.GroundTruth.ranked(ds.ids, ds.scores, ds.threshold,
+                                       cfg.c)
     k_est = cfg.k_est if cfg.k_est is not None else max(1, ds.n_items // cfg.c)
     if Variant.GAU.value in cfg.variants:  # import scipy.special before cells
         noise.cdf(noise.gaussian(1.0), 0.0)
@@ -334,8 +335,8 @@ def _series_accuracy(k: int = 50, eps: float = 1.0, delta: float = 1.0,
         variant = Variant(token)
         for alpha in alphas:
             stream = near_threshold_stream(k, threshold, alpha)
-            truth = metrics.GroundTruth.from_items(
-                data.Items(stream.ids, stream.scores), threshold, c=1)
+            truth = metrics.GroundTruth.ranked(stream.ids, stream.scores,
+                                               threshold, c=1)
             cfg = SvtConfig(
                 delta=delta, eps1=eps / 2, eps2=eps / 2, c=1, k_max=k + 1,
                 variant=variant, alpha=alpha, k_est=k, delta_dp=1.0 / (k + 1))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from ctypes import addressof, c_char
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
@@ -190,10 +191,13 @@ def convolve_difference(x: DiscretePmf, y: DiscretePmf) -> DiscretePmf:
 
     n = len(x.mass) + len(r_mass) - 1
     nf = _fast_len(n)
-    rows = x.mass.base
-    if not (getattr(rows, "shape", None) == (2, nf) and all(
-            a.__array_interface__ == row[:len(a)].__array_interface__
-            for a, row in zip((x.mass, r_mass), rows))):
+    # ctypes reads a writable array's address with no __array_interface__
+    rows, masses = x.mass.base, (x.mass, r_mass)
+    if not (getattr(rows, "shape", None) == (2, nf) and rows.flags.c_contiguous
+            and all(a.flags.writeable and a.size and a.dtype == rows.dtype
+                    and a.strides == rows.strides[1:] for a in masses)
+            and [addressof(c_char.from_buffer(a)) for a in masses]
+            == [addressof(c_char.from_buffer(row)) for row in rows]):
         rows = np.zeros((2, nf))
         rows[0, :len(x.mass)], rows[1, :len(r_mass)] = x.mass, r_mass
     # numpy's pocketfft transforms rows in SIMD pairs, bits equal to one row

@@ -48,15 +48,19 @@ class GroundTruth(Record):
                              "ascending-id tie-break")
 
     @classmethod
+    def ranked(cls, ids, scores, threshold: float, c: int) -> "GroundTruth":
+        """The ranking of aligned id and score columns in any order."""
+        ids, scores = frozen(ids, np.int64), frozen(scores, float)
+        order = np.lexsort((ids, -scores))
+        return cls(sealed(ids[order]), sealed(scores[order]), threshold, c)
+
+    @classmethod
     def from_items(cls, items: Iterable[tuple[int, float]], threshold: float,
                    c: int) -> "GroundTruth":
         if not isinstance(items, Items):
             pairs = list(items)
-            items = Items(frozen([p[0] for p in pairs], np.int64),
-                          frozen([p[1] for p in pairs], float))
-        order = np.lexsort((items.ids, -items.scores))
-        return cls(sealed(items.ids[order]), sealed(items.scores[order]),
-                   threshold, c)
+            items = Items([p[0] for p in pairs], [p[1] for p in pairs])
+        return cls.ranked(items.ids, items.scores, threshold, c)
 
     def top_c_ids(self) -> tuple[int, ...]:
         return tuple(self.ids[:self.c].tolist())
@@ -137,16 +141,18 @@ def alpha_beta_estimate(runner: Callable[[np.random.Generator], SvtOutcome],
 
 def _failed_trials(batch: list[SvtOutcome], ids: np.ndarray,
                    wrong: np.ndarray) -> int:
-    answer_ids = np.concatenate([o.answer_ids for o in batch])
+    id_cols, flag_cols, traverse_cols = zip(*[
+        (o.answer_ids, o.flags, o.traverses) for o in batch])
+    answer_ids = np.concatenate(id_cols)
     at = ids.searchsorted(answer_ids)
     if np.count_nonzero(ids.take(at, mode="clip") != answer_ids):
         raise ValueError("an answered id is missing from the ground truth")
-    flags = np.concatenate([o.flags for o in batch]).view(np.uint8)
-    trial = np.repeat(np.arange(len(batch)), [o.flags.size for o in batch])
+    flags = np.concatenate(flag_cols).view(np.uint8)
+    trial = np.repeat(np.arange(len(batch)), list(map(len, flag_cols)))
     bad = np.bincount(trial[wrong[flags, at]], minlength=len(batch))
     # Each query is evaluated in traverse 1 exactly once, so these answers
     # count the distinct queries seen.
-    first = np.concatenate([o.traverses for o in batch]) == 1
+    first = np.concatenate(traverse_cols) == 1
     seen = np.bincount(trial[first], minlength=len(batch))
     return int(np.count_nonzero(bad | (seen < ids.size)))
 

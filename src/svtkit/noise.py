@@ -245,6 +245,7 @@ _LAWS = {
         lambda p, out=None: np.negative(
             np.log(np.negative(np.log(p, out), out), out), out)),
 }
+_EXPONENTIAL = Kind.EXPONENTIAL  # read per draw: an alias skips EnumType
 
 
 def from_uniform(d: NoiseDist, u: float | np.ndarray) -> float | np.ndarray:
@@ -254,7 +255,7 @@ def from_uniform(d: NoiseDist, u: float | np.ndarray) -> float | np.ndarray:
     if isinstance(u, float):
         return float(d.location + d.scale * law.quantile(max(u, _TINY_U)))
     np.maximum(u, _TINY_0D, out=u)
-    if d.kind is not Kind.EXPONENTIAL:
+    if d.kind is not _EXPONENTIAL:
         np.multiply(law.quantile(u, u), d.scale, u)
     else:  # = -log1p(-u) * scale bitwise; never -0.0, so + 0.0 changes nothing
         np.multiply(np.log1p(np.negative(u, u), u), -d.scale, u)

@@ -78,6 +78,13 @@ def sealed(array: np.ndarray) -> np.ndarray:
     return array.view()
 
 
+def _read_only(array: np.ndarray) -> bool:
+    """Whether ``array``'s memory is owned by a read-only numpy array."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array.base is None and not array.flags.writeable
+
+
 class Record:
     """Base of the frozen array dataclasses: fields are set once in
     ``__init__`` or ``trusted``, and ``==`` compares the attributes that
@@ -149,6 +156,17 @@ class QueryStream(Record):
     ids = property(lambda self: self._read(0))
     scores = property(lambda self: self._read(1))
     thresholds = property(lambda self: self._read(2))
+
+    def _in_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only ids and gaps (score less threshold) in stream order,
+        kept from the first call if the arrays owning the columns and
+        ``order`` are read-only, so that no caller can write them."""
+        kept = vars(self).get("_kept")
+        if kept is None:
+            kept = self.ids, sealed(self.scores - self.thresholds)
+            if all(map(_read_only, self.columns + (self.order,))):
+                vars(self)["_kept"] = kept
+        return kept
 
     def __len__(self) -> int:
         return self.order.size
@@ -315,6 +333,8 @@ _OPENING_CHUNK = 512
 
 # One-traverse outcomes of up to _FIRST_CHUNK answers share slices of this.
 _ONES = sealed(np.ones(_FIRST_CHUNK, dtype=np.int64))
+_POSITIVE_BUDGET, _EXHAUSTED = HaltReason.POSITIVE_BUDGET, HaltReason.EXHAUSTED
+_greater_equal, _new = np.greater_equal, object.__new__
 
 # Bit generators whose ``advance(k)`` lands where k more float64 draws
 # would: each such draw takes one 64-bit output. Philox's advance counts
@@ -330,27 +350,6 @@ def _skip_draws(rng: np.random.Generator, k: int) -> None:
     bits.advance(k)
     bits.state = {**bits.state, "has_uint32": before["has_uint32"],
                   "uinteger": before["uinteger"]}
-
-
-def _excess(noise: np.ndarray, rows: np.ndarray, scores: np.ndarray,
-            thresholds: np.ndarray, r: float) -> np.ndarray:
-    """``noise`` plus the rows' scores less their thresholds and a non-zero r,
-    in place (``x - 0.0`` differs from x only in a zero's sign)."""
-    gap = scores[rows]
-    gap -= (thresholds[:rows.size] if thresholds.strides == (0,)
-            else thresholds[rows])
-    noise += gap
-    if r:
-        noise -= r
-    return noise
-
-
-def _cut(flags: np.ndarray, room: int) -> tuple[np.ndarray, int]:
-    """``flags`` up to its ``room``-th positive, and the positives kept."""
-    flag_pos = flags.nonzero()[0]
-    if flag_pos.size >= room:
-        return flags[:int(flag_pos[room - 1]) + 1], room
-    return flags, flag_pos.size
 
 
 def _outcome(ids: np.ndarray, evaluated: list, flagged: list,
@@ -383,19 +382,22 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     negatives the previous traverse re-appended, cut short by k_max, at
     most ``max_traverses`` of them (one without ``append``). The inner loop
     steps over a traverse's chunks and stops at the c-th positive. A chunk
-    step pays for its draws and its score gather: the query noise from
-    ``noise.sample`` takes the gaps and a non-zero r in place, a stream's
-    one shared threshold (a stride-0 column) is read as a slice, and the
-    positives are counted before the c-th is looked for. A chunk is the
-    whole traverse, except on a PCG64 generator without ``resample`` (its
-    redraws follow the chunk's query draws) or ``noise_override`` (nothing
-    to skip): there chunk ends start at ``_FIRST_CHUNK`` and double,
-    traverse 1 opens with an ``_OPENING_CHUNK``, and the query draws a halt
-    leaves unmade are skipped once, with ``advance``, so outcome and
-    generator state are the same. Without either, one traverse of at most
-    ``_FIRST_CHUNK`` and k_max queries skips both loops and draws rho with
-    its query noise as one block, bit for bit: through the loop, a
-    51-query call costs about 20 % more. ``rng`` must be a
+    step gathers its rows' gaps (score less threshold; one shared
+    threshold, a stride-0 column, is read as a slice), adds them and a
+    non-zero r to the query noise in place, and counts the positives
+    before it looks for the c-th. A chunk is the whole traverse, except on
+    a PCG64 generator without ``resample`` (its redraws follow the chunk's
+    query draws) or ``noise_override`` (nothing to skip): there chunk ends
+    start at ``_FIRST_CHUNK`` and double, traverse 1 opens with an
+    ``_OPENING_CHUNK``, and the query draws a halt leaves unmade are
+    skipped once, with ``advance``, so outcome and generator state are the
+    same. Without either, one traverse of at most ``_FIRST_CHUNK`` and
+    k_max queries skips both loops: rho and the query noise are one block
+    of draws, bit for bit, and the ids and gaps come in stream order from
+    the stream, which keeps them after its first such run unless an array
+    owning its columns is writable (then each run gathers them, so a
+    caller's write stays visible). Through the loop, a 51-query call
+    costs about 1.5 times as much. ``rng`` must be a
     ``numpy.random.Generator`` (``ValueError`` otherwise). Draw order is
     fixed for reproducibility: one threshold draw up front, then query
     noise for each traverse in evaluation order; under ``resample``,
@@ -429,14 +431,24 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     plain = not cfg.resample and noise_override is None
     last = cfg.max_traverses if cfg.append else 1
     if plain and last == 1 and _FIRST_CHUNK >= batch.size <= cfg.k_max:
+        stream_ids, gaps = queries._in_order()
         u = rng.random(1 + batch.size)
         rho = noise_mod.from_uniform(thr_dist, u.item(0))
-        base = _excess(noise_mod.from_uniform(qry_dist, u[1:]), batch,
-                       scores, thresholds, r)
-        flags, n_c = _cut(sealed(base >= rho), cfg.c)
-        halt = (HaltReason.POSITIVE_BUDGET if n_c == cfg.c
-                else HaltReason.EXHAUSTED)
-        return _outcome(ids, [batch[:flags.size]], [flags], halt, r)
+        base = noise_mod.from_uniform(qry_dist, u[1:])
+        base += gaps
+        if r:
+            base -= r
+        flags = _greater_equal(base, rho)
+        flags.setflags(False)
+        hits = flags.nonzero()[0]
+        n, halt = batch.size, _EXHAUSTED
+        if hits.size >= cfg.c:
+            n, halt = hits.item(cfg.c - 1) + 1, _POSITIVE_BUDGET
+        outcome = _new(SvtOutcome)
+        vars(outcome).update(answer_ids=stream_ids[:n], flags=flags[:n],
+                             traverses=_ONES[:n], halt_reason=halt,
+                             correction_used=r)
+        return outcome
 
     skippable = plain and type(rng.bit_generator) in _SKIPPABLE
     first = _FIRST_CHUNK if skippable else cfg.k_max
@@ -475,8 +487,12 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
                           and not drawn else max(2 * drawn, first)]
             drawn += chunk.size
             # Draw first: the sampler frees its temporaries before the gather.
-            base = _excess(draw_query(chunk, traverse), chunk, scores,
-                           thresholds, r)
+            base, gap = draw_query(chunk, traverse), scores[chunk]
+            gap -= (thresholds[:chunk.size] if thresholds.strides == (0,)
+                    else thresholds[chunk])
+            base += gap
+            if r:  # x - 0.0 differs from x only in a zero's sign
+                base -= r
             if cfg.resample:
                 flags = np.zeros(chunk.size, dtype=bool)
                 i = 0
@@ -491,8 +507,9 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
             else:
                 flags = base >= rho
             flags, positives = sealed(flags), np.count_nonzero(flags)
-            if positives >= cfg.c - n_c:
-                flags, positives = _cut(flags, cfg.c - n_c)
+            if positives >= cfg.c - n_c:  # cut at the c-th positive
+                positives = cfg.c - n_c
+                flags = flags[:flags.nonzero()[0].item(positives - 1) + 1]
                 halt = HaltReason.POSITIVE_BUDGET
             n_c += positives
             parts.append(flags)

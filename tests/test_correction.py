@@ -883,6 +883,33 @@ def test_two_row_transform_equals_the_three_call_formula(m):
                              want), (xd, yd)
 
 
+@pytest.mark.parametrize("layout", ["rows", "shifted", "read-only",
+                                    "swapped", "y not reversed"])
+def test_only_the_rows_of_a_block_are_transformed_as_they_are(layout):
+    """convolve_difference transforms a (2, nf) block as it is only when
+    x.mass and y.mass[::-1] start its rows, writable; masses placed in a
+    block any other way are copied into a new one and give the copy's
+    bits. The block's padding is not zero, so a block taken as it is
+    shows."""
+    x, y = (correction.discretize(d, 101, 9.0) for d in GRID_LAWS[:2])
+    want, n = correction.convolve_difference(x, y), len(x.mass)
+    rows = np.full((2, correction._fast_len(2 * n - 1)), 7.0)
+    at = 1 if layout == "shifted" else 0
+    first, second = (1, 0) if layout == "swapped" else (0, 1)
+    reversed_y = layout != "y not reversed"
+    rows[first, at:at + n] = x.mass
+    rows[second, at:at + n] = y.mass[::-1] if reversed_y else y.mass
+    rows.flags.writeable = layout != "read-only"
+    y_mass = rows[second, at:at + n]
+    got = correction.convolve_difference(
+        DiscretePmf(x.mesh, x.origin_index, rows[first, at:at + n],
+                    x.neg_inf_mass, x.pos_inf_mass),
+        DiscretePmf(y.mesh, y.origin_index,
+                    y_mass[::-1] if reversed_y else y_mass,
+                    y.neg_inf_mass, y.pos_inf_mass))
+    assert _same_pmf(got, want) is (layout != "rows")
+
+
 @pytest.fixture
 def transforms(monkeypatch):
     """(name, shape, C-contiguous, n) of every numpy.fft call while active."""

@@ -479,3 +479,38 @@ def test_skip_keeps_a_consumed_spare_output(bit_generator, n_a):
     out = assert_same_end_state(long_stream(10**4, (5, 70, n_a - 1)),
                                 config(**LONG), bit_generator, int32_draws=2)
     assert (out.halt_reason, out.n_a) == (HaltReason.POSITIVE_BUDGET, n_a)
+
+
+# --- one stream run many times ------------------------------------------------
+# A stream no caller can write keeps its ids and gaps in stream order from
+# its first one-block run. Runs of it on one generator must equal runs of
+# fresh equal streams over writable arrays, which gather them every run.
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                         ids=lambda g: g.__name__)
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("varied", [False, True],
+                         ids=["shared threshold", "per-query thresholds"])
+def test_stream_run_many_times_matches_fresh_streams(bit_generator, variant,
+                                                     c, varied):
+    near = near_threshold(40, c + 7, spread=2.0)
+    thresholds = 500.0 + np.arange(40) % 5 - 2.0 if varied else 500.0
+    scores = near.scores + thresholds - 500.0
+    kept = QueryStream(near.ids.tolist(), scores.tolist(),
+                       thresholds.tolist() if varied else thresholds)
+    for k_max in (60, 37):
+        cfg = config(variant=variant, c=c, k_max=k_max, k_est=10)
+        one, fresh = (np.random.Generator(bit_generator(k_max))
+                      for _ in range(2))
+        for _ in range(4):
+            queries = QueryStream(np.array(near.ids), scores.copy(),
+                                  thresholds.copy() if varied else 500.0)
+            got, want = run_svt(kept, cfg, one), run_svt(queries, cfg, fresh)
+            assert got == want
+            assert (got.halt_reason, got.correction_used) == (
+                want.halt_reason, want.correction_used)
+            np.testing.assert_equal(one.bit_generator.state,
+                                    fresh.bit_generator.state)
+        assert queries._in_order() is not queries._in_order()
+    assert kept._in_order() is kept._in_order()

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svtkit import allocation, correction, data, noise, svt
+from svtkit import allocation, cli, correction, data, noise, svt
 from svtkit.allocation import Variant
 from svtkit.svt import (HaltReason, QueryStream, SvtConfig, SvtOutcome,
                         correction_term, effective_lambda, noise_pair,
@@ -430,6 +430,81 @@ def test_outcome_columns_cannot_be_made_writable(kw, n, bit_generator):
             column.flags.writeable = True
     assert out == run_svt(stream(scores), cfg,
                           np.random.Generator(bit_generator(7)))
+
+
+@pytest.mark.parametrize("sealed", [True, False],
+                         ids=["sealed columns", "writable columns"])
+def test_one_block_outcome_columns_cannot_be_made_writable(sealed):
+    """On a stream's first one-block run and on later ones, whether the
+    stream keeps its ids and gaps or gathers them anew, each column of the
+    outcome is a view of an array marked read-only before it was handed
+    out, and the runs leave the stream's reads as they were."""
+    ids = np.arange(1, 61)
+    scores = np.random.default_rng(2).normal(500.0, 3.0, ids.size)
+    queries = (QueryStream(ids.tolist(), scores.tolist(), 500.0) if sealed
+               else QueryStream(ids, scores, 500.0))
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        out = run_svt(queries, cfg_with(c=3, k_max=60), rng)
+        for column in (out.answer_ids, out.flags, out.traverses):
+            with pytest.raises(ValueError):
+                column[0] = column[-1]
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+    assert queries.ids.tolist() == ids.tolist()
+    assert queries.scores.tolist() == scores.tolist()
+
+
+@pytest.mark.parametrize("column", [1, 2], ids=["scores", "thresholds"])
+def test_one_block_run_sees_a_write_to_a_callers_column(column):
+    """A stream over a caller's writable array reads it on every run, so a
+    write made after construction is seen, as the stream's reads see it:
+    query 1 rises 10^6 above its threshold, or query 3 falls below its."""
+    columns = [np.array([1, 2, 3]), np.array([0.0, 0.0, 1e6]),
+               np.full(3, 500.0)]
+    queries = QueryStream(*columns)
+    cfg = cfg_with(k_max=3)
+    assert run_svt(queries, cfg, np.random.default_rng(0)).positives == (3,)
+    if column == 1:
+        columns[1][0] = 1e6
+    else:
+        columns[2][2] = 2e6
+    assert queries.columns[column].tolist() == columns[column].tolist()
+    out = run_svt(queries, cfg, np.random.default_rng(0))
+    assert out.positives == ((1,) if column == 1 else ())
+
+
+def test_stream_equality_does_not_depend_on_kept_reads():
+    """``==`` compares the reads of two streams alike before and after a
+    run keeps one's ids and gaps, and against a stream that keeps none."""
+    ids, scores = [3, 1, 2], [510.0, 490.0, 505.0]
+    ran, fresh = (QueryStream(ids, scores, 500.0) for _ in range(2))
+    writable = QueryStream(np.array(ids), np.array(scores), 500.0)
+    assert ran == fresh == writable
+    run_svt(ran, cfg_with(k_max=3), np.random.default_rng(0))
+    run_svt(writable, cfg_with(k_max=3), np.random.default_rng(0))
+    assert ran._in_order() is ran._in_order()
+    assert writable._in_order() is not writable._in_order()
+    assert ran == fresh == writable and fresh == ran and writable == ran
+    assert ran != QueryStream(ids, [510.0, 490.0, 506.0], 500.0)
+
+
+def test_library_built_streams_keep_their_reads():
+    """The streams the harness and the benchmark run many times are built
+    over read-only arrays, so their first run keeps their ids and gaps; a
+    permutation array a caller can write keeps them from being kept."""
+    ds = data.gen_zipf(50)
+    for queries in (cli.near_threshold_stream(50, 1000.0, 10.0),
+                    data.shuffle_and_stream(ds, np.random.default_rng(1)),
+                    QueryStream.permuted(ds.ids, ds.scores, ds.threshold,
+                                         svt.sealed(np.arange(50)))):
+        assert queries._in_order() is queries._in_order()
+        ids, gaps = queries._in_order()
+        assert ids.tolist() == queries.ids.tolist()
+        assert gaps.tolist() == (queries.scores - queries.thresholds).tolist()
+    order = np.arange(50)
+    queries = QueryStream.permuted(ds.ids, ds.scores, ds.threshold, order)
+    assert queries._in_order() is not queries._in_order()
 
 
 @pytest.mark.parametrize("field", ["c", "k_max", "max_traverses", "k_est"])
