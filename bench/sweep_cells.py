@@ -1,23 +1,25 @@
-"""Sweep cells by variant group: median and p90 cell time, query draws per answer.
+"""Sweep cells by variant group: cell time, cells per second, draws per answer.
 
 Runs the criterion-7 grid (zipf and binary datasets, six variants, eps 0.1,
 0.5 and 1.0, five appended traverses) and the criterion-8 grid (exp-opt at
 eps 0.5 over 1, 2, 5 and 10 traverses) through ``cli.run_sweep``, once per
 seed, and prints one JSON object. For each variant group -- baseline (lap,
 exp-none, exp-mean), gau, exp-opt and upper, and all cells together -- it
-gives the median and 90th percentile of the cells' ``wall_time_ms`` and the
+gives the median and 90th percentile of the cells' ``wall_time_ms``, its
+cells per second (cells over their summed ``wall_time_ms``; the "all" group's
+is the in-process counterpart of perfbench's sweep ``ops_per_s``) and the
 query noises drawn per answer (draws a skip passes over are not drawn).
 
 Each side of a comparison runs every seed in one process, in an order that
 rotates from seed to seed, so the sides share the machine's state; their
 rows must be equal apart from ``wall_time_ms``, or the run stops.
 ``--against`` loads a second checkout's ``svtkit`` under another package
-name and compares it with this one; the report gives each group's median
-and p90 change against it. ``--opening`` instead takes one or more sizes
-for ``svt._OPENING_CHUNK``, the first chunk of traverse 1; 4096 gives the
-chunk ends of a checkout without an opening chunk. ``--src`` and
-``--against`` take a checkout's root or the directory holding its
-``svtkit``. Standard library and numpy only.
+name and compares it with this one; the report gives each group's median,
+p90 and cells-per-second change against it. ``--opening`` instead takes one
+or more sizes for ``svt._OPENING_CHUNK``, the first chunk of traverse 1;
+4096 gives the chunk ends of a checkout without an opening chunk.
+``--src`` and ``--against`` take a checkout's root or the directory holding
+its ``svtkit``. Standard library and numpy only.
 
     python3 bench/sweep_cells.py --seeds 20
     python3 bench/sweep_cells.py --against /path/to/other/checkout
@@ -128,6 +130,8 @@ class Side:
             "cells": len(self.cells[group]),
             "cell_ms_p50": round(statistics.median(self.cells[group]), 4),
             "cell_ms_p90": round(p90(self.cells[group]), 4),
+            "cells_per_s": round(len(self.cells[group])
+                                 / (sum(self.cells[group]) / 1e3), 1),
             "draws_per_answer": round(self.counts[group][0]
                                       / self.counts[group][1], 3)}
             for group in GROUP_ORDER}
@@ -179,7 +183,7 @@ def main() -> int:
         new, base = (r["groups"] for r in results)
         report["change_vs_against"] = {group: {
             stat: round(new[group][stat] / base[group][stat] - 1, 4)
-            for stat in ("cell_ms_p50", "cell_ms_p90")}
+            for stat in ("cell_ms_p50", "cell_ms_p90", "cells_per_s")}
             for group in GROUP_ORDER}
     print(json.dumps(report, indent=2))
     return 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import inspect
 import itertools
 import json
@@ -207,22 +208,32 @@ def run_sweep(cfg: ExperimentConfig, out: Optional[IO[str]] = None) -> list[dict
     return rows
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _cell_config(eps: float, token: str, trav: int, c: int, delta: float,
+                 resample: bool, append: bool, monotonic: bool, alpha: float,
+                 k_est: int, n_items: int) -> tuple:
+    """A cell's budget split and, but for ``upper``, its shared SvtConfig."""
+    # The upper reference ranks with the exp-opt split's query budget.
+    variant = Variant.EXP_OPT_CORR if token == UPPER_BOUND else Variant(token)
+    split = allocation.split(eps, variant, c, monotonic)
+    return split, None if token == UPPER_BOUND else SvtConfig(
+        delta=delta, eps1=split.eps1, eps2=split.eps2, c=c,
+        k_max=n_items * trav, variant=variant, resample=resample,
+        append=append, max_traverses=trav, monotonic=monotonic, alpha=alpha,
+        k_est=k_est, delta_dp=1.0 / n_items)
+
+
 def _run_cell(cfg: ExperimentConfig, ds: data.ScoredDataset,
               truth: metrics.GroundTruth, k_est: int, eps: float, token: str,
               trav: int, rep: int, rng: np.random.Generator) -> dict:
-    # The upper reference ranks with the exp-opt split's query budget.
-    variant = Variant.EXP_OPT_CORR if token == UPPER_BOUND else Variant(token)
-    split = allocation.split(eps, variant, cfg.c, cfg.monotonic)
-    if token == UPPER_BOUND:
+    split, svt_cfg = _cell_config(eps, token, trav, cfg.c, cfg.delta,
+                                  cfg.resample, cfg.append, cfg.monotonic,
+                                  cfg.alpha, k_est, ds.n_items)
+    if svt_cfg is None:
         chosen = _noisy_ranking(ds, split.eps2, cfg.delta, cfg.c, rng)
         tail = dict(n_c=min(cfg.c, ds.n_items), n_a=ds.n_items,
                     halt_reason="", r_op="")
     else:
-        svt_cfg = SvtConfig(
-            delta=cfg.delta, eps1=split.eps1, eps2=split.eps2, c=cfg.c,
-            k_max=ds.n_items * trav, variant=variant, resample=cfg.resample,
-            append=cfg.append, max_traverses=trav, monotonic=cfg.monotonic,
-            alpha=cfg.alpha, k_est=k_est, delta_dp=1.0 / ds.n_items)
         outcome = run_svt(data.shuffle_and_stream(ds, rng), svt_cfg, rng)
         chosen = outcome.positives
         tail = dict(n_c=outcome.n_c, n_a=outcome.n_a,

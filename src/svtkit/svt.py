@@ -245,11 +245,15 @@ class SvtConfig:
 class SvtOutcome(Record):
     """One run's answers in evaluation order as aligned columns (queried
     id, flag, traverse). ``n_a`` (answers), ``n_c`` (positives) and
-    ``positives`` (the flagged ids) are read off the columns."""
+    ``positives`` (the flagged ids) are read off the columns. A run of
+    several traverses over a read-only stream keeps its source id column
+    and evaluated rows instead, and ``positives`` gathers the flagged rows:
+    the first read of either column builds both, sealed, and drops them."""
 
-    answer_ids: np.ndarray
+    # Non-data descriptors: a column set on the instance shadows them.
+    answer_ids: np.ndarray = cached_property(lambda self: self._build()[0])
     flags: np.ndarray
-    traverses: np.ndarray
+    traverses: np.ndarray = cached_property(lambda self: self._build()[1])
     halt_reason: HaltReason
     correction_used: float
 
@@ -268,7 +272,27 @@ class SvtOutcome(Record):
 
     @property
     def positives(self) -> tuple[int, ...]:
-        return tuple(self.answer_ids[self.flags].tolist())
+        parts = vars(self).get("_parts")
+        if parts is None:
+            return tuple(self.answer_ids[self.flags].tolist())
+        ids, evaluated, flagged = parts
+        return tuple(ids[np.concatenate([rows[f] for rows, f in zip(
+            evaluated, flagged)])].tolist())
+
+    def _build(self) -> tuple[np.ndarray, np.ndarray]:
+        """Set ``answer_ids`` and ``traverses`` from the kept rows, once."""
+        parts = vars(self).get("_parts")
+        if parts is not None:
+            ids, evaluated, _ = parts
+            answer_ids = sealed(ids[np.concatenate(evaluated)])
+            traverses = sealed(np.repeat(np.arange(1, len(evaluated) + 1),
+                                         [*map(len, evaluated)]))
+            vars(self).update(answer_ids=answer_ids, traverses=traverses)
+            vars(self).pop("_parts", None)
+        return vars(self)["answer_ids"], vars(self)["traverses"]
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self._compared}
 
 
 def effective_lambda(cfg: SvtConfig) -> float:
@@ -344,34 +368,28 @@ _SKIPPABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 def _skip_draws(rng: np.random.Generator, k: int) -> None:
     """Move ``rng`` past k float64 draws. ``advance`` also clears the spare
-    32-bit output, which float draws leave alone, so it is put back."""
+    32-bit output, which float draws leave alone, so a spare is put back."""
     bits = rng.bit_generator
     before = bits.state
-    bits.advance(k)
-    bits.state = {**bits.state, "has_uint32": before["has_uint32"],
-                  "uinteger": before["uinteger"]}
+    bits.advance(k)  # leaves has_uint32 and uinteger at 0
+    if before["has_uint32"] or before["uinteger"]:
+        bits.state = {**bits.state, "has_uint32": before["has_uint32"],
+                      "uinteger": before["uinteger"]}
 
 
 def _outcome(ids: np.ndarray, evaluated: list, flagged: list,
              halt: HaltReason, r: float) -> SvtOutcome:
-    """One outcome from each traverse's evaluated rows and sealed flags, its
-    ids taken and traverse numbers filled per traverse (every row was read
-    before, so ``take`` skips the bounds check and its buffered copy)."""
+    """One outcome from each traverse's evaluated rows and sealed flags,
+    its columns built now unless :class:`SvtOutcome` defers them."""
     flags = flagged[0] if len(flagged) == 1 else sealed(np.concatenate(flagged))
+    tail = dict(flags=flags, halt_reason=halt, correction_used=r)
     if len(evaluated) == 1 and flags.size <= _FIRST_CHUNK:
-        answer_ids, traverses = ids[evaluated[0]], _ONES[:flags.size]
-    else:
-        traverses = np.empty(flags.size, dtype=np.int64)
-        answer_ids = np.empty_like(traverses)
-        end = 0
-        for traverse, rows in enumerate(evaluated, 1):
-            start, end = end, end + rows.size
-            ids.take(rows, out=answer_ids[start:end], mode="clip")
-            traverses[start:end] = traverse
-        traverses = sealed(traverses)
-    return SvtOutcome.trusted(answer_ids=sealed(answer_ids), flags=flags,
-                              traverses=traverses, halt_reason=halt,
-                              correction_used=r)
+        return SvtOutcome.trusted(answer_ids=sealed(ids[evaluated[0]]),
+                                  traverses=_ONES[:flags.size], **tail)
+    outcome = SvtOutcome.trusted(_parts=(ids, evaluated, flagged), **tail)
+    if len(evaluated) == 1 or not all(map(_read_only, (ids, evaluated[0]))):
+        outcome._build()
+    return outcome
 
 
 def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
@@ -397,7 +415,8 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     the stream, which keeps them after its first such run unless an array
     owning its columns is writable (then each run gathers them, so a
     caller's write stays visible). Through the loop, a 51-query call
-    costs about 1.5 times as much. ``rng`` must be a
+    costs about 1.5 times as much. :class:`SvtOutcome` says which outcome
+    columns are built on first read. ``rng`` must be a
     ``numpy.random.Generator`` (``ValueError`` otherwise). Draw order is
     fixed for reproducibility: one threshold draw up front, then query
     noise for each traverse in evaluation order; under ``resample``,

@@ -562,3 +562,27 @@ def test_sweep_imports_the_gaussian_row_before_its_first_cell(variants,
     out = subprocess.run([sys.executable, "-c", GAU_IMPORT, *variants],
                          env=env, check=True, capture_output=True, text=True)
     assert out.stdout.split() == [str(loaded)]
+
+
+CELL_KEY = dict(eps=0.5, token="exp-opt", trav=5, c=50, delta=1.0,
+                resample=False, append=True, monotonic=False, alpha=0.0,
+                k_est=200, n_items=10_000)
+
+
+def test_cell_config_is_one_object_per_cell_key():
+    """Cells of one key share one split and SvtConfig, built as a cell
+    builds them; a change to any value of the key gives another config,
+    and the upper reference gets the exp-opt split and no config."""
+    split, cfg = cli._cell_config(**CELL_KEY)
+    assert cli._cell_config(**CELL_KEY)[1] is cfg
+    assert split == cli.allocation.split(0.5, Variant.EXP_OPT_CORR, 50)
+    assert cfg == SvtConfig(delta=1.0, eps1=split.eps1, eps2=split.eps2, c=50,
+                            k_max=50_000, variant=Variant.EXP_OPT_CORR,
+                            append=True, max_traverses=5, k_est=200,
+                            delta_dp=1e-4)
+    changed = dict(eps=0.25, token="exp-mean", trav=2, c=10, delta=2.0,
+                   resample=True, append=False, monotonic=True, alpha=1.0,
+                   k_est=7, n_items=500)
+    for name, value in changed.items():
+        assert cli._cell_config(**dict(CELL_KEY, **{name: value}))[1] != cfg
+    assert cli._cell_config(**dict(CELL_KEY, token="upper")) == (split, None)

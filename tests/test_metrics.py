@@ -362,3 +362,48 @@ def test_f1_matches_the_set_definition():
 def test_ground_truth_rejects_nested_arrays():
     with pytest.raises(ValueError, match="expected a 1-d array"):
         GroundTruth(ids=[[1, 2]], scores=[[2.0, 1.0]], threshold=0.0, c=1)
+
+
+def prefix_ncr(positives, truth):
+    """The oracle: ncr that credits the ranking's prefix whose scores reach
+    the threshold, which holds exactly the credited items because the
+    ranking is score-descending."""
+    emitted = dict.fromkeys(positives)
+    if len(emitted) > truth.c:
+        raise ValueError("too many positives")
+    n = int(np.count_nonzero(truth.scores[:truth.c] >= truth.threshold))
+    credit = dict(zip(truth.ids[:n].tolist(), range(truth.c, truth.c - n, -1)))
+    total = sum(credit.get(item, 0) for item in emitted)
+    return 2.0 * total / (truth.c * (truth.c + 1))
+
+
+def test_ncr_matches_the_ranking_prefix_oracle():
+    """Over random truths with tied scores, top-c items below the threshold,
+    repeated positives and positives outside the truth, ncr gives the
+    oracle's float, and raises where it raises."""
+    rng = np.random.default_rng(30)
+    seen = set()
+    for _ in range(600):
+        n = int(rng.integers(1, 30))
+        ids = rng.permutation(np.arange(100, 100 + 3 * n))[:n]
+        scores = rng.integers(0, 6, n).astype(float)
+        threshold = float(rng.choice(scores)) + float(rng.choice([-0.5, 0, 0.5]))
+        c = int(rng.integers(1, n + 3))
+        truth = GroundTruth.ranked(ids, scores, threshold, c)
+        pool = np.concatenate([ids, rng.integers(0, 100, 4)])
+        positives = rng.choice(pool, size=int(rng.integers(0, c + 3))).tolist()
+        seen.update(k for k, hit in (
+            ("tie", np.unique(scores).size < n),
+            ("below", (truth.scores[:c] < threshold).any()),
+            ("repeat", len(set(positives)) < len(positives)),
+            ("outside", any(p < 100 for p in positives))) if hit)
+        try:
+            expected = prefix_ncr(positives, truth)
+        except ValueError:
+            seen.add("raises")
+            with pytest.raises(ValueError, match="at most c"):
+                metrics.ncr(positives, truth)
+            continue
+        assert metrics.ncr(positives, truth) == expected
+        assert metrics.ncr(tuple(positives), truth) == expected
+    assert seen == {"tie", "below", "repeat", "outside", "raises"}

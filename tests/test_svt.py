@@ -13,6 +13,8 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +423,7 @@ def test_outcome_columns_cannot_be_made_writable(kw, n, bit_generator):
     scores = np.random.default_rng(2).normal(500.0, 3.0, n).tolist()
     cfg = cfg_with(k_max=3 * n, **kw)
     out = run_svt(stream(scores), cfg, np.random.Generator(bit_generator(7)))
+    assert ("_parts" in vars(out)) == cfg.append  # columns wait for a read
     assert out.n_a > (svt._FIRST_CHUNK if n > svt._FIRST_CHUNK else 0)
     assert (out.traverses.max() > 1) == cfg.append
     for column in (out.answer_ids, out.flags, out.traverses):
@@ -745,3 +748,170 @@ def test_row_built_stream_runs_as_its_identity_permutation(variant):
     a, b = np.random.default_rng(4), np.random.default_rng(4)
     assert run_svt(built, cfg, a) == run_svt(view, cfg, b)
     assert a.bit_generator.state == b.bit_generator.state
+
+
+# --- outcome columns built on first read --------------------------------------
+
+def eager_outcome(ids, evaluated, flagged, halt, r):
+    """The oracle: the outcome assembly that took every answer's id and
+    filled every traverse number before the run returned."""
+    flags = (flagged[0] if len(flagged) == 1
+             else svt.sealed(np.concatenate(flagged)))
+    traverses = np.empty(flags.size, dtype=np.int64)
+    answer_ids = np.empty_like(traverses)
+    end = 0
+    for traverse, rows in enumerate(evaluated, 1):
+        start, end = end, end + rows.size
+        ids.take(rows, out=answer_ids[start:end], mode="clip")
+        traverses[start:end] = traverse
+    return SvtOutcome.trusted(answer_ids=svt.sealed(answer_ids), flags=flags,
+                              traverses=svt.sealed(traverses),
+                              halt_reason=halt, correction_used=r)
+
+
+def lazy_and_eager(monkeypatch, queries, cfg, make_rng):
+    lazy = run_svt(queries, cfg, make_rng())
+    with monkeypatch.context() as patched:
+        patched.setattr(svt, "_outcome", eager_outcome)
+        eager = run_svt(queries, cfg, make_rng())
+    return lazy, eager
+
+
+def assert_same_columns(lazy, eager):
+    """Read ``positives`` first, which must build no deferred column, then
+    compare the outcomes column by column, dtypes included; reading the
+    columns drops the kept rows."""
+    deferred = "_parts" in vars(lazy)
+    assert lazy.positives == eager.positives
+    assert ("answer_ids" in vars(lazy)) != deferred
+    assert ("traverses" in vars(lazy)) != deferred
+    for name in ("answer_ids", "flags", "traverses"):
+        got, want = getattr(lazy, name), getattr(eager, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert "_parts" not in vars(lazy)
+    assert (lazy.n_a, lazy.n_c, lazy.halt_reason, lazy.correction_used) == (
+        eager.n_a, eager.n_c, eager.halt_reason, eager.correction_used)
+    assert lazy == eager and eager == lazy
+
+
+def sparse_stream(n=5000, near=10, seed=6) -> QueryStream:
+    """``n`` queries far below the threshold 500 and ``near`` around it, so
+    that a run with c above ``near`` walks every traverse."""
+    rng = np.random.default_rng(seed)
+    scores = np.full(n, -2000.0)
+    scores[rng.permutation(n)[:near]] = 500.0 + 20.0 * rng.standard_normal(near)
+    ids = rng.permutation(np.arange(7, 7 + 2 * n))[:n].tolist()
+    return QueryStream(ids, scores, 500.0)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("traverses", [1, 2, 5])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_appended_outcome_matches_the_eager_oracle(monkeypatch, variant,
+                                                   traverses, bit_generator):
+    """An outcome of more than 4,096 answers or several traverses equals,
+    column for column, the one whose columns were filled before the run
+    returned; over a read-only stream, one of several traverses defers its
+    columns, and ``positives`` reads the flagged rows without building them."""
+    queries = sparse_stream()
+    cfg = cfg_with(variant=variant, c=20, k_max=len(queries) * traverses,
+                   append=True, max_traverses=traverses,
+                   delta_dp=1e-3 if variant is Variant.GAU else None)
+    lazy, eager = lazy_and_eager(monkeypatch, queries, cfg,
+                                 lambda: np.random.Generator(bit_generator(9)))
+    assert ("_parts" in vars(lazy)) == (traverses > 1)
+    assert_same_columns(lazy, eager)
+    assert lazy.traverses.max() == traverses
+    assert lazy.n_c > 0
+
+
+def test_lazily_built_columns_are_kept_and_survive_pickling():
+    """Columns built on first read are kept (their sealing is checked by
+    ``test_outcome_columns_cannot_be_made_writable``, whose runs of more
+    than 4,096 answers or several traverses build them); a copy or pickle
+    round trip, made before or after they are built, carries the same
+    columns and not the run's rows."""
+    cfg = cfg_with(variant=Variant.EXP_OPT_CORR, c=20, k_max=15000,
+                   append=True, max_traverses=3, k_est=250)
+    out = run_svt(sparse_stream(), cfg, np.random.default_rng(3))
+    before = pickle.loads(pickle.dumps(out))
+    assert "_parts" not in vars(before) and "_parts" not in vars(copy.copy(out))
+    assert out.answer_ids is out.answer_ids and out.traverses is out.traverses
+    after = pickle.loads(pickle.dumps(out))
+    assert before == out == after == copy.deepcopy(out)
+    assert before.positives == out.positives == after.positives
+    assert out.traverses.tolist() == before.traverses.tolist()
+
+
+def test_appended_run_over_a_scores_file_gathers_only_its_rows(
+        tmp_path, monkeypatch):
+    """A scores file's id column is a strided field: an appended run over a
+    few of its rows, and its built columns, copy no more than those rows
+    (tracemalloc sees numpy's buffers), and equal the eager oracle."""
+    n = 1 << 16
+    data.write_scores(data.gen_zipf(n), tmp_path / "wide.scores")
+    ds = data.read_scores(tmp_path / "wide.scores")
+    assert not ds.ids.flags.c_contiguous
+    order = svt.sealed(np.random.default_rng(3).permutation(n)[:300])
+    queries = QueryStream.permuted(ds.ids, ds.scores, ds.threshold, order)
+    cfg = cfg_with(variant=Variant.LAP, c=200, k_max=1200, append=True,
+                   max_traverses=4)
+    svt.config_laws(cfg)
+    tracemalloc.start()
+    try:
+        out = run_svt(queries, cfg, np.random.default_rng(5))
+        columns = out.positives, out.answer_ids, out.traverses
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns[2].max() > 1
+    assert peak < ds.ids.nbytes // 4
+    lazy, eager = lazy_and_eager(monkeypatch, queries, cfg,
+                                 lambda: np.random.default_rng(5))
+    assert_same_columns(lazy, eager)
+
+
+def test_long_single_traverse_outcome_does_not_keep_the_stream_order(
+        monkeypatch):
+    """An outcome of one traverse cut after 6,000 of 10^5 queries equals the
+    eager oracle, and gets its columns before the run returns, so it does
+    not keep the stream's order."""
+    ds = data.gen_zipf(10**5)
+    queries = data.shuffle_and_stream(ds, np.random.default_rng(1))
+    cfg = cfg_with(variant=Variant.LAP, c=5000, k_max=6000)
+    lazy, eager = lazy_and_eager(monkeypatch, queries, cfg,
+                                 lambda: np.random.default_rng(8))
+    assert lazy.halt_reason is HaltReason.QUERY_BUDGET
+    assert "_parts" not in vars(lazy)
+    order = weakref.ref(queries.order.base)
+    del queries
+    assert order() is None
+    assert_same_columns(lazy, eager)
+
+
+@pytest.mark.parametrize("writable", ["ids", "order"])
+def test_appended_run_over_a_callers_writable_rows_gathers_them_now(
+        monkeypatch, writable):
+    """A stream that views a caller's writable ids or order hands its
+    appended outcome built columns: a later write by the caller changes
+    no column, ``positives`` included."""
+    n = 5000
+    ids, order = np.arange(7, 7 + n), np.random.default_rng(2).permutation(n)
+    scores = np.full(n, -2000.0)
+    scores[order[:10]] = 500.0
+    if writable == "ids":
+        queries = QueryStream(ids, scores, 500.0)
+    else:
+        queries = QueryStream.permuted(svt.sealed(ids), svt.sealed(scores),
+                                       500.0, order)
+    assert not svt._read_only({"ids": ids, "order": order}[writable])
+    cfg = cfg_with(variant=Variant.LAP, c=20, k_max=3 * n, append=True,
+                   max_traverses=3)
+    lazy, eager = lazy_and_eager(monkeypatch, queries, cfg,
+                                 lambda: np.random.default_rng(4))
+    assert "_parts" not in vars(lazy) and lazy.n_a > n
+    positives = lazy.positives
+    {"ids": ids, "order": order}[writable][:] = np.arange(n)[::-1]
+    assert lazy.positives == positives == eager.positives
+    assert lazy == eager and lazy.traverses.max() == 3
+    assert np.array_equal(lazy.answer_ids[lazy.flags], positives)
