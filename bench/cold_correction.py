@@ -6,8 +6,9 @@ the memo cleared before every call so each one builds its grid, after one
 unmeasured warm-up call. Prints the median milliseconds per call and its
 split into discretize (both laws, written into their arrays: ``_discretize``
 where a checkout has it, else ``discretize``), forward (the ``numpy.fft.rfft``
-calls), inverse (the rest of ``convolve_difference``: the product, the
-``irfft`` and the brackets) and read (the rest: the grid bound, the shifted
+calls), inverse (the rest of the convolution, ``_convolve_rows`` where a
+checkout has it, else ``convolve_difference``: the product, the ``irfft``
+and the brackets) and read (the rest: the grid bound, the shifted
 reads of Gamma, log p and the argmax), each a median over the calls, and the
 minor page faults (``ru_minflt``) per call. After the timed calls, an
 untimed pass over the queries under ``tracemalloc`` gives each side's peak
@@ -64,8 +65,8 @@ def _timed(spent: list | dict, key, fn):
 
 class Side:
     """One checkout's ``svtkit.correction``, imported as package ``name``
-    so two checkouts can share one process, with its discretize step and
-    ``convolve_difference`` timed per call."""
+    so two checkouts can share one process, with its discretize and
+    convolve steps timed per call."""
 
     def __init__(self, label: str, src: Path, name: str) -> None:
         self.label, self.src = label, src
@@ -73,10 +74,12 @@ class Side:
         self.spent = {"discretize": 0.0, "convolve": 0.0}
         self.rows: list[tuple[float, float, float, float, float, int]] = []
         self.peak = 0
-        discretize = ("_discretize" if hasattr(self.correction, "_discretize")
-                      else "discretize")
-        for stage, fname in (("discretize", discretize),
-                             ("convolve", "convolve_difference")):
+        def own(private: str, public: str) -> str:
+            return private if hasattr(self.correction, private) else public
+
+        for stage, fname in (
+                ("discretize", own("_discretize", "discretize")),
+                ("convolve", own("_convolve_rows", "convolve_difference"))):
             setattr(self.correction, fname,
                     _timed(self.spent, stage, getattr(self.correction, fname)))
 

@@ -18,12 +18,17 @@ name and compares it with this one; the report gives each group's median,
 p90 and cells-per-second change against it. ``--opening`` instead takes one
 or more sizes for ``svt._OPENING_CHUNK``, the first chunk of traverse 1;
 4096 gives the chunk ends of a checkout without an opening chunk.
-``--src`` and ``--against`` take a checkout's root or the directory holding
-its ``svtkit``. Standard library and numpy only.
+``--scores PATH`` runs perfbench's sweep-1e6 grid instead (lap, exp-mean and
+upper at eps 0.5, c = 50, one traverse, two repetitions) over that scores
+file (``svtkit gen --dataset zipf --n-items 1000000 --out PATH`` writes
+perfbench's); its upper group's draws per answer is the share of items the
+reference draws noise for. ``--src`` and ``--against`` take a checkout's root or the
+directory holding its ``svtkit``. Standard library and numpy only.
 
     python3 bench/sweep_cells.py --seeds 20
     python3 bench/sweep_cells.py --against /path/to/other/checkout
     python3 bench/sweep_cells.py --opening 256,512,1024
+    python3 bench/sweep_cells.py --scores zipf-1e6.csv --seeds 5 --against ..
 """
 
 from __future__ import annotations
@@ -79,8 +84,9 @@ class Side:
     flushes its sink after the header and after each row, and each flush
     opens the next cell's count."""
 
-    def __init__(self, label: str, src: Path, name: str, opening) -> None:
-        self.label, self.src = label, src
+    def __init__(self, label: str, src: Path, name: str, opening,
+                 grids: tuple = GRIDS) -> None:
+        self.label, self.src, self.grids = label, src, grids
         self.cli, noise, self.svt = load(src, name, "cli", "noise", "svt")
         if opening is not None:
             if not hasattr(self.svt, "_OPENING_CHUNK"):
@@ -106,7 +112,7 @@ class Side:
 
     def one_pass(self, seed: int, record: bool = True) -> list[dict]:
         all_rows = []
-        for grid in GRIDS:
+        for grid in self.grids:
             self.drawn[:] = [0]
             rows = self.cli.run_sweep(
                 self.cli.ExperimentConfig(seed=seed, **grid), out=self)
@@ -132,9 +138,9 @@ class Side:
             "cell_ms_p90": round(p90(self.cells[group]), 4),
             "cells_per_s": round(len(self.cells[group])
                                  / (sum(self.cells[group]) / 1e3), 1),
-            "draws_per_answer": round(self.counts[group][0]
-                                      / self.counts[group][1], 3)}
-            for group in GROUP_ORDER}
+            "draws_per_answer": float("%.4g" % (self.counts[group][0]
+                                                / self.counts[group][1]))}
+            for group in GROUP_ORDER if group in self.cells}
 
 
 def untimed(rows: list[dict]) -> list[dict]:
@@ -151,6 +157,9 @@ def main() -> int:
                         help="a second checkout to compare, in one process")
     parser.add_argument("--seeds", type=int, default=20,
                         help="root seeds 0 .. N-1, one sweep pass each")
+    parser.add_argument("--scores", default=None,
+                        help="run perfbench's sweep-1e6 grid over this "
+                             "scores file instead")
     parser.add_argument("--opening", default=None,
                         help="comma-separated sizes of traverse 1's first "
                              "chunk (default: the checkout's own)")
@@ -158,15 +167,22 @@ def main() -> int:
     if args.against and args.opening:
         parser.error("--against and --opening do not combine")
     src = package_dir(args.src)
+    grids = GRIDS
+    if args.scores:  # perfbench's sweep-1e6 grid
+        if not Path(args.scores).is_file():
+            parser.error(f"no scores file at {args.scores}")
+        grids = (dict(dataset=str(Path(args.scores).resolve()),
+                      variants=("lap", "exp-mean", "upper"), eps_values=(0.5,),
+                      c=50, traverses=(1,), repetitions=2, n_items=10**6),)
     if args.against:
-        sides = [Side("src", src, "svtkit_src", None),
+        sides = [Side("src", src, "svtkit_src", None, grids),
                  Side("against", package_dir(args.against),
-                      "svtkit_against", None)]
+                      "svtkit_against", None, grids)]
     elif args.opening:
         sides = [Side(f"opening {size}", src, f"svtkit_opening_{size}",
-                      int(size)) for size in args.opening.split(",")]
+                      int(size), grids) for size in args.opening.split(",")]
     else:
-        sides = [Side("src", src, "svtkit_src", None)]
+        sides = [Side("src", src, "svtkit_src", None, grids)]
 
     for side in sides:
         side.one_pass(10**6, record=False)  # warm-up: imports, caches
@@ -178,13 +194,14 @@ def main() -> int:
     results = [{"side": side.label, "src": str(side.src),
                 "opening_chunk": getattr(side.svt, "_OPENING_CHUNK", None),
                 "groups": side.groups()} for side in sides]
-    report = {"seeds": args.seeds, "rows_equal": True, "results": results}
+    report = {"seeds": args.seeds, "scores": args.scores, "rows_equal": True,
+              "results": results}
     if args.against:
         new, base = (r["groups"] for r in results)
         report["change_vs_against"] = {group: {
             stat: round(new[group][stat] / base[group][stat] - 1, 4)
             for stat in ("cell_ms_p50", "cell_ms_p90", "cells_per_s")}
-            for group in GROUP_ORDER}
+            for group in new}
     print(json.dumps(report, indent=2))
     return 0
 

@@ -32,7 +32,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from . import allocation, checks, correction, data, metrics, noise
+from . import allocation, checks, correction, data, metrics, noise, svt
 from .allocation import Variant
 from .svt import QueryStream, SvtConfig, run_svt, sealed
 
@@ -133,6 +133,9 @@ def _eps_key(eps: float) -> int:
 
 # The least eps whose stream key overflows: eps * 1e9 is inf from here on.
 _EPS_LIMIT = math.nextafter(sys.float_info.max / 1e9, math.inf)
+# An Exp(1) draw is at most its draw at the largest uniform, 1 - 2^-53,
+# times 1 + 2^-30, a margin that rounding cannot cross.
+_EXP_REACH = -math.log1p(2.0**-53 - 1.0) * (1.0 + 2.0**-30)
 
 
 def cell_rng(seed: int, eps: float, variant: str, traverses: int,
@@ -154,11 +157,22 @@ def cell_rng(seed: int, eps: float, variant: str, traverses: int,
 
 
 def _noisy_ranking(ds: data.ScoredDataset, eps2: float, delta: float, c: int,
-                   rng: np.random.Generator) -> list[int]:
-    """Non-interactive reference: top-c ids of scores + Exp(delta/eps2)."""
-    perturbed = ds.scores + noise.sample(noise.exponential(delta / eps2), rng,
-                                         size=ds.n_items)
-    return ds.ids[_top(perturbed, c)].tolist()
+                   rng: np.random.Generator, s_c: float) -> list[int]:
+    """Non-interactive reference: top-c ids of scores + Exp(delta/eps2).
+
+    A draw lies in [0, N], N = scale * ``_EXP_REACH``: only items scoring
+    at least s_c - N - |s_c| 2^-30 (s_c the c-th largest score) can reach
+    the top c. The uniforms past the last of them are skipped on ``rng``, a
+    PCG64: ids, order and end state equal a full draw's, bit for bit."""
+    d = noise.exponential(delta / eps2)
+    reach = np.flatnonzero(
+        ds.scores >= s_c - (_EXP_REACH * d.scale + abs(s_c) * 2.0**-30))
+    rest = ds.n_items - 1 - reach.item(-1)
+    at = reach if reach.size < ds.n_items else slice(None)
+    perturbed = noise.from_uniform(d, rng.random(ds.n_items - rest)[at])
+    perturbed += ds.scores[at]
+    svt._skip_draws(rng, rest)
+    return ds.ids[at][_top(perturbed, c)].tolist()
 
 
 def _top(values: np.ndarray, c: int) -> np.ndarray:
@@ -230,7 +244,8 @@ def _run_cell(cfg: ExperimentConfig, ds: data.ScoredDataset,
                                   cfg.resample, cfg.append, cfg.monotonic,
                                   cfg.alpha, k_est, ds.n_items)
     if svt_cfg is None:
-        chosen = _noisy_ranking(ds, split.eps2, cfg.delta, cfg.c, rng)
+        s_c = truth.scores.item(min(cfg.c, ds.n_items) - 1)
+        chosen = _noisy_ranking(ds, split.eps2, cfg.delta, cfg.c, rng, s_c)
         tail = dict(n_c=min(cfg.c, ds.n_items), n_a=ds.n_items,
                     halt_reason="", r_op="")
     else:

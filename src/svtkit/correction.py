@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from ctypes import addressof, c_char
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
@@ -175,31 +174,28 @@ def convolve_difference(x: DiscretePmf, y: DiscretePmf) -> DiscretePmf:
     """Law of Z = X - Y for independent discretized X and Y.
 
     Reflects y's grid and convolves the mass arrays with FFT, both forward
-    transforms as one ``rfft`` of a (2, nf) block whose rows are x.mass and
-    y.mass[::-1] zero-padded, made unless they are its rows already. Bracket
-    algebra: a pair with one infinite operand lands in that bracket, two
-    matching infinities stay there, and the mass of the opposing pairs
-    (-inf of one with +inf of the other) is split evenly between both
-    brackets -- with the default tail mass that product is around 1e-20
-    and only kept so the total stays exactly 1.
+    transforms as one ``rfft`` of a new (2, nf) block whose rows are x.mass
+    and y.mass[::-1] zero-padded. Bracket algebra: a pair with one infinite
+    operand lands in that bracket, two matching infinities stay there, and
+    the mass of the opposing pairs (-inf of one with +inf of the other) is
+    split evenly between both brackets -- with the default tail mass that
+    product is around 1e-20 and only kept so the total stays exactly 1.
     """
     if abs(x.mesh - y.mesh) > 1e-12 * max(x.mesh, y.mesh):
         raise ValueError(f"mismatched mesh: {x.mesh} vs {y.mesh}")
+    rows = np.zeros((2, _fast_len(len(x.mass) + len(y.mass) - 1)))
+    rows[0, :len(x.mass)], rows[1, :len(y.mass)] = x.mass, y.mass[::-1]
+    return _convolve_rows(x, y, rows)
+
+
+def _convolve_rows(x: DiscretePmf, y: DiscretePmf,
+                   rows: np.ndarray) -> DiscretePmf:
+    """:func:`convolve_difference` over ``rows``, a C-contiguous (2, nf)
+    block holding x.mass and y.mass[::-1], each zero-padded to nf."""
     r_mass = y.mass[::-1]
     r_origin = -(y.origin_index + len(y.mass) - 1)
     r_neg, r_pos = y.pos_inf_mass, y.neg_inf_mass
-
-    n = len(x.mass) + len(r_mass) - 1
-    nf = _fast_len(n)
-    # ctypes reads a writable array's address with no __array_interface__
-    rows, masses = x.mass.base, (x.mass, r_mass)
-    if not (getattr(rows, "shape", None) == (2, nf) and rows.flags.c_contiguous
-            and all(a.flags.writeable and a.size and a.dtype == rows.dtype
-                    and a.strides == rows.strides[1:] for a in masses)
-            and [addressof(c_char.from_buffer(a)) for a in masses]
-            == [addressof(c_char.from_buffer(row)) for row in rows]):
-        rows = np.zeros((2, nf))
-        rows[0, :len(x.mass)], rows[1, :len(r_mass)] = x.mass, r_mass
+    n, nf = len(x.mass) + len(r_mass) - 1, rows.shape[1]
     # numpy's pocketfft transforms rows in SIMD pairs, bits equal to one row
     # at a time, but only rows already nf long: a row it pads runs alone
     spectrum, r_spectrum = np.fft.rfft(rows, axis=1)
@@ -389,8 +385,8 @@ def _block_difference(x_law: NoiseDist, y_law: NoiseDist, m: int,
     rows = np.empty((2, _fast_len(2 * n - 1)))
     rows[:, n:] = 0.0
     x_mass, r_mass = rows[:, :n]
-    return convolve_difference(_discretize(x_law, m, B, x_mass),
-                               _discretize(y_law, m, B, r_mass[::-1]))
+    return _convolve_rows(_discretize(x_law, m, B, x_mass),
+                          _discretize(y_law, m, B, r_mass[::-1]), rows)
 
 
 def _log_success(q: CorrectionQuery, gamma_plus: np.ndarray,

@@ -414,8 +414,7 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     of draws, bit for bit, and the ids and gaps come in stream order from
     the stream, which keeps them after its first such run unless an array
     owning its columns is writable (then each run gathers them, so a
-    caller's write stays visible). Through the loop, a 51-query call
-    costs about 1.5 times as much. :class:`SvtOutcome` says which outcome
+    caller's write stays visible). :class:`SvtOutcome` says which outcome
     columns are built on first read. ``rng`` must be a
     ``numpy.random.Generator`` (``ValueError`` otherwise). Draw order is
     fixed for reproducibility: one threshold draw up front, then query

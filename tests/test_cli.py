@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svtkit import cli, data
+from svtkit import cli, data, noise
 from svtkit.allocation import Variant
 from svtkit.cli import ExperimentConfig, SWEEP_COLUMNS
 from svtkit.svt import SvtConfig, effective_lambda
@@ -197,6 +197,143 @@ def test_partial_top_c_on_one_value():
     assert cli._top(np.array([3.0]), 1).tolist() == [0]
     assert cli._top(np.array([3.0]), 4).tolist() == [0]
     assert cli._top(np.zeros(6), 3).tolist() == [0, 1, 2]
+
+
+def full_draw_ranking(ds, eps2, delta, c, rng):
+    """The reference before its candidate bound: every item drawn, every
+    perturbed score ranked."""
+    perturbed = ds.scores + noise.sample(noise.exponential(delta / eps2), rng,
+                                         size=ds.n_items)
+    return ds.ids[cli._top(perturbed, c)].tolist()
+
+
+def c_th_score(ds, c):
+    return np.sort(ds.scores)[::-1].item(min(c, ds.n_items) - 1)
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The sizes of the uniform arrays the reference turns into noise."""
+    sizes = []
+    from_uniform = noise.from_uniform
+
+    def counted(d, u):
+        sizes.append(np.size(u))
+        return from_uniform(d, u)
+
+    monkeypatch.setattr(noise, "from_uniform", counted)
+    return sizes
+
+
+def assert_ranks_as_full_draw(ds, eps2, c, seed=0, delta=1.0):
+    """Equal ids, order and generator end state on PCG64, the generator of
+    every sweep cell, on PCG64 holding a spare 32-bit output, and on
+    PCG64DXSM."""
+    for bits, spare in ((np.random.PCG64, False), (np.random.PCG64, True),
+                        (np.random.PCG64DXSM, False)):
+        want_rng, got_rng = (np.random.Generator(bits(seed)) for _ in "ab")
+        if spare:
+            for rng in (want_rng, got_rng):
+                rng.integers(2**32, dtype=np.uint32)
+        want = full_draw_ranking(ds, eps2, delta, c, want_rng)
+        got = cli._noisy_ranking(ds, eps2, delta, c, got_rng,
+                                 c_th_score(ds, c))
+        assert got == want, (bits, spare)
+        assert (repr(got_rng.bit_generator.state)
+                == repr(want_rng.bit_generator.state)), (bits, spare)
+
+
+@pytest.mark.parametrize("eps2", [5.0, 0.5, 0.05, 1e-4])
+@pytest.mark.parametrize("ds", [data.gen_zipf(300), data.gen_binary(300, 10)],
+                         ids=["zipf", "binary"])
+def test_noisy_ranking_equals_the_full_draw(ds, eps2):
+    for c in (1, 5, 10, 11, 50):
+        for seed in range(3):
+            assert_ranks_as_full_draw(ds, eps2, c, seed)
+
+
+@pytest.mark.parametrize("ds, eps2, c, candidates", [
+    (data.gen_zipf(300), 5.0, 5, 5),
+    (data.gen_zipf(300), 1e-4, 5, 300),        # every item within reach
+    (data.gen_binary(300, 10), 5.0, 5, 10),
+    (data.gen_binary(300, 10), 5.0, 11, 300),  # c above the positives
+])
+def test_noisy_ranking_draws_noise_for_its_candidates(ds, eps2, c,
+                                                      candidates, drawn):
+    cli._noisy_ranking(ds, eps2, 1.0, c, np.random.default_rng(0),
+                       c_th_score(ds, c))
+    assert drawn == [candidates]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_noisy_ranking_equals_the_full_draw_on_ties_and_negatives(seed):
+    ties = _tie_heavy(seed)                  # -0.0 among the zeros
+    negative = ties - 6.0
+    spread = -np.random.default_rng(seed).exponential(100.0, 200)
+    for scores in (ties, negative, spread):
+        ds = data.ScoredDataset("x", np.arange(scores.size) + 7, scores, 0.0)
+        for eps2 in (0.3, 3.0, 300.0):
+            for c in (1, 3, 40, 200, 250):  # c >= n at 200 and 250
+                assert_ranks_as_full_draw(ds, eps2, c, seed)
+
+
+def test_noisy_ranking_equals_the_full_draw_on_a_shuffled_scores_file(
+        tmp_path, drawn):
+    """Rows in shuffled order scatter the candidates to the file's end; the
+    file's id and score columns are strided fields."""
+    zipf = data.gen_zipf(2000)
+    order = np.random.default_rng(3).permutation(zipf.n_items)
+    data.write_scores(data.ScoredDataset("z", zipf.ids[order],
+                                         zipf.scores[order], 0.0),
+                      tmp_path / "z.csv")
+    ds = data.read_scores(tmp_path / "z.csv")
+    assert ds.ids.strides == (16,)
+    for eps2 in (0.5, 5.0):
+        for c in (1, 50, 2000, 2100):
+            assert_ranks_as_full_draw(ds, eps2, c, seed=c)
+    drawn.clear()
+    cli._noisy_ranking(ds, 0.5, 1.0, 50, np.random.default_rng(0),
+                       c_th_score(ds, 50))
+    assert drawn[0] < ds.n_items // 10
+
+
+@pytest.mark.parametrize("s_c", [200.0, -3.5, 0.0, 1e6, 7e-5])
+@pytest.mark.parametrize("scale", [2.0, 1e-5, 1e6])
+def test_the_candidate_bound_is_exact_to_one_ulp(s_c, scale, drawn):
+    """An item scoring at the bound is a candidate, one an ulp below it is
+    not; placed last, either one decides how many uniforms are drawn."""
+    bound = s_c - (cli._EXP_REACH * scale + abs(s_c) * 2.0**-30)
+    for last, candidates in ((bound, 3), (np.nextafter(bound, -np.inf), 2)):
+        far = bound - max(abs(bound), 1.0)
+        scores = np.array([s_c + 1.0, s_c, far, far, last])
+        ds = data.ScoredDataset("x", [5, 4, 3, 2, 1], scores, 0.0)
+        drawn.clear()
+        assert_ranks_as_full_draw(ds, 1.0 / scale, 2)
+        assert drawn[1] == candidates, last
+
+
+def test_no_exponential_draw_is_above_the_candidate_reach():
+    """The top 2^20 uniforms below 1, at scales from 1e-5 to 1e6, draw at
+    most the reach the candidate bound adds to each score."""
+    u = 1.0 - np.arange(1, 2**20 + 1) * 2.0**-53
+    for scale in (1e-5, 0.1, 1.0, 2.1170000166126748, 3.0, 1e3, 1e6):
+        d = noise.exponential(scale)
+        assert noise.from_uniform(d, u.copy()).max() <= cli._EXP_REACH * scale
+        assert noise.from_uniform(d, 1.0 - 2.0**-53) <= cli._EXP_REACH * scale
+
+
+def test_upper_cells_rank_as_the_full_draw(monkeypatch):
+    """The harness hands the reference its c-th largest score: its upper
+    rows equal those of the full draw."""
+    for cfg in (small_sweep(variants=("upper",), c=50, repetitions=3),
+                small_sweep(dataset="binary", variants=("upper",), c=20,
+                            n_positive=15, repetitions=3)):
+        rows = strip_timing(cli.run_sweep(cfg))
+        monkeypatch.setattr(cli, "_noisy_ranking",
+                            lambda ds, eps2, delta, c, rng, s_c:
+                            full_draw_ranking(ds, eps2, delta, c, rng))
+        assert strip_timing(cli.run_sweep(cfg)) == rows
+        monkeypatch.undo()
 
 
 # --- correction table --------------------------------------------------
