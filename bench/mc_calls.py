@@ -53,9 +53,8 @@ class Side:
             for alpha in wl.MC_ALPHAS:
                 stream = cli.near_threshold_stream(wl.MC_K, wl.MC_THRESHOLD,
                                                    alpha)
-                truth = metrics.GroundTruth.from_items(
-                    zip(stream.ids.tolist(), stream.scores.tolist()),
-                    wl.MC_THRESHOLD, c=1)
+                truth = metrics.GroundTruth.ranked(
+                    stream.ids, stream.scores, wl.MC_THRESHOLD, c=1)
                 cfg = svt.SvtConfig(
                     delta=1.0, eps1=wl.MC_EPS / 2, eps2=wl.MC_EPS / 2, c=1,
                     k_max=wl.MC_K + 1, variant=variant, alpha=alpha,

@@ -45,11 +45,11 @@ class QueryEntry(NamedTuple):
 
 
 def frozen(values, dtype) -> np.ndarray:
-    """A read-only one-dimensional view of ``values`` as ``dtype``. An
+    """A read-only one-dimensional array of ``values`` as ``dtype``. An
     integer ``dtype`` takes only integers within its range and rejects
     anything else with ``ValueError``: a float id is never truncated. An
-    array of ``dtype`` is viewed, not copied; one made here, from a list
-    or by conversion, is :func:`sealed`."""
+    array made here, from a list or by conversion, is :func:`sealed`; any
+    other is :func:`_owned`."""
     array = np.asarray(values)
     if np.issubdtype(dtype, np.integer):
         if array.size and not (array.dtype.kind in "iu" and (
@@ -64,11 +64,9 @@ def frozen(values, dtype) -> np.ndarray:
         raise ValueError("float columns must be finite numbers") from None
     if array.ndim != 1:
         raise ValueError(f"expected a 1-d array, got shape {array.shape}")
-    if array is not values and array.base is None:
-        return sealed(array)
-    array = array.view()
-    array.flags.writeable = False
-    return array
+    if array is values or array.base is not None:
+        return _owned(array)
+    return sealed(array)
 
 
 def sealed(array: np.ndarray) -> np.ndarray:
@@ -78,11 +76,15 @@ def sealed(array: np.ndarray) -> np.ndarray:
     return array.view()
 
 
-def _read_only(array: np.ndarray) -> bool:
-    """Whether ``array``'s memory is owned by a read-only numpy array."""
-    while isinstance(array.base, np.ndarray):
-        array = array.base
-    return array.base is None and not array.flags.writeable
+def _owned(array: np.ndarray) -> np.ndarray:
+    """A record owns read-only columns: a view of ``array`` if it and the
+    numpy array owning its memory are read-only, else of a sealed copy."""
+    owner = array
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if array.flags.writeable or owner.flags.writeable or owner.base is not None:
+        return sealed(array.copy())
+    return array.view()
 
 
 class Record:
@@ -142,11 +144,13 @@ class QueryStream(Record):
     @classmethod
     def permuted(cls, ids: np.ndarray, scores: np.ndarray, threshold: float,
                  order: np.ndarray) -> "QueryStream":
-        """The rows ``order`` of id and score columns that already meet the
-        class's invariants, each query with ``threshold``; nothing is copied
-        or checked."""
+        """The rows ``order`` (:func:`_owned`) of id and score columns that
+        already meet the class's invariants (unique, finite, read-only), each
+        query with ``threshold``; the columns are neither copied nor
+        checked."""
         thresholds = np.broadcast_to(frozen([threshold], float), ids.shape)
-        return cls.trusted(columns=(ids, scores, thresholds), order=order)
+        return cls.trusted(columns=(ids, scores, thresholds),
+                           order=_owned(order))
 
     def _read(self, column: int) -> np.ndarray:
         values = self.columns[column][self.order]
@@ -157,16 +161,13 @@ class QueryStream(Record):
     scores = property(lambda self: self._read(1))
     thresholds = property(lambda self: self._read(2))
 
+    _kept = cached_property(lambda self: (
+        self.ids, sealed(self.scores - self.thresholds)))
+
     def _in_order(self) -> tuple[np.ndarray, np.ndarray]:
         """The read-only ids and gaps (score less threshold) in stream order,
-        kept from the first call if the arrays owning the columns and
-        ``order`` are read-only, so that no caller can write them."""
-        kept = vars(self).get("_kept")
-        if kept is None:
-            kept = self.ids, sealed(self.scores - self.thresholds)
-            if all(map(_read_only, self.columns + (self.order,))):
-                vars(self)["_kept"] = kept
-        return kept
+        kept from the first call."""
+        return self._kept
 
     def __len__(self) -> int:
         return self.order.size
@@ -246,9 +247,9 @@ class SvtOutcome(Record):
     """One run's answers in evaluation order as aligned columns (queried
     id, flag, traverse). ``n_a`` (answers), ``n_c`` (positives) and
     ``positives`` (the flagged ids) are read off the columns. A run of
-    several traverses over a read-only stream keeps its source id column
-    and evaluated rows instead, and ``positives`` gathers the flagged rows:
-    the first read of either column builds both, sealed, and drops them."""
+    several traverses keeps its stream's id column and evaluated rows
+    instead, and ``positives`` gathers the flagged rows: the first read of
+    either column builds both, sealed, and drops them."""
 
     # Non-data descriptors: a column set on the instance shadows them.
     answer_ids: np.ndarray = cached_property(lambda self: self._build()[0])
@@ -281,15 +282,12 @@ class SvtOutcome(Record):
 
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
         """Set ``answer_ids`` and ``traverses`` from the kept rows, once."""
-        parts = vars(self).get("_parts")
-        if parts is not None:
-            ids, evaluated, _ = parts
-            answer_ids = sealed(ids[np.concatenate(evaluated)])
-            traverses = sealed(np.repeat(np.arange(1, len(evaluated) + 1),
-                                         [*map(len, evaluated)]))
-            vars(self).update(answer_ids=answer_ids, traverses=traverses)
-            vars(self).pop("_parts", None)
-        return vars(self)["answer_ids"], vars(self)["traverses"]
+        ids, evaluated, _ = vars(self).pop("_parts")
+        answer_ids = sealed(ids[np.concatenate(evaluated)])
+        traverses = sealed(np.repeat(np.arange(1, len(evaluated) + 1),
+                                     [*map(len, evaluated)]))
+        vars(self).update(answer_ids=answer_ids, traverses=traverses)
+        return answer_ids, traverses
 
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in self._compared}
@@ -367,8 +365,11 @@ _SKIPPABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 def _skip_draws(rng: np.random.Generator, k: int) -> None:
-    """Move ``rng`` past k float64 draws. ``advance`` also clears the spare
-    32-bit output, which float draws leave alone, so a spare is put back."""
+    """Move ``rng`` past k float64 draws, if any. ``advance`` also clears
+    the spare 32-bit output, which float draws leave alone, so a spare is
+    put back."""
+    if not k:
+        return
     bits = rng.bit_generator
     before = bits.state
     bits.advance(k)  # leaves has_uint32 and uinteger at 0
@@ -379,17 +380,17 @@ def _skip_draws(rng: np.random.Generator, k: int) -> None:
 
 def _outcome(ids: np.ndarray, evaluated: list, flagged: list,
              halt: HaltReason, r: float) -> SvtOutcome:
-    """One outcome from each traverse's evaluated rows and sealed flags,
-    its columns built now unless :class:`SvtOutcome` defers them."""
-    flags = flagged[0] if len(flagged) == 1 else sealed(np.concatenate(flagged))
-    tail = dict(flags=flags, halt_reason=halt, correction_used=r)
-    if len(evaluated) == 1 and flags.size <= _FIRST_CHUNK:
-        return SvtOutcome.trusted(answer_ids=sealed(ids[evaluated[0]]),
-                                  traverses=_ONES[:flags.size], **tail)
-    outcome = SvtOutcome.trusted(_parts=(ids, evaluated, flagged), **tail)
-    if len(evaluated) == 1 or not all(map(_read_only, (ids, evaluated[0]))):
-        outcome._build()
-    return outcome
+    """One outcome from each traverse's evaluated rows and sealed flags: one
+    traverse's columns are built now, several traverses' on first read."""
+    tail = dict(halt_reason=halt, correction_used=r)
+    if len(evaluated) > 1:
+        return SvtOutcome.trusted(flags=sealed(np.concatenate(flagged)),
+                                  _parts=(ids, evaluated, flagged), **tail)
+    n = flagged[0].size
+    traverses = (_ONES[:n] if n <= _FIRST_CHUNK
+                 else sealed(np.ones(n, dtype=np.int64)))
+    return SvtOutcome.trusted(answer_ids=sealed(ids[evaluated[0]]),
+                              flags=flagged[0], traverses=traverses, **tail)
 
 
 def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
@@ -412,14 +413,13 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     same. Without either, one traverse of at most ``_FIRST_CHUNK`` and
     k_max queries skips both loops: rho and the query noise are one block
     of draws, bit for bit, and the ids and gaps come in stream order from
-    the stream, which keeps them after its first such run unless an array
-    owning its columns is writable (then each run gathers them, so a
-    caller's write stays visible). :class:`SvtOutcome` says which outcome
-    columns are built on first read. ``rng`` must be a
-    ``numpy.random.Generator`` (``ValueError`` otherwise). Draw order is
-    fixed for reproducibility: one threshold draw up front, then query
-    noise for each traverse in evaluation order; under ``resample``,
-    threshold redraws happen per positive after the chunk's query draws.
+    the stream, which keeps them from its first such run.
+    :class:`SvtOutcome` says which outcome columns are built on first
+    read. ``rng`` must be a ``numpy.random.Generator`` (``ValueError``
+    otherwise). Draw order is fixed for reproducibility: one threshold
+    draw up front, then query noise for each traverse in evaluation order;
+    under ``resample``, threshold redraws happen per positive after the
+    chunk's query draws.
     A ``noise_override`` replaces both noise sources with a deterministic
     callable ``(role, query_id, traverse) -> float`` where role is
     "threshold" (query_id -1, traverse = redraw index) or "query"; a value
@@ -540,6 +540,5 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         if halt is not HaltReason.EXHAUSTED or traverse == last:
             break
         batch = batch[~flags]
-    if drawn < batch.size:
-        _skip_draws(rng, batch.size - drawn)
+    _skip_draws(rng, batch.size - drawn)
     return _outcome(ids, evaluated, flagged, halt, r)

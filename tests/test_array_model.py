@@ -4,7 +4,7 @@ the scores-file reader's two parse paths, and the views perfbench reads."""
 import numpy as np
 import pytest
 
-from svtkit import cli, data, metrics
+from svtkit import cli, data, metrics, svt
 from svtkit.allocation import Variant
 from svtkit.metrics import GroundTruth
 from svtkit.svt import HaltReason, QueryStream, SvtConfig, SvtOutcome, run_svt
@@ -97,6 +97,11 @@ READ_ONLY = {
         "scores"),
     "GroundTruth from lists": lambda tmp: _fields(
         GroundTruth([2, 1], [3.0, 2.0], 0.0, 1), "ids", "scores"),
+    "QueryStream over a caller's arrays": lambda tmp: _stream_columns(
+        QueryStream(np.arange(3), np.ones(3), np.zeros(3))),
+    "permuted over a caller's order": lambda tmp: _stream_columns(
+        QueryStream.permuted(*_fields(data.gen_zipf(3), "ids", "scores"),
+                             1.0, np.arange(3)[::-1])),
     "SvtOutcome from lists": lambda tmp: _fields(
         SvtOutcome([1, 2], [True, False], [1, 1], HaltReason.EXHAUSTED, 0.0),
         "answer_ids", "flags", "traverses"),
@@ -113,14 +118,118 @@ def test_columns_cannot_be_made_writable(tmp_path, columns):
             view.flags.writeable = True
 
 
-def test_columns_of_a_callers_array_are_views_not_copies():
+def test_columns_of_a_callers_writable_array_are_copies():
+    """A record copies a caller's writable arrays and leaves them writable;
+    a write to them afterwards reaches no column."""
     ids, scores = np.arange(1, 4), np.array([3.0, 2.0, 1.0])
     ds = data.ScoredDataset("d", ids, scores, 1.0)
     stream = QueryStream(ids, scores, 1.0)
     for column in (ds.ids, ds.scores, *stream.columns[:2]):
-        assert np.shares_memory(column, ids) or np.shares_memory(column,
-                                                                 scores)
+        assert not np.shares_memory(column, ids)
+        assert not np.shares_memory(column, scores)
     assert ids.flags.writeable and scores.flags.writeable
+    ids[0], scores[0] = 9, 9.0
+    assert ds.ids.tolist() == stream.ids.tolist() == [1, 2, 3]
+    assert ds.scores.tolist() == stream.scores.tolist() == [3.0, 2.0, 1.0]
+
+
+# --- a record owns read-only columns ------------------------------------------
+
+@pytest.fixture
+def copies(monkeypatch):
+    """The arrays that ``svt._owned`` copied while the test ran."""
+    made, owned = [], svt._owned
+
+    def spy(array):
+        held = owned(array)
+        if not np.shares_memory(held, array):
+            made.append(array)
+        return held
+
+    monkeypatch.setattr(svt, "_owned", spy)
+    return made
+
+
+def test_library_built_records_view_their_source(copies, tmp_path):
+    """Every record the library builds views arrays it sealed, and so is
+    built without a copy; so is one over an array its caller made
+    read-only."""
+    ds = data.gen_zipf(1000)
+    stream = data.shuffle_and_stream(ds, np.random.default_rng(0))
+    assert np.shares_memory(stream.columns[0], ds.ids)
+    assert np.shares_memory(stream.columns[1], ds.scores)
+    data.gen_binary(1000, 10)
+    cli.near_threshold_stream(50, 1000.0, 10.0)
+    data.write_scores(ds, tmp_path / "z.scores")
+    read = data.read_scores(tmp_path / "z.scores")
+    assert read.ids.base is read.scores.base  # the parsed rows
+    GroundTruth.ranked(read.ids, read.scores, read.threshold, 10)
+    truth = GroundTruth(ds.ids, ds.scores, ds.threshold, 10)  # zipf is ranked
+    assert np.shares_memory(truth.ids, ds.ids)
+    assert np.shares_memory(truth.scores, ds.scores)
+    mine = np.arange(1, 4)
+    mine.flags.writeable = False
+    assert np.shares_memory(QueryStream(mine, [1.0, 2.0, 3.0], 0.0).columns[0],
+                            mine)
+    assert not copies
+
+
+def test_a_writable_view_of_a_read_only_owner_is_copied():
+    """A view made before its owner was marked read-only can still be
+    written through, so a record copies it."""
+    owner = np.arange(1, 4)
+    view = owner[:]
+    owner.flags.writeable = False
+    stream = QueryStream(view, [1.0, 2.0, 3.0], 0.0)
+    assert not np.shares_memory(stream.columns[0], owner)
+
+
+@pytest.mark.parametrize("column", ["ids", "scores", "thresholds", "order"])
+def test_a_callers_writable_column_is_copied_once(copies, column):
+    """A caller's writable ids, scores, thresholds or ``permuted`` order is
+    copied once, at construction. A later write to it is seen by no stream
+    read, no kept read, no later run and no outcome already returned, an
+    appended outcome's deferred ``positives`` included."""
+    n = 3000
+    rng = np.random.default_rng(2)
+    caller = dict(ids=np.arange(7, 7 + n), scores=np.full(n, -2000.0),
+                  thresholds=np.full(n, 500.0), order=rng.permutation(n))
+    caller["scores"][caller["order"][:10]] = (
+        500.0 + 20.0 * rng.standard_normal(10))
+    given = {name: svt.sealed(a.copy()) for name, a in caller.items()}
+
+    def build(columns):
+        if column == "order":
+            return QueryStream.permuted(columns["ids"], columns["scores"],
+                                        500.0, columns["order"])
+        return QueryStream(columns["ids"], columns["scores"],
+                           columns["thresholds"])
+
+    queries, reference = build({**given, column: caller[column]}), build(given)
+    assert len(copies) == 1 and copies[0] is caller[column]
+    one = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=3, k_max=n,
+                    variant=Variant.LAP)
+    appended = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=20, k_max=3 * n,
+                         variant=Variant.LAP, append=True, max_traverses=3)
+    reads = queries.ids, queries.scores, queries.thresholds
+    kept = queries._in_order()
+    first = run_svt(queries, one, np.random.default_rng(0))
+    deferred = run_svt(queries, appended, np.random.default_rng(1))
+    assert "_parts" in vars(deferred)
+    caller[column][:] = {"ids": np.arange(n)[::-1], "scores": 1e6,
+                         "thresholds": -1e6, "order": np.arange(n)}[column]
+    assert deferred.positives == run_svt(
+        reference, appended, np.random.default_rng(1)).positives
+    assert "_parts" in vars(deferred)
+    for got, want in zip((queries.ids, queries.scores, queries.thresholds),
+                         reads):
+        assert np.array_equal(got, want)
+    assert queries._in_order() is kept
+    assert all(map(np.array_equal, kept, reference._in_order()))
+    for stream in (queries, reference):
+        assert run_svt(stream, one, np.random.default_rng(0)) == first
+    assert deferred == run_svt(queries, appended, np.random.default_rng(1))
+    assert len(copies) == 1
 
 
 def test_outcome_counters_are_read_off_its_columns():

@@ -438,10 +438,10 @@ def test_outcome_columns_cannot_be_made_writable(kw, n, bit_generator):
 @pytest.mark.parametrize("sealed", [True, False],
                          ids=["sealed columns", "writable columns"])
 def test_one_block_outcome_columns_cannot_be_made_writable(sealed):
-    """On a stream's first one-block run and on later ones, whether the
-    stream keeps its ids and gaps or gathers them anew, each column of the
-    outcome is a view of an array marked read-only before it was handed
-    out, and the runs leave the stream's reads as they were."""
+    """On a stream's first one-block run and on later ones, over lists or
+    over a caller's writable arrays, each column of the outcome is a view
+    of an array marked read-only before it was handed out, and the runs
+    leave the stream's reads as they were."""
     ids = np.arange(1, 61)
     scores = np.random.default_rng(2).normal(500.0, 3.0, ids.size)
     queries = (QueryStream(ids.tolist(), scores.tolist(), 500.0) if sealed
@@ -459,27 +459,29 @@ def test_one_block_outcome_columns_cannot_be_made_writable(sealed):
 
 
 @pytest.mark.parametrize("column", [1, 2], ids=["scores", "thresholds"])
-def test_one_block_run_sees_a_write_to_a_callers_column(column):
-    """A stream over a caller's writable array reads it on every run, so a
-    write made after construction is seen, as the stream's reads see it:
-    query 1 rises 10^6 above its threshold, or query 3 falls below its."""
+def test_one_block_run_sees_no_write_to_a_callers_column(column):
+    """A stream over a caller's writable array holds a copy of it, so a
+    write made after construction is seen neither by the stream's reads nor
+    by a later run: query 1 rising 10^6 above its threshold, or query 3
+    falling below its, leaves query 3 the one positive."""
     columns = [np.array([1, 2, 3]), np.array([0.0, 0.0, 1e6]),
                np.full(3, 500.0)]
     queries = QueryStream(*columns)
     cfg = cfg_with(k_max=3)
-    assert run_svt(queries, cfg, np.random.default_rng(0)).positives == (3,)
+    first = run_svt(queries, cfg, np.random.default_rng(0))
+    assert first.positives == (3,)
     if column == 1:
         columns[1][0] = 1e6
     else:
         columns[2][2] = 2e6
-    assert queries.columns[column].tolist() == columns[column].tolist()
+    assert queries.columns[column].tolist() != columns[column].tolist()
     out = run_svt(queries, cfg, np.random.default_rng(0))
-    assert out.positives == ((1,) if column == 1 else ())
+    assert out.positives == (3,) and out == first
 
 
 def test_stream_equality_does_not_depend_on_kept_reads():
-    """``==`` compares the reads of two streams alike before and after a
-    run keeps one's ids and gaps, and against a stream that keeps none."""
+    """``==`` compares the reads of streams alike before and after a run
+    keeps their ids and gaps, and against a stream that has kept none."""
     ids, scores = [3, 1, 2], [510.0, 490.0, 505.0]
     ran, fresh = (QueryStream(ids, scores, 500.0) for _ in range(2))
     writable = QueryStream(np.array(ids), np.array(scores), 500.0)
@@ -487,15 +489,16 @@ def test_stream_equality_does_not_depend_on_kept_reads():
     run_svt(ran, cfg_with(k_max=3), np.random.default_rng(0))
     run_svt(writable, cfg_with(k_max=3), np.random.default_rng(0))
     assert ran._in_order() is ran._in_order()
-    assert writable._in_order() is not writable._in_order()
+    assert writable._in_order() is writable._in_order()
+    assert "_kept" not in vars(fresh)
     assert ran == fresh == writable and fresh == ran and writable == ran
     assert ran != QueryStream(ids, [510.0, 490.0, 506.0], 500.0)
 
 
 def test_library_built_streams_keep_their_reads():
-    """The streams the harness and the benchmark run many times are built
-    over read-only arrays, so their first run keeps their ids and gaps; a
-    permutation array a caller can write keeps them from being kept."""
+    """The streams the harness and the benchmark run many times keep their
+    ids and gaps from their first run; so does one over a permutation array
+    a caller can write, which the stream copied."""
     ds = data.gen_zipf(50)
     for queries in (cli.near_threshold_stream(50, 1000.0, 10.0),
                     data.shuffle_and_stream(ds, np.random.default_rng(1)),
@@ -507,7 +510,8 @@ def test_library_built_streams_keep_their_reads():
         assert gaps.tolist() == (queries.scores - queries.thresholds).tolist()
     order = np.arange(50)
     queries = QueryStream.permuted(ds.ids, ds.scores, ds.threshold, order)
-    assert queries._in_order() is not queries._in_order()
+    assert not np.shares_memory(queries.order, order)
+    assert queries._in_order() is queries._in_order()
 
 
 @pytest.mark.parametrize("field", ["c", "k_max", "max_traverses", "k_est"])
@@ -811,8 +815,8 @@ def test_appended_outcome_matches_the_eager_oracle(monkeypatch, variant,
                                                    traverses, bit_generator):
     """An outcome of more than 4,096 answers or several traverses equals,
     column for column, the one whose columns were filled before the run
-    returned; over a read-only stream, one of several traverses defers its
-    columns, and ``positives`` reads the flagged rows without building them."""
+    returned; one of several traverses defers its columns, and
+    ``positives`` reads the flagged rows without building them."""
     queries = sparse_stream()
     cfg = cfg_with(variant=variant, c=20, k_max=len(queries) * traverses,
                    append=True, max_traverses=traverses,
@@ -890,11 +894,12 @@ def test_long_single_traverse_outcome_does_not_keep_the_stream_order(
 
 
 @pytest.mark.parametrize("writable", ["ids", "order"])
-def test_appended_run_over_a_callers_writable_rows_gathers_them_now(
+def test_appended_run_over_a_callers_writable_rows_defers_on_a_copy(
         monkeypatch, writable):
-    """A stream that views a caller's writable ids or order hands its
-    appended outcome built columns: a later write by the caller changes
-    no column, ``positives`` included."""
+    """A stream over a caller's writable ids or order holds a copy of them,
+    so its appended outcome defers its columns like any other: a later
+    write by the caller changes no column, ``positives`` read while still
+    deferred included, and no later run."""
     n = 5000
     ids, order = np.arange(7, 7 + n), np.random.default_rng(2).permutation(n)
     scores = np.full(n, -2000.0)
@@ -904,14 +909,16 @@ def test_appended_run_over_a_callers_writable_rows_gathers_them_now(
     else:
         queries = QueryStream.permuted(svt.sealed(ids), svt.sealed(scores),
                                        500.0, order)
-    assert not svt._read_only({"ids": ids, "order": order}[writable])
+    held = {"ids": queries.columns[0], "order": queries.order}[writable]
+    assert not np.shares_memory(held, {"ids": ids, "order": order}[writable])
     cfg = cfg_with(variant=Variant.LAP, c=20, k_max=3 * n, append=True,
                    max_traverses=3)
     lazy, eager = lazy_and_eager(monkeypatch, queries, cfg,
                                  lambda: np.random.default_rng(4))
-    assert "_parts" not in vars(lazy) and lazy.n_a > n
-    positives = lazy.positives
+    assert "_parts" in vars(lazy) and lazy.n_a > n
     {"ids": ids, "order": order}[writable][:] = np.arange(n)[::-1]
-    assert lazy.positives == positives == eager.positives
+    positives = lazy.positives
+    assert "_parts" in vars(lazy) and positives == eager.positives
     assert lazy == eager and lazy.traverses.max() == 3
     assert np.array_equal(lazy.answer_ids[lazy.flags], positives)
+    assert run_svt(queries, cfg, np.random.default_rng(4)) == eager
