@@ -56,6 +56,13 @@ GROUPS = {"lap": "baseline", "exp-none": "baseline", "exp-mean": "baseline",
 GROUP_ORDER = ("baseline", "gau", "exp-opt", "upper", "all")
 
 
+def scores_grid(path: str) -> dict:
+    """perfbench's sweep-1e6 grid over the scores file at ``path``."""
+    return dict(dataset=str(Path(path).resolve()),
+                variants=("lap", "exp-mean", "upper"), eps_values=(0.5,),
+                c=50, traverses=(1,), repetitions=2, n_items=10**6)
+
+
 def package_dir(path: str) -> Path:
     """The directory holding the ``svtkit`` package of a checkout."""
     root = Path(path).resolve()
@@ -171,9 +178,7 @@ def main() -> int:
     if args.scores:  # perfbench's sweep-1e6 grid
         if not Path(args.scores).is_file():
             parser.error(f"no scores file at {args.scores}")
-        grids = (dict(dataset=str(Path(args.scores).resolve()),
-                      variants=("lap", "exp-mean", "upper"), eps_values=(0.5,),
-                      c=50, traverses=(1,), repetitions=2, n_items=10**6),)
+        grids = (scores_grid(args.scores),)
     if args.against:
         sides = [Side("src", src, "svtkit_src", None, grids),
                  Side("against", package_dir(args.against),

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import allocation, checks, correction, data, metrics, noise, svt
 from .allocation import Variant
+from .metrics import _top
 from .svt import QueryStream, SvtConfig, run_svt, sealed
 
 UPPER_BOUND = "upper"  # pseudo-variant: rank by exponentially perturbed scores
@@ -175,16 +176,6 @@ def _noisy_ranking(ds: data.ScoredDataset, eps2: float, delta: float, c: int,
     return ds.ids[at][_top(perturbed, c)].tolist()
 
 
-def _top(values: np.ndarray, c: int) -> np.ndarray:
-    """Positions of the c largest values, largest first and ties in position
-    order: ``np.argsort(-values, kind="stable")[:c]`` without sorting the
-    values below the c-th."""
-    keys = -values
-    k = min(c, keys.size) - 1
-    candidates = np.flatnonzero(keys <= np.partition(keys, k)[k])
-    return candidates[np.lexsort((candidates, keys[candidates]))[:c]]
-
-
 def run_sweep(cfg: ExperimentConfig, out: Optional[IO[str]] = None) -> list[dict]:
     """Run every sweep cell, returning (and optionally writing) result rows.
 
@@ -193,8 +184,7 @@ def run_sweep(cfg: ExperimentConfig, out: Optional[IO[str]] = None) -> list[dict
     partial results.
     """
     ds = load_dataset(cfg)
-    truth = metrics.GroundTruth.ranked(ds.ids, ds.scores, ds.threshold,
-                                       cfg.c)
+    truth = metrics.GroundTruth.top(ds, cfg.c)
     k_est = cfg.k_est if cfg.k_est is not None else max(1, ds.n_items // cfg.c)
     if Variant.GAU.value in cfg.variants:  # import scipy.special before cells
         noise.cdf(noise.gaussian(1.0), 0.0)

@@ -16,17 +16,17 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import checks
-from .data import Items
+from .data import Items, ScoredDataset
 from .svt import Record, SvtOutcome, frozen, sealed
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class GroundTruth(Record):
-    """True ranking of a dataset's items, score-descending with id tie-break.
-
-    ``ids`` covers every item; ``scores[i]`` is the true score of
-    ``ids[i]``. c is the selection size the metrics target.
-    """
+    """True ranking, score-descending with id tie-break: ``scores[i]`` is
+    the true score of ``ids[i]``, c the selection size. :func:`ncr`,
+    :func:`f1` and a sweep's ``upper`` cell (its c-th score) read the first
+    c entries, all :meth:`top` holds; :func:`alpha_beta_estimate` needs
+    every queried id, and raises on a missing one."""
 
     ids: np.ndarray
     scores: np.ndarray
@@ -55,6 +55,14 @@ class GroundTruth(Record):
         return cls(sealed(ids[order]), sealed(scores[order]), threshold, c)
 
     @classmethod
+    def top(cls, ds: ScoredDataset, c: int) -> "GroundTruth":
+        """The first min(c, n) entries of :meth:`ranked` over a dataset, bit
+        for bit, ranking only the items that reach its c-th score."""
+        checks.count(1, c=c)
+        at = _top(ds.scores, c, ds.ids)
+        return cls(sealed(ds.ids[at]), sealed(ds.scores[at]), ds.threshold, c)
+
+    @classmethod
     def from_items(cls, items: Iterable[tuple[int, float]], threshold: float,
                    c: int) -> "GroundTruth":
         if not isinstance(items, Items):
@@ -64,6 +72,15 @@ class GroundTruth(Record):
 
     def top_c_ids(self) -> tuple[int, ...]:
         return tuple(self.ids[:self.c].tolist())
+
+
+def _top(values: np.ndarray, c: int, ties=None) -> np.ndarray:
+    """Positions of the c largest values, largest first and ties in
+    ascending ``ties`` (position order by default): ``np.lexsort((ties,
+    -values))[:c]``, sorting only the values that reach the c-th."""
+    k = values.size - min(c, values.size)
+    at = np.flatnonzero(values >= np.partition(values, k)[k])
+    return at[np.lexsort((at if ties is None else ties[at], -values[at]))[:c]]
 
 
 def ncr(positives: Iterable[int], truth: GroundTruth) -> float:
@@ -104,7 +121,9 @@ def alpha_beta_estimate(runner: Callable[[np.random.Generator], SvtOutcome],
 
     A trial fails when some positive answer's true score is below
     threshold - alpha, some negative answer's true score is above
-    threshold + alpha, or the run halted with queries never evaluated.
+    threshold + alpha, or the run halted with queries never evaluated:
+    fewer distinct answers than its stream's length, ``n_queries`` (the
+    truth's size for an outcome built from columns).
 
     The runner is called ``trials`` times in order on ``rng``, and the
     outcomes are checked in batches of about 2^12 answers, one vectorized
@@ -141,8 +160,9 @@ def alpha_beta_estimate(runner: Callable[[np.random.Generator], SvtOutcome],
 
 def _failed_trials(batch: list[SvtOutcome], ids: np.ndarray,
                    wrong: np.ndarray) -> int:
-    id_cols, flag_cols, traverse_cols = zip(*[
-        (o.answer_ids, o.flags, o.traverses) for o in batch])
+    id_cols, flag_cols, traverse_cols, queries = zip(*[
+        (o.answer_ids, o.flags, o.traverses, o.n_queries or ids.size)
+        for o in batch])
     answer_ids = np.concatenate(id_cols)
     at = ids.searchsorted(answer_ids)
     if np.count_nonzero(ids.take(at, mode="clip") != answer_ids):
@@ -154,7 +174,7 @@ def _failed_trials(batch: list[SvtOutcome], ids: np.ndarray,
     # count the distinct queries seen.
     first = np.concatenate(traverse_cols) == 1
     seen = np.bincount(trial[first], minlength=len(batch))
-    return int(np.count_nonzero(bad | (seen < ids.size)))
+    return int(np.count_nonzero(bad | (seen < queries)))
 
 
 def accuracy_alpha_bound(k: int, eps: float, beta: float) -> float:

@@ -87,6 +87,11 @@ def _owned(array: np.ndarray) -> np.ndarray:
     return array.view()
 
 
+def _shared(threshold: float, size: int) -> np.ndarray:
+    """One read-only threshold read as a column of ``size``, stride 0."""
+    return np.ndarray((size,), float, frozen([threshold], float), strides=(0,))
+
+
 class Record:
     """Base of the frozen array dataclasses: fields are set once in
     ``__init__`` or ``trusted``, and ``==`` compares the attributes that
@@ -135,7 +140,7 @@ class QueryStream(Record):
         ids, scores = frozen(ids, np.int64), frozen(scores, float)
         if np.ndim(thresholds) == 0:
             checks.finite(thresholds=thresholds)
-            thresholds = np.broadcast_to(frozen([thresholds], float), ids.shape)
+            thresholds = _shared(thresholds, ids.size)
         thresholds = frozen(thresholds, float)
         vars(self).update(columns=(ids, scores, thresholds),
                           order=sealed(np.arange(ids.size)))
@@ -144,12 +149,11 @@ class QueryStream(Record):
     @classmethod
     def permuted(cls, ids: np.ndarray, scores: np.ndarray, threshold: float,
                  order: np.ndarray) -> "QueryStream":
-        """The rows ``order`` (:func:`_owned`) of id and score columns that
-        already meet the class's invariants (unique, finite, read-only), each
-        query with ``threshold``; the columns are neither copied nor
-        checked."""
-        thresholds = np.broadcast_to(frozen([threshold], float), ids.shape)
-        return cls.trusted(columns=(ids, scores, thresholds),
+        """The rows ``order`` of id and score columns that already meet the
+        class's invariants (unique, finite), each query with ``threshold``;
+        the columns and the order are :func:`_owned`, not checked."""
+        return cls.trusted(columns=(_owned(ids), _owned(scores),
+                                    _shared(threshold, ids.size)),
                            order=_owned(order))
 
     def _read(self, column: int) -> np.ndarray:
@@ -249,8 +253,10 @@ class SvtOutcome(Record):
     ``positives`` (the flagged ids) are read off the columns. A run of
     several traverses keeps its stream's id column and evaluated rows
     instead, and ``positives`` gathers the flagged rows: the first read of
-    either column builds both, sealed, and drops them."""
+    either column builds both, sealed, and drops them. ``n_queries`` (not
+    compared) is a run's stream length, None for one built from columns."""
 
+    n_queries = None
     # Non-data descriptors: a column set on the instance shadows them.
     answer_ids: np.ndarray = cached_property(lambda self: self._build()[0])
     flags: np.ndarray
@@ -290,7 +296,8 @@ class SvtOutcome(Record):
         return answer_ids, traverses
 
     def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self._compared}
+        return {name: getattr(self, name)
+                for name in (*self._compared, "n_queries")}
 
 
 def effective_lambda(cfg: SvtConfig) -> float:
@@ -465,7 +472,7 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         outcome = _new(SvtOutcome)
         vars(outcome).update(answer_ids=stream_ids[:n], flags=flags[:n],
                              traverses=_ONES[:n], halt_reason=halt,
-                             correction_used=r)
+                             correction_used=r, n_queries=batch.size)
         return outcome
 
     skippable = plain and type(rng.bit_generator) in _SKIPPABLE
@@ -541,4 +548,6 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
             break
         batch = batch[~flags]
     _skip_draws(rng, batch.size - drawn)
-    return _outcome(ids, evaluated, flagged, halt, r)
+    outcome = _outcome(ids, evaluated, flagged, halt, r)
+    vars(outcome)["n_queries"] = queries.order.size
+    return outcome

@@ -102,6 +102,11 @@ READ_ONLY = {
     "permuted over a caller's order": lambda tmp: _stream_columns(
         QueryStream.permuted(*_fields(data.gen_zipf(3), "ids", "scores"),
                              1.0, np.arange(3)[::-1])),
+    "permuted over a caller's columns": lambda tmp: _stream_columns(
+        QueryStream.permuted(np.arange(3), np.ones(3), 1.0,
+                             svt.sealed(np.arange(3)))),
+    "GroundTruth.top": lambda tmp: _fields(
+        GroundTruth.top(data.gen_binary(5, 2), 3), "ids", "scores"),
     "SvtOutcome from lists": lambda tmp: _fields(
         SvtOutcome([1, 2], [True, False], [1, 1], HaltReason.EXHAUSTED, 0.0),
         "answer_ids", "flags", "traverses"),
@@ -164,6 +169,7 @@ def test_library_built_records_view_their_source(copies, tmp_path):
     read = data.read_scores(tmp_path / "z.scores")
     assert read.ids.base is read.scores.base  # the parsed rows
     GroundTruth.ranked(read.ids, read.scores, read.threshold, 10)
+    GroundTruth.top(read, 10)
     truth = GroundTruth(ds.ids, ds.scores, ds.threshold, 10)  # zipf is ranked
     assert np.shares_memory(truth.ids, ds.ids)
     assert np.shares_memory(truth.scores, ds.scores)
@@ -184,12 +190,17 @@ def test_a_writable_view_of_a_read_only_owner_is_copied():
     assert not np.shares_memory(stream.columns[0], owner)
 
 
-@pytest.mark.parametrize("column", ["ids", "scores", "thresholds", "order"])
-def test_a_callers_writable_column_is_copied_once(copies, column):
-    """A caller's writable ids, scores, thresholds or ``permuted`` order is
-    copied once, at construction. A later write to it is seen by no stream
-    read, no kept read, no later run and no outcome already returned, an
-    appended outcome's deferred ``positives`` included."""
+@pytest.mark.parametrize("column, permuted", [
+    ("ids", False), ("scores", False), ("thresholds", False), ("order", True),
+    ("ids", True), ("scores", True)],
+    ids=["ids", "scores", "thresholds", "order", "permuted-ids",
+         "permuted-scores"])
+def test_a_callers_writable_column_is_copied_once(copies, column, permuted):
+    """A caller's writable ids, scores, thresholds or ``permuted`` order,
+    ids or scores is copied once, at construction. A later write to it is
+    seen by no stream read, no kept read, no later run and no outcome
+    already returned, an appended outcome's deferred ``positives``
+    included."""
     n = 3000
     rng = np.random.default_rng(2)
     caller = dict(ids=np.arange(7, 7 + n), scores=np.full(n, -2000.0),
@@ -199,7 +210,7 @@ def test_a_callers_writable_column_is_copied_once(copies, column):
     given = {name: svt.sealed(a.copy()) for name, a in caller.items()}
 
     def build(columns):
-        if column == "order":
+        if permuted:
             return QueryStream.permuted(columns["ids"], columns["scores"],
                                         500.0, columns["order"])
         return QueryStream(columns["ids"], columns["scores"],

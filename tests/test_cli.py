@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -132,6 +133,36 @@ def test_sweep_csv_file_output(tmp_path):
         parsed = list(csv.reader(fh))
     assert parsed[0] == list(SWEEP_COLUMNS)
     assert len(parsed) == 1 + len(rows) == 1 + 2 * 2
+
+
+def test_sweep_holds_the_dataset_and_one_item_sized_array(tmp_path,
+                                                          monkeypatch):
+    """Past reading the scores file, a sweep over 10^5 items holds at most
+    one more 8-byte-per-item array at a time (a cell's permutation, or the
+    copy the top-c truth partitions), plus an eighth of that in small
+    objects: a truth ranking every item would hold four."""
+    n = 10**5
+    path = tmp_path / "z.scores"
+    data.write_scores(data.gen_zipf(n), path)
+    load, loaded = cli.load_dataset, []
+
+    def load_then_mark(cfg):
+        ds = load(cfg)
+        tracemalloc.reset_peak()
+        loaded.append(tracemalloc.get_traced_memory()[0])
+        return ds
+
+    monkeypatch.setattr(cli, "load_dataset", load_then_mark)
+    cfg = ExperimentConfig(dataset=str(path), variants=("lap", "upper"),
+                           eps_values=(0.5,), repetitions=2, n_items=n)
+    tracemalloc.start()
+    try:
+        cli.run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded[0] >= 16 * n  # the dataset's id and score columns
+    assert peak - loaded[0] < 8 * n + n
 
 
 def test_upper_bound_beats_interactive_variants():

@@ -186,6 +186,8 @@ ENTRIES = [
     ("GroundTruth.from_items", metrics.GroundTruth.from_items,
      dict(items=[(1, 2.0)], threshold=1.5, c=1),
      dict(threshold=FINITE, c=count(1))),
+    ("GroundTruth.top", metrics.GroundTruth.top,
+     dict(ds=data.gen_binary(3, 1), c=1), dict(c=count(1))),
     ("ScoredDataset", data.ScoredDataset,
      dict(name="d", ids=[1], scores=[2.0], threshold=1.0),
      dict(threshold=FINITE)),

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from svtkit import metrics
+from svtkit import cli, metrics
 from svtkit.allocation import Variant
+from svtkit.data import ScoredDataset
 from svtkit.metrics import GroundTruth
 from svtkit.svt import HaltReason, QueryStream, SvtConfig, SvtOutcome, run_svt
 
@@ -407,3 +408,69 @@ def test_ncr_matches_the_ranking_prefix_oracle():
         assert metrics.ncr(positives, truth) == expected
         assert metrics.ncr(tuple(positives), truth) == expected
     assert seen == {"tie", "below", "repeat", "outside", "raises"}
+
+
+@st.composite
+def _columns(draw):
+    """Aligned unique ids, in any order, and scores from a few values,
+    so ties are common and 0.0 and -0.0 often meet."""
+    scores = draw(st.lists(st.sampled_from([-0.0, 0.0, 1.5, 2.0, -3.0, 7.0]),
+                           min_size=1, max_size=30))
+    ids = draw(st.lists(st.integers(-40, 40), min_size=len(scores),
+                        max_size=len(scores), unique=True))
+    return ids, scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=_columns(), c=st.integers(1, 35))
+@example(columns=([5, 3, 9, 1], [2.0, 7.0, 2.0, 2.0]), c=2)  # tie at the c-th
+@example(columns=([4, 2, 8], [0.0, -0.0, 0.0]), c=2)          # 0.0 beside -0.0
+@example(columns=([9, 7, 5, 3, 1], [1.0, 2.0, 3.0, 4.0, 5.0]), c=3)
+@example(columns=([2, 1], [1.5, 1.5]), c=5)                    # c >= n
+@example(columns=([6, 4, 2], [-3.0, -3.0, 0.0]), c=1)
+def test_top_c_truth_is_the_ranking_prefix(columns, c):
+    """``GroundTruth.top`` holds the first min(c, n) entries of the full
+    ranking, bit for bit (so the sign of a zero too)."""
+    ids, scores = columns
+    top = GroundTruth.top(ScoredDataset("d", ids, scores, 1.0), c)
+    full = GroundTruth.ranked(ids, scores, 1.0, c)
+    n = min(c, len(ids))
+    assert top.ids.tobytes() == full.ids[:n].tobytes()
+    assert top.scores.tobytes() == full.scores[:n].tobytes()
+    assert (top.threshold, top.c) == (full.threshold, full.c)
+    assert not (top.ids.flags.writeable or top.scores.flags.writeable)
+
+
+def test_alpha_beta_estimate_rejects_a_top_c_truth_missing_a_queried_id():
+    stream = _worst_case_stream(20, 100.0, 2.0)
+    truth = GroundTruth.top(ScoredDataset("s", stream.ids, stream.scores,
+                                          100.0), 1)
+    cfg = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=1, k_max=21,
+                    variant=Variant.LAP)
+    with pytest.raises(ValueError, match="missing"):
+        metrics.alpha_beta_estimate(lambda r: run_svt(stream, cfg, r), 2.0,
+                                    truth, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("token, appended", [
+    ("exp-opt", {}), ("lap", {}),  # one block
+    ("lap", dict(k_max=102, append=True, max_traverses=2))],  # the loop
+    ids=["exp-opt", "lap", "lap-appended"])
+def test_unseen_queries_count_against_the_streams_length(token, appended):
+    """A truth that also ranks ids the stream never queries gives the
+    estimate of the stream's own truth: a run of ``run_svt`` knows its
+    stream's length."""
+    stream = cli.near_threshold_stream(50, 1000.0, 40.0)
+    cfg = SvtConfig(**{**dict(delta=1.0, eps1=0.5, eps2=0.5, c=1, k_max=51,
+                              variant=Variant(token), alpha=40.0, k_est=50),
+                       **appended})
+    exact = GroundTruth.ranked(stream.ids, stream.scores, 1000.0, 1)
+    wider = GroundTruth.ranked(np.append(stream.ids, [900, 901]),
+                               np.append(stream.scores, [0.0, 2000.0]),
+                               1000.0, 1)
+    beta = [metrics.alpha_beta_estimate(lambda r: run_svt(stream, cfg, r),
+                                        40.0, truth, 500,
+                                        np.random.default_rng(0))
+            for truth in (exact, wider)]
+    assert beta[0] == beta[1] < 1.0
+    assert run_svt(stream, cfg, np.random.default_rng(0)).n_queries == 51

@@ -844,6 +844,7 @@ def test_lazily_built_columns_are_kept_and_survive_pickling():
     after = pickle.loads(pickle.dumps(out))
     assert before == out == after == copy.deepcopy(out)
     assert before.positives == out.positives == after.positives
+    assert before.n_queries == after.n_queries == out.n_queries == 5000
     assert out.traverses.tolist() == before.traverses.tolist()
 
 
