@@ -15,9 +15,9 @@ bookkeeping keeps the probability mass outside the finite grid accounted
 for.
 
 At the grid's own values r, r +- alpha is the grid moved by about
-alpha/mesh chunks, so the optimizer guesses each step-cdf index from that
-shift and binary-searches only the guesses that fail. It reads log p only
-in a window that holds its maximum (checked; else the whole grid), and
+alpha/mesh chunks, so the optimizer finds each step-cdf index with one
+search over the grid values so moved, a window of the grid. It reads log p
+only in a window that holds its maximum (checked; else the whole grid), and
 exponentiates it only near that maximum. Each keeps every result bit.
 
 The closed-form Gamma of the same difference is kept as an independent
@@ -213,7 +213,6 @@ def _convolve_rows(x: DiscretePmf, y: DiscretePmf,
                        mass=z_mass, neg_inf_mass=neg, pos_inf_mass=pos)
 
 
-@lru_cache(maxsize=64)
 def _fast_len(n: int) -> int:
     """The least 2**a * 3**b * 5**c at or above n, the padded length
     ``scipy.fft.next_fast_len(n, True)`` gives a real transform."""
@@ -406,31 +405,18 @@ def _grid_cdf(pmf: DiscretePmf, shift: float, start: int,
               stop: int) -> np.ndarray:
     """``pmf_cdf(pmf, values + shift)`` at the values of index start to
     stop - 1, bit for bit, each value (origin + i) * mesh.
-    Element i guesses index j = i + 1 + floor(shift / mesh), clipped to
-    [0, n]; a guess stands where values[j-1] <= t < values[j] (open at j = 0
-    and j = n), and the rest (rounding ties) go through pmf_cdf."""
+    Value i plus shift lies within two grid values of value i + d, for
+    d = floor(shift / mesh) clipped to +-(n + 2). So one search over the
+    grid values of index start + d - 2 to stop + d + 1 (those in the grid),
+    offset by that window's start, finds each step-cdf index."""
     cum, n, o, u = pmf._cum, len(pmf.mass), pmf.origin_index, pmf.mesh
-    d = int(min(max(shift // u, -n - 1), n))
-    lo = min(max(-d, start), stop)      # i < lo guesses j = 0
-    hi = min(max(n - 1 - d, lo), stop)  # i >= hi guesses j = n
-    t = np.arange(o + start, o + stop, dtype=float) * u + shift
-    edges = np.arange(o + lo + d, o + hi + d + 1, dtype=float) * u  # j-1, j
-    a, b = lo - start, hi - start  # lo and hi within t
-    mid = t[a:b]
-    ok = np.empty(len(t), dtype=bool)  # the guess stands
-    np.less(t[:a], o * u, ok[:a])
-    np.less_equal(edges[:-1], mid, ok[a:b])
-    ok[a:b] &= mid < edges[1:]
-    np.greater_equal(t[b:], (o + n - 1) * u, ok[b:])
-    bad = np.flatnonzero(np.logical_not(ok, ok))
-    t_bad = t[bad]
-    out = t  # the cdf is written over t
-    out[:a] = cum[0]
-    out[a:b] = cum[lo + 1 + d:hi + 1 + d]
-    out[b:] = cum[n]
-    if len(bad):
-        out[bad] = pmf_cdf(pmf, t_bad)
-    return out
+    d = int(min(max(shift // u, -n - 2), n + 2))
+    a = min(max(start + d - 2, 0), n)
+    b = min(max(stop + d + 2, a), n)
+    first = min(start, a)
+    values = np.arange(o + first, o + max(stop, b), dtype=float) * u
+    t = values[start - first:stop - first] + shift
+    return cum[a + np.searchsorted(values[a - first:b - first], t, "right")]
 
 
 def _read(q: CorrectionQuery, z: DiscretePmf, lo: int,
