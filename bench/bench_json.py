@@ -6,10 +6,13 @@ one or more files and writes one JSON object: the commit checked out and
 whether ``src/`` differs from it, numpy's dispatched CPU features, and per
 workload the runs' seeds, operations attempted and failed, the first run's
 environment and, for each end-to-end metric of BENCHMARK.json, the median,
-quartiles, run count and every run's value (traced runs are left out). It
-adds the ``src/`` line split into code, docstring, comment and blank lines,
-in total and per file: a docstring line is one of a string that stands
-alone as a statement, a comment line holds a comment and no code.
+quartiles, run count and every run's value over the untraced runs. From
+the traced runs (``--trace 1``) it keeps, under ``per_layer``, their seeds
+and, for each per-layer metric, the median, run count and every run's
+value (a metric a workload does not report is null). It adds the ``src/``
+line split into code, docstring, comment and blank lines, in total and per
+file: a docstring line is one of a string that stands alone as a
+statement, a comment line holds a comment and no code.
 
 ``compare`` prints, for every workload in both files, one verdict per
 end-to-end metric from ``perfbench/compare.py``'s ``verdict`` over the
@@ -17,8 +20,9 @@ runs' values, and the workload's summary verdict. Standard library only
 (numpy's CPU features are read in a child process).
 
     python3 perfbench/run.py --workload all --seed 1 --out runs.jsonl
-    python3 bench/bench_json.py record runs.jsonl --out BENCH_34.json
-    python3 bench/bench_json.py compare BENCH_33.json BENCH_34.json
+    python3 perfbench/run.py --workload all --seed 1 --trace 1 --out runs.jsonl
+    python3 bench/bench_json.py record runs.jsonl --out BENCH_35.json
+    python3 bench/bench_json.py compare BENCH_34.json BENCH_35.json
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import statistics
 import subprocess
 import sys
 import tokenize
@@ -84,12 +89,14 @@ def git(checkout: Path, *args: str) -> str:
 def record(args) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs: dict = {}
+    traced: dict = {}
     for path in args.runs:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 rec = json.loads(line) if line.strip() else None
-                if rec and not rec["trace"]:
-                    runs.setdefault(rec["workload"], []).append(rec)
+                if rec:
+                    (traced if rec["trace"] else runs).setdefault(
+                        rec["workload"], []).append(rec)
     workloads = {}
     for name, recs in runs.items():
         metrics = {}
@@ -105,6 +112,17 @@ def record(args) -> int:
             "failed": sum(r["failed"] for r in recs),
             "correct": all(r["correct"] for r in recs),
             "env": recs[0]["env"], "metrics": metrics}
+    for name, recs in traced.items():
+        layers = {}
+        for m in spec["per_layer"]:
+            values = [r["metrics"][m["name"]]["value"] for r in recs]
+            known = [v for v in values if v is not None]
+            layers[m["name"]] = {
+                "unit": m["unit"], "runs": len(known), "values": values,
+                "median": statistics.median(known) if known else None}
+        workloads.setdefault(name, {})["per_layer"] = {
+            "seeds": [r["seed"] for r in recs],
+            "correct": all(r["correct"] for r in recs), "metrics": layers}
     checkout = Path(args.checkout).resolve()
     features = subprocess.run([sys.executable, "-c", CPU_FEATURES], check=True,
                               capture_output=True, text=True).stdout
@@ -126,7 +144,9 @@ def compare(args) -> int:
         dirty = " with uncommitted src/" if side["src_uncommitted"] else ""
         print(f"{path}: {side['commit'][:7]}{dirty}, src lines "
               f"{side['src_lines']['total']}")
-    for wl in [wl for wl in a["workloads"] if wl in b["workloads"]]:
+    # A workload with traced runs only has per-layer metrics and no verdicts.
+    for wl in [wl for wl in a["workloads"] if "metrics" in a["workloads"][wl]
+               and "metrics" in b["workloads"].get(wl, {})]:
         wa, wb = a["workloads"][wl]["metrics"], b["workloads"][wl]["metrics"]
         verdicts = []
         print(wl)

@@ -44,11 +44,6 @@ class Variant(enum.Enum):
         member.correction = correction
         return member
 
-    @property
-    def query_family(self) -> str:
-        """The query-noise family behind this variant."""
-        return self.query_kind.value
-
 
 @dataclass(frozen=True)
 class BudgetSplit:

@@ -254,8 +254,7 @@ def _run_cell(cfg: ExperimentConfig, ds: data.ScoredDataset,
 
 def emit_correction_table(eps_values: Sequence[float], c: int, alpha: float,
                           k_est: int = 200, delta: float = 1.0,
-                          monotonic: bool = False,
-                          m: int = correction.DEFAULT_MESH_COUNT) -> list[dict]:
+                          monotonic: bool = False) -> list[dict]:
     """The corrections exp-opt and exp-mean apply, per epsilon."""
     checks.sequence(eps_values=eps_values)
     for eps in eps_values:
@@ -265,7 +264,7 @@ def emit_correction_table(eps_values: Sequence[float], c: int, alpha: float,
     for eps in eps_values:
         split = allocation.split(eps, Variant.EXP_OPT_CORR, c, monotonic)
         query = correction.CorrectionQuery.from_budget(
-            split.eps1, split.eps2, c, delta, monotonic, alpha, k_est, m=m)
+            split.eps1, split.eps2, c, delta, monotonic, alpha, k_est)
         law = allocation.calibrate(Variant.EXP_MEAN_CORR, split.eps1,
                                    split.eps2, c, delta, monotonic)[1]
         r_op, p_op = correction.optimal_correction(query)

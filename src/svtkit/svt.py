@@ -20,7 +20,7 @@ import enum
 import inspect
 import itertools
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -165,13 +165,10 @@ class QueryStream(Record):
     scores = property(lambda self: self._read(1))
     thresholds = property(lambda self: self._read(2))
 
-    _kept = cached_property(lambda self: (
+    # The read-only ids and gaps (score less threshold) in stream order,
+    # kept from the first read.
+    _in_order = cached_property(lambda self: (
         self.ids, sealed(self.scores - self.thresholds)))
-
-    def _in_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only ids and gaps (score less threshold) in stream order,
-        kept from the first call."""
-        return self._kept
 
     def __len__(self) -> int:
         return self.order.size
@@ -184,6 +181,9 @@ class QueryStream(Record):
 @dataclass(frozen=True)
 class SvtConfig:
     """All mechanism parameters of one run.
+
+    A config computes its noise laws and correction on its first run and
+    keeps them, so a caller running one config many times reuses the object.
 
     Args:
         delta: query sensitivity.
@@ -235,13 +235,11 @@ class SvtConfig:
         if self.variant.query_kind is Kind.GAUSSIAN:
             checks.probability(delta_dp=self.delta_dp)
 
-    # run_svt's memo hashes the config on every call: hash the fields once per
-    # object, and not into pickles or copies (a Variant's hash is per process).
-    _hash = cached_property(lambda c: hash(tuple(c.__getstate__().values())))
+    # (threshold law, query law, correction r), computed on the first run.
+    _laws = cached_property(lambda c: noise_pair(c) + (correction_term(c),))
 
-    def __hash__(self) -> int:
-        return self._hash
-
+    # Pickles and copies carry the fields only, so a config unpickled in
+    # another process or on another host computes its laws there.
     def __getstate__(self) -> dict:
         return {name: vars(self)[name] for name in self.__dataclass_fields__}
 
@@ -345,14 +343,6 @@ def correction_term(cfg: SvtConfig) -> float:
     return optimal_correction(query)[0]
 
 
-@lru_cache(maxsize=256)
-def config_laws(cfg: SvtConfig) -> tuple[NoiseDist, NoiseDist, float]:
-    """(threshold law, query law, correction r) of ``cfg``, as given by
-    :func:`noise_pair` and :func:`correction_term`; computed once per
-    distinct config and kept in a bounded memo."""
-    return noise_pair(cfg) + (correction_term(cfg),)
-
-
 # The first chunk of a traverse; later chunk ends double, so a run that
 # halts early draws at most max(this, 2 n_a) query noises. Most early halts
 # come within traverse 1's smaller opening chunk; a later traverse exists
@@ -447,16 +437,12 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
             raise ValueError("noise_override must be callable as "
                              "(role, query_id, traverse)") from None
 
-    thr_dist, qry_dist, r = config_laws(cfg)
-    if cfg.correction_override is not None:
-        # Overrides of -0.0 and 0.0 compare equal and share a memo entry.
-        r = float(cfg.correction_override)
-
+    thr_dist, qry_dist, r = cfg._laws
     ids, scores, thresholds = queries.columns
     plain = not cfg.resample and noise_override is None
     last = cfg.max_traverses if cfg.append else 1
     if plain and last == 1 and _FIRST_CHUNK >= batch.size <= cfg.k_max:
-        stream_ids, gaps = queries._in_order()
+        stream_ids, gaps = queries._in_order
         u = rng.random(1 + batch.size)
         rho = noise_mod.from_uniform(thr_dist, u.item(0))
         base = noise_mod.from_uniform(qry_dist, u[1:])

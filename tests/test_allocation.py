@@ -154,12 +154,12 @@ def test_exponential_variance_smallest(c, eps):
 
 
 def test_query_family_mapping():
-    assert Variant.EXP_NO_CORR.query_family == "exponential"
-    assert Variant.EXP_MEAN_CORR.query_family == "exponential"
-    assert Variant.EXP_OPT_CORR.query_family == "exponential"
-    assert Variant.LAP.query_family == "laplace"
-    assert Variant.GAU.query_family == "gaussian"
-    assert Variant.GUM.query_family == "gumbel"
+    assert Variant.EXP_NO_CORR.query_kind.value == "exponential"
+    assert Variant.EXP_MEAN_CORR.query_kind.value == "exponential"
+    assert Variant.EXP_OPT_CORR.query_kind.value == "exponential"
+    assert Variant.LAP.query_kind.value == "laplace"
+    assert Variant.GAU.query_kind.value == "gaussian"
+    assert Variant.GUM.query_kind.value == "gumbel"
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])

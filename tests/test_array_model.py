@@ -223,7 +223,7 @@ def test_a_callers_writable_column_is_copied_once(copies, column, permuted):
     appended = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=20, k_max=3 * n,
                          variant=Variant.LAP, append=True, max_traverses=3)
     reads = queries.ids, queries.scores, queries.thresholds
-    kept = queries._in_order()
+    kept = queries._in_order
     first = run_svt(queries, one, np.random.default_rng(0))
     deferred = run_svt(queries, appended, np.random.default_rng(1))
     assert "_parts" in vars(deferred)
@@ -235,8 +235,8 @@ def test_a_callers_writable_column_is_copied_once(copies, column, permuted):
     for got, want in zip((queries.ids, queries.scores, queries.thresholds),
                          reads):
         assert np.array_equal(got, want)
-    assert queries._in_order() is kept
-    assert all(map(np.array_equal, kept, reference._in_order()))
+    assert queries._in_order is kept
+    assert all(map(np.array_equal, kept, reference._in_order))
     for stream in (queries, reference):
         assert run_svt(stream, one, np.random.default_rng(0)) == first
     assert deferred == run_svt(queries, appended, np.random.default_rng(1))

@@ -370,8 +370,7 @@ def test_upper_cells_rank_as_the_full_draw(monkeypatch):
 # --- correction table --------------------------------------------------
 
 def test_correction_table_columns_and_mean_rule():
-    rows = cli.emit_correction_table((1.0,), c=50, alpha=0.0, k_est=200,
-                                     m=4001)
+    rows = cli.emit_correction_table((1.0,), c=50, alpha=0.0, k_est=200)
     row = rows[0]
     assert row["mean_correction"] == pytest.approx(100.0 / row["eps2"],
                                                    rel=1e-12)
@@ -394,8 +393,7 @@ def test_correction_table_scales_with_epsilon():
     """Doubling epsilon doubles both split parts, so every corrective scale
     in the table halves; the optimal term tracks that exactly because the
     search grid is built from those scales."""
-    rows = cli.emit_correction_table((1.0, 2.0), c=50, alpha=0.0, k_est=200,
-                                     m=4001)
+    rows = cli.emit_correction_table((1.0, 2.0), c=50, alpha=0.0, k_est=200)
     lo, hi = rows
     assert hi["mean_correction"] == pytest.approx(lo["mean_correction"] / 2,
                                                   rel=1e-12)

@@ -512,6 +512,6 @@ def test_stream_run_many_times_matches_fresh_streams(bit_generator, variant,
                 want.halt_reason, want.correction_used)
             np.testing.assert_equal(one.bit_generator.state,
                                     fresh.bit_generator.state)
-        assert all(map(np.array_equal, queries._in_order(),
-                       kept._in_order()))
-    assert kept._in_order() is kept._in_order()
+        assert all(map(np.array_equal, queries._in_order,
+                       kept._in_order))
+    assert kept._in_order is kept._in_order

@@ -488,9 +488,9 @@ def test_stream_equality_does_not_depend_on_kept_reads():
     assert ran == fresh == writable
     run_svt(ran, cfg_with(k_max=3), np.random.default_rng(0))
     run_svt(writable, cfg_with(k_max=3), np.random.default_rng(0))
-    assert ran._in_order() is ran._in_order()
-    assert writable._in_order() is writable._in_order()
-    assert "_kept" not in vars(fresh)
+    assert ran._in_order is ran._in_order
+    assert writable._in_order is writable._in_order
+    assert "_in_order" not in vars(fresh)
     assert ran == fresh == writable and fresh == ran and writable == ran
     assert ran != QueryStream(ids, [510.0, 490.0, 506.0], 500.0)
 
@@ -504,14 +504,14 @@ def test_library_built_streams_keep_their_reads():
                     data.shuffle_and_stream(ds, np.random.default_rng(1)),
                     QueryStream.permuted(ds.ids, ds.scores, ds.threshold,
                                          svt.sealed(np.arange(50)))):
-        assert queries._in_order() is queries._in_order()
-        ids, gaps = queries._in_order()
+        assert queries._in_order is queries._in_order
+        ids, gaps = queries._in_order
         assert ids.tolist() == queries.ids.tolist()
         assert gaps.tolist() == (queries.scores - queries.thresholds).tolist()
     order = np.arange(50)
     queries = QueryStream.permuted(ds.ids, ds.scores, ds.threshold, order)
     assert not np.shares_memory(queries.order, order)
-    assert queries._in_order() is queries._in_order()
+    assert queries._in_order is queries._in_order
 
 
 @pytest.mark.parametrize("field", ["c", "k_max", "max_traverses", "k_est"])
@@ -528,7 +528,7 @@ def test_count_fields_accept_numpy_integers():
     assert out.n_a <= 10
 
 
-# --- the per-config memo ------------------------------------------------------
+# --- the per-config laws -----------------------------------------------------
 
 MEMO_RUNS = [dict(), dict(resample=True, c=3),
              dict(append=True, max_traverses=4, c=3),
@@ -545,66 +545,79 @@ def memo_stream():
     return stream(scores.tolist())
 
 
-def evict(cfg):
-    """Fill the memo with other configs until ``cfg`` has been pushed out."""
-    size = svt.config_laws.cache_info().maxsize
-    for k in range(1, size + 1):
-        svt.config_laws(cfg_with(k_max=10_000 + k))
-
-
 @pytest.mark.parametrize("kw", MEMO_RUNS)
 @pytest.mark.parametrize("variant", list(Variant))
-def test_memo_cold_warm_and_evicted_runs_agree(variant, kw):
-    cfg, s = memo_cfg(variant, kw), memo_stream()
-    svt.config_laws.cache_clear()
+def test_laws_cold_warm_and_twin_runs_agree(variant, kw):
+    cfg, twin, s = memo_cfg(variant, kw), memo_cfg(variant, kw), memo_stream()
     cold = run_svt(s, cfg, np.random.default_rng(11))
+    assert "_laws" in vars(cfg) and "_laws" not in vars(twin)
     warm = run_svt(s, cfg, np.random.default_rng(11))
-    evict(cfg)
-    misses = svt.config_laws.cache_info().misses
-    evicted = run_svt(s, cfg, np.random.default_rng(11))
-    assert svt.config_laws.cache_info().misses == misses + 1
-    assert cold == warm == evicted
+    fresh = run_svt(s, twin, np.random.default_rng(11))
+    assert cold == warm == fresh
     assert cold.correction_used == correction_term(cfg)
-    assert all(o.traverses.dtype == np.int64 for o in (cold, warm, evicted))
+    assert all(o.traverses.dtype == np.int64 for o in (cold, warm, fresh))
 
 
-def test_memo_computes_laws_once_per_config(monkeypatch):
+def test_config_computes_its_laws_once(monkeypatch):
+    """One config computes its laws on its first run only; an equal twin
+    computes its own."""
     cfg = memo_cfg(Variant.EXP_OPT_CORR, {})
-    svt.config_laws.cache_clear()
     calls = []
     real = svt.correction_term
     monkeypatch.setattr(svt, "correction_term",
                         lambda c: calls.append(c) or real(c))
     for seed in range(5):
         run_svt(memo_stream(), cfg, np.random.default_rng(seed))
-    run_svt(memo_stream(), memo_cfg(Variant.EXP_OPT_CORR, {}),
-            np.random.default_rng(0))  # an equal config shares the entry
-    assert calls == [cfg]
-    assert svt.config_laws(cfg) == noise_pair(cfg) + (real(cfg),)
+    assert len(calls) == 1 and calls[0] is cfg
+    twin = memo_cfg(Variant.EXP_OPT_CORR, {})
+    for seed in range(2):
+        run_svt(memo_stream(), twin, np.random.default_rng(seed))
+    assert len(calls) == 2 and calls[1] is twin
+    assert cfg._laws == twin._laws == noise_pair(cfg) + (real(cfg),)
 
 
-def test_memo_keeps_override_zero_apart_from_none():
+def test_laws_keep_override_zero_apart_from_none():
     base = dict(variant=Variant.EXP_MEAN_CORR)
     plain, zero = cfg_with(**base), cfg_with(correction_override=0.0, **base)
-    svt.config_laws.cache_clear()
     r_plain = run_svt(stream([500.0]), plain, np.random.default_rng(1)).correction_used
     r_zero = run_svt(stream([500.0]), zero, np.random.default_rng(1)).correction_used
-    assert svt.config_laws.cache_info().currsize == 2
     assert r_plain == noise_pair(plain)[1].mean() and r_zero == 0.0
+    assert plain._laws[2] == r_plain and zero._laws[2] == r_zero
     negative = run_svt(stream([500.0]), cfg_with(correction_override=-0.0, **base),
                        np.random.default_rng(1)).correction_used
     assert math.copysign(1.0, negative) == -1.0
 
 
-def test_memo_gives_a_replaced_config_its_own_correction():
+def test_replaced_config_computes_its_own_correction():
     cfg = memo_cfg(Variant.EXP_OPT_CORR, {})
-    hash(cfg)
     run_svt(memo_stream(), cfg, np.random.default_rng(0))
     moved = dataclasses.replace(cfg, alpha=7.0)
+    assert "_laws" not in vars(moved)
     out = run_svt(memo_stream(), moved, np.random.default_rng(0))
     assert out.correction_used == correction_term(moved)
     assert out.correction_used != correction_term(cfg)
-    assert svt.config_laws(moved)[2] == correction_term(moved)
+    assert moved._laws[2] == correction_term(moved)
+
+
+def test_sweep_computes_each_cell_correction_once(monkeypatch):
+    """A sweep's configs come from ``cli._cell_config``, one per cell key,
+    so the corrections of a sweep's cells are computed once per key,
+    across repetitions and across sweeps."""
+    calls = []
+    real = svt.correction_term
+    monkeypatch.setattr(svt, "correction_term",
+                        lambda c: calls.append(c) or real(c))
+    cfg = cli.ExperimentConfig(dataset="zipf", variants=cli.VARIANT_TOKENS,
+                               eps_values=(0.5, 1.0), traverses=(1, 2),
+                               repetitions=2, append=True, c=5, n_items=200)
+    cli._cell_config.cache_clear()
+    cli.run_sweep(cfg)
+    keys = {(eps, token, trav) for eps in cfg.eps_values
+            for token in cfg.variants if token != cli.UPPER_BOUND
+            for trav in cfg.traverses}
+    assert len(calls) == len(set(calls)) == len(keys)
+    cli.run_sweep(cfg)
+    assert len(calls) == len(keys)
 
 
 def _field_tuple(cfg):
@@ -612,14 +625,14 @@ def _field_tuple(cfg):
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_memo_leaves_equality_hash_and_repr_alone(variant):
+def test_laws_leave_equality_hash_and_repr_alone(variant):
     cfg, twin = memo_cfg(variant, {}), memo_cfg(variant, {})
     before = (hash(_field_tuple(cfg)), repr(cfg))
     run_svt(memo_stream(), cfg, np.random.default_rng(1))
     assert (hash(cfg), repr(cfg)) == before == (hash(twin), repr(twin))
     assert cfg == twin and len({cfg, twin}) == 1
     assert cfg != dataclasses.replace(cfg, k_est=cfg.k_est + 1)
-    assert "_hash" not in repr(cfg)
+    assert "_laws" in vars(cfg) and "_laws" not in repr(cfg)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -630,8 +643,9 @@ def test_copied_and_pickled_configs_run_like_fresh_ones(variant):
               pickle.loads(pickle.dumps(cfg))]
     for other in copies:
         assert other == cfg and hash(other) == hash(cfg)
+        assert "_laws" not in vars(other)
         assert run_svt(memo_stream(), other, np.random.default_rng(3)) == want
-    assert "_hash" not in cfg.__getstate__()
+    assert "_laws" not in cfg.__getstate__()
 
 
 PICKLED_CONFIG = """
@@ -641,35 +655,36 @@ from svtkit.allocation import Variant
 loaded = pickle.loads(bytes.fromhex(sys.argv[1]))
 fresh = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=2, k_max=40,
                   variant=Variant.LAP)
-print(hash(loaded) == hash(fresh), len({loaded, fresh}))
+print(hash(loaded) == hash(fresh), len({loaded, fresh}),
+      "_laws" in vars(loaded), loaded._laws == fresh._laws)
 """
 
 
 def test_pickled_config_hashes_like_a_fresh_one_in_another_process():
     """A Variant's hash differs between processes, so a config hashed in
-    one process and unpickled in another must hash anew there."""
+    one process and unpickled in another must hash anew there; it computes
+    its laws there too."""
     cfg = cfg_with(c=2, k_max=40, variant=Variant.LAP)
-    hash(cfg)
+    hash(cfg), cfg._laws
     other_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     env = {**os.environ, "PYTHONHASHSEED": other_seed,
            "PYTHONPATH": str(Path(svt.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", PICKLED_CONFIG,
                           pickle.dumps(cfg).hex()], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["True", "1"]
+    assert out.split() == ["True", "1", "False", "True"]
 
 
-def test_memo_keeps_override_signs_in_either_order():
+def test_laws_keep_override_signs_in_either_order():
     base = dict(variant=Variant.EXP_OPT_CORR)
-    negative = cfg_with(correction_override=-0.0, **base)
-    positive = cfg_with(correction_override=0.0, **base)
-    assert negative == positive and hash(negative) == hash(positive)
-    svt.config_laws.cache_clear()
-    runs = [run_svt(stream([500.0]), cfg, np.random.default_rng(1))
-            for cfg in (negative, positive, negative)]
-    signs = [math.copysign(1.0, out.correction_used) for out in runs]
-    assert signs == [-1.0, 1.0, -1.0]
-    assert svt.config_laws.cache_info().currsize == 1
+    for order in ((-0.0, 0.0, -0.0), (0.0, -0.0, 0.0)):
+        first, second = (cfg_with(correction_override=v, **base)
+                         for v in order[:2])
+        assert first == second and hash(first) == hash(second)
+        runs = [run_svt(stream([500.0]), cfg, np.random.default_rng(1))
+                for cfg in (first, second, first)]
+        signs = [math.copysign(1.0, out.correction_used) for out in runs]
+        assert signs == [math.copysign(1.0, v) for v in order]
 
 
 @pytest.mark.parametrize("variant",
@@ -861,7 +876,7 @@ def test_appended_run_over_a_scores_file_gathers_only_its_rows(
     queries = QueryStream.permuted(ds.ids, ds.scores, ds.threshold, order)
     cfg = cfg_with(variant=Variant.LAP, c=200, k_max=1200, append=True,
                    max_traverses=4)
-    svt.config_laws(cfg)
+    cfg._laws
     tracemalloc.start()
     try:
         out = run_svt(queries, cfg, np.random.default_rng(5))

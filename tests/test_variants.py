@@ -37,7 +37,7 @@ def test_config_follows_its_row(token, monotonic):
     cfg = SvtConfig(**BASE, variant=Variant(token), monotonic=monotonic)
     thr, qry = noise_pair(cfg)
     assert (thr.kind, qry.kind) == (thr_kind, qry_kind)
-    assert Variant(token).query_family == qry_kind.value
+    assert Variant(token).query_kind.value == qry_kind.value
     if rule == "none":
         expected = 0.0
     elif rule == "mean":
