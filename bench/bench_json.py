@@ -2,8 +2,13 @@
 comparison.
 
 ``record`` reads the records that ``perfbench/run.py --out`` appended to
-one or more files and writes one JSON object: the commit checked out and
-whether ``src/`` differs from it, numpy's dispatched CPU features, and per
+one or more files and writes one JSON object: the commit checked out,
+whether ``src/`` differs from it and ``src_sha256``, a content hash of
+``src/`` (sha256 over each ``src/**/*.py`` file's path relative to
+``src/``, a NUL and the sha256 of its bytes, in path order), so a file
+recorded before its commit still names its tree; ``recorded_at`` (UTC,
+ISO 8601) and the host's ``boot_id`` (null if unreadable), which tell two
+sessions apart; numpy's dispatched CPU features; and per
 workload the runs' seeds, operations attempted and failed, the first run's
 environment and, for each end-to-end metric of BENCHMARK.json, the median,
 quartiles, run count and every run's value over the untraced runs. From
@@ -14,20 +19,23 @@ line split into code, docstring, comment and blank lines, in total and per
 file: a docstring line is one of a string that stands alone as a
 statement, a comment line holds a comment and no code.
 
-``compare`` prints, for every workload in both files, one verdict per
-end-to-end metric from ``perfbench/compare.py``'s ``verdict`` over the
-runs' values, and the workload's summary verdict. Standard library only
-(numpy's CPU features are read in a child process).
+``compare`` prints each file's commit and ``src_sha256[:12]``, a warning
+line when the files' boot ids differ or either is missing (verdicts across
+sessions mix host drift with the change), then, for every workload in both
+files, one verdict per end-to-end metric from ``perfbench/compare.py``'s
+``verdict`` over the runs' values, and the workload's summary verdict.
+Standard library only (numpy's CPU features are read in a child process).
 
     python3 perfbench/run.py --workload all --seed 1 --out runs.jsonl
     python3 perfbench/run.py --workload all --seed 1 --trace 1 --out runs.jsonl
-    python3 bench/bench_json.py record runs.jsonl --out BENCH_35.json
-    python3 bench/bench_json.py compare BENCH_34.json BENCH_35.json
+    python3 bench/bench_json.py record runs.jsonl --out BENCH_36.json
+    python3 bench/bench_json.py compare BENCH_35.json BENCH_36.json
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import statistics
@@ -35,6 +43,7 @@ import subprocess
 import sys
 import tokenize
 from collections import Counter
+from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +56,7 @@ CPU_FEATURES = ("import json, numpy._core._multiarray_umath as m; print("
                 "if v)))")
 BLANK_TOKENS = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
                 tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+BOOT_ID = Path("/proc/sys/kernel/random/boot_id")
 
 
 def line_split(source: str) -> Counter:
@@ -79,6 +89,23 @@ def src_lines(checkout: Path) -> dict:
              for p in sorted((checkout / "src").rglob("*.py"))}
     return {"total": dict(sum(files.values(), Counter())),
             "files": {name: dict(split) for name, split in files.items()}}
+
+
+def src_sha256(checkout: Path) -> str:
+    src = checkout / "src"
+    digest = hashlib.sha256()
+    for name in sorted(p.relative_to(src).as_posix()
+                       for p in src.rglob("*.py")):
+        digest.update(name.encode() + b"\0")
+        digest.update(hashlib.sha256((src / name).read_bytes()).digest())
+    return digest.hexdigest()
+
+
+def boot_id() -> str | None:
+    try:
+        return BOOT_ID.read_text(encoding="ascii").strip() or None
+    except OSError:
+        return None
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -129,6 +156,10 @@ def record(args) -> int:
     bench = {"commit": git(checkout, "rev-parse", "HEAD"),
              "src_uncommitted": bool(git(checkout, "status", "--porcelain",
                                          "--", "src")),
+             "src_sha256": src_sha256(checkout),
+             "recorded_at": datetime.now(timezone.utc).isoformat(
+                 timespec="seconds"),
+             "boot_id": boot_id(),
              "cpu_features": json.loads(features),
              "src_lines": src_lines(checkout), "workloads": workloads}
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n",
@@ -142,8 +173,11 @@ def compare(args) -> int:
             for p in (args.a, args.b))
     for path, side in ((args.a, a), (args.b, b)):
         dirty = " with uncommitted src/" if side["src_uncommitted"] else ""
-        print(f"{path}: {side['commit'][:7]}{dirty}, src lines "
+        sha = (side.get("src_sha256") or "unrecorded")[:12]
+        print(f"{path}: {side['commit'][:7]}{dirty}, src {sha}, src lines "
               f"{side['src_lines']['total']}")
+    if a.get("boot_id") is None or a.get("boot_id") != b.get("boot_id"):
+        print("different sessions: verdicts mix host drift with the change")
     # A workload with traced runs only has per-layer metrics and no verdicts.
     for wl in [wl for wl in a["workloads"] if "metrics" in a["workloads"][wl]
                and "metrics" in b["workloads"].get(wl, {})]:

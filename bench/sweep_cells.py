@@ -15,19 +15,16 @@ rotates from seed to seed, so the sides share the machine's state; their
 rows must be equal apart from ``wall_time_ms``, or the run stops.
 ``--against`` loads a second checkout's ``svtkit`` under another package
 name and compares it with this one; the report gives each group's median,
-p90 and cells-per-second change against it. ``--opening`` instead takes one
-or more sizes for ``svt._OPENING_CHUNK``, the first chunk of traverse 1;
-4096 gives the chunk ends of a checkout without an opening chunk.
-``--scores PATH`` runs perfbench's sweep-1e6 grid instead (lap, exp-mean and
-upper at eps 0.5, c = 50, one traverse, two repetitions) over that scores
-file (``svtkit gen --dataset zipf --n-items 1000000 --out PATH`` writes
-perfbench's); its upper group's draws per answer is the share of items the
-reference draws noise for. ``--src`` and ``--against`` take a checkout's root or the
-directory holding its ``svtkit``. Standard library and numpy only.
+p90 and cells-per-second change against it. ``--scores PATH`` runs
+perfbench's sweep-1e6 grid instead (lap, exp-mean and upper at eps 0.5,
+c = 50, one traverse, two repetitions) over that scores file (``svtkit gen
+--dataset zipf --n-items 1000000 --out PATH`` writes perfbench's); its upper
+group's draws per answer is the share of items the reference draws noise
+for. ``--src`` and ``--against`` take a checkout's root or the directory
+holding its ``svtkit``. Standard library and numpy only.
 
     python3 bench/sweep_cells.py --seeds 20
     python3 bench/sweep_cells.py --against /path/to/other/checkout
-    python3 bench/sweep_cells.py --opening 256,512,1024
     python3 bench/sweep_cells.py --scores zipf-1e6.csv --seeds 5 --against ..
 """
 
@@ -86,19 +83,15 @@ def load(src: Path, name: str, *modules: str) -> list:
 
 
 class Side:
-    """One checkout (and opening chunk) under test: its cells' times and
-    draw counts per group. Query draws are counted per cell: run_sweep
-    flushes its sink after the header and after each row, and each flush
-    opens the next cell's count."""
+    """One checkout under test: its cells' times and draw counts per
+    group. Query draws are counted per cell: run_sweep flushes its sink
+    after the header and after each row, and each flush opens the next
+    cell's count."""
 
-    def __init__(self, label: str, src: Path, name: str, opening,
+    def __init__(self, label: str, src: Path, name: str,
                  grids: tuple = GRIDS) -> None:
         self.label, self.src, self.grids = label, src, grids
-        self.cli, noise, self.svt = load(src, name, "cli", "noise", "svt")
-        if opening is not None:
-            if not hasattr(self.svt, "_OPENING_CHUNK"):
-                raise SystemExit(f"{src} has no svt._OPENING_CHUNK to set")
-            self.svt._OPENING_CHUNK = opening
+        self.cli, noise = load(src, name, "cli", "noise")
         self.cells: dict[str, list[float]] = {}
         self.counts: dict[str, list[int]] = {}
         self.drawn: list[int] = []
@@ -167,27 +160,17 @@ def main() -> int:
     parser.add_argument("--scores", default=None,
                         help="run perfbench's sweep-1e6 grid over this "
                              "scores file instead")
-    parser.add_argument("--opening", default=None,
-                        help="comma-separated sizes of traverse 1's first "
-                             "chunk (default: the checkout's own)")
     args = parser.parse_args()
-    if args.against and args.opening:
-        parser.error("--against and --opening do not combine")
     src = package_dir(args.src)
     grids = GRIDS
     if args.scores:  # perfbench's sweep-1e6 grid
         if not Path(args.scores).is_file():
             parser.error(f"no scores file at {args.scores}")
         grids = (scores_grid(args.scores),)
+    sides = [Side("src", src, "svtkit_src", grids)]
     if args.against:
-        sides = [Side("src", src, "svtkit_src", None, grids),
-                 Side("against", package_dir(args.against),
-                      "svtkit_against", None, grids)]
-    elif args.opening:
-        sides = [Side(f"opening {size}", src, f"svtkit_opening_{size}",
-                      int(size), grids) for size in args.opening.split(",")]
-    else:
-        sides = [Side("src", src, "svtkit_src", None, grids)]
+        sides.append(Side("against", package_dir(args.against),
+                          "svtkit_against", grids))
 
     for side in sides:
         side.one_pass(10**6, record=False)  # warm-up: imports, caches
@@ -197,7 +180,6 @@ def main() -> int:
         if any(untimed(r) != untimed(rows[0]) for r in rows[1:]):
             raise SystemExit(f"seed {seed}: the sides' rows differ")
     results = [{"side": side.label, "src": str(side.src),
-                "opening_chunk": getattr(side.svt, "_OPENING_CHUNK", None),
                 "groups": side.groups()} for side in sides]
     report = {"seeds": args.seeds, "scores": args.scores, "rows_equal": True,
               "results": results}

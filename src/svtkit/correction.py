@@ -27,7 +27,6 @@ oracle: the tests and the benchmark check the grid against it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
@@ -39,12 +38,6 @@ from .noise import NoiseDist, _as_given
 
 DEFAULT_MESH_COUNT = 20001
 DEFAULT_TAIL_MASS = 1e-10
-
-# Half-width of the window around b*lambda = 1 inside which callers are
-# warned that the textbook closed form is singular. The evaluation itself
-# uses an equivalent expm1 form whose limit at b = 1/lambda is exact, so
-# the warning is informational only.
-_SINGULAR_TOL = 1e-9
 
 # Above this value of z*(mu - b)/(b*mu) the expm1 orientation of the
 # survival's first term would overflow; the direct difference of
@@ -239,30 +232,17 @@ def pmf_cdf(pmf: DiscretePmf, t) -> float | np.ndarray:
     return _as_given(np.where(np.isnan(tarr), np.nan, cum[idx]), t)
 
 
-def _rate_to_mean(b: float, lam: float) -> float:
-    """Mean 1/lam, flagging the singular line b*lam = 1 of the textbook
-    closed form. The evaluation used here takes the exact limit there, so
-    the answer is still correct; the warning exists for callers comparing
-    against the raw two-denominator form."""
-    if abs(b * lam - 1.0) < _SINGULAR_TOL:
-        warnings.warn(
-            f"b*lam = {b * lam} lies on the singular line of the raw "
-            "closed form; evaluated through its exact removable limit",
-            RuntimeWarning, stacklevel=3)
-    return 1.0 / lam
-
-
 def difference_cdf(z, b: float, lam: float) -> float | np.ndarray:
     """Closed-form cdf of Z = X - Y, X ~ Exp(rate lam), Y ~ Laplace(b)."""
     checks.positive(b=b, lam=lam)
-    cdf, _ = _difference_cdf_sf(z, b, _rate_to_mean(b, lam))
+    cdf, _ = _difference_cdf_sf(z, b, 1.0 / lam)
     return _as_given(cdf, z)
 
 
 def difference_sf(z, b: float, lam: float) -> float | np.ndarray:
     """Closed-form survival 1 - cdf of Z = X - Y, cancellation-free tails."""
     checks.positive(b=b, lam=lam)
-    _, sf = _difference_cdf_sf(z, b, _rate_to_mean(b, lam))
+    _, sf = _difference_cdf_sf(z, b, 1.0 / lam)
     return _as_given(sf, z)
 
 
@@ -335,11 +315,10 @@ def success_probability_analytical(r, q: CorrectionQuery) -> float | np.ndarray:
     Evaluates the piecewise closed form of Gamma; the three branches in r
     (below -alpha, between, above alpha) come from which side of 0 the two
     shifted arguments land on. On the line b = 1/lam, where the raw closed
-    form is singular, the exact removable limit is used (a RuntimeWarning
-    flags the crossing).
+    form is singular, the exact removable limit is used.
     """
     rarr = np.atleast_1d(np.asarray(r, dtype=float))
-    mu = _rate_to_mean(q.b, q.lam)
+    mu = 1.0 / q.lam
     log_gamma_plus = _log_difference_cdf(rarr + q.alpha, q.b, mu)
     _, sf_minus = _difference_cdf_sf(rarr - q.alpha, q.b, mu)
     with np.errstate(divide="ignore"):

@@ -185,12 +185,3 @@ def accuracy_alpha_bound(k: int, eps: float, beta: float) -> float:
     checks.positive(eps=eps)
     checks.probability(beta=beta)
     return 4.0 * (math.log(k) + math.log(2.0 / beta)) / eps
-
-
-def accuracy_beta_bound(k: int, eps: float, alpha: float) -> float:
-    """Inverse of :func:`accuracy_alpha_bound`: beta = 2k exp(-alpha eps/4),
-    capped at 1."""
-    checks.count(1, k=k)
-    checks.positive(eps=eps)
-    checks.nonnegative(alpha=alpha)
-    return min(1.0, 2.0 * k * math.exp(-alpha * eps / 4.0))

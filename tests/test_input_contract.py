@@ -12,6 +12,7 @@ import functools
 import math
 import re
 import tempfile
+import warnings
 from collections import namedtuple
 from pathlib import Path
 
@@ -249,9 +250,6 @@ ENTRIES = [
     ("accuracy_alpha_bound", metrics.accuracy_alpha_bound,
      dict(k=5, eps=1.0, beta=0.1),
      dict(k=count(1), eps=POSITIVE, beta=PROBABILITY)),
-    ("accuracy_beta_bound", metrics.accuracy_beta_bound,
-     dict(k=5, eps=1.0, alpha=1.0),
-     dict(k=count(1), eps=POSITIVE, alpha=NONNEGATIVE)),
     ("gen_zipf", data.gen_zipf, dict(n_items=10), dict(n_items=count(1))),
     ("gen_binary", data.gen_binary, dict(n_items=30, n_positive=0),
      dict(n_items=count(1), n_positive=count(0))),
@@ -328,6 +326,35 @@ def test_field_follows_its_rule(fn, base, field, rule, data):
         fn(**{**base, field: data.draw(rule.accepted, label="accepted")})
 
 
+# The positional scalar of each lambda row whose base leaves it out.
+SCALARS = dict(eps=0.5, trav=1, s=1.0)
+
+
+def _singular_calls():
+    """The closed form on its singular line b * lam = 1, where the textbook
+    form is 0/0 and the evaluated one takes the exact limit."""
+    z = np.linspace(-3.0, 3.0, 7)
+    for b, lam in ((2.0, 0.5), (4.0, 0.25)):
+        q = correction.CorrectionQuery(b=b, lam=lam, alpha=1.0, k=3)
+        for fn, args in ((correction.difference_cdf, (b, lam)),
+                         (correction.difference_sf, (b, lam)),
+                         (correction.success_probability_analytical, (q,))):
+            yield pytest.param(functools.partial(fn, z, *args),
+                               id=f"{fn.__name__}(b={b:g})")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(functools.partial(fn, **{
+        **{f: SCALARS[f] for f in rules.keys() & SCALARS}, **base}), id=name)
+    for name, fn, base, rules in ENTRIES] + list(_singular_calls()))
+def test_valid_call_warns_nothing(call):
+    """Valid arguments, the singular line b * lam = 1 included, run with
+    warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call()
+
+
 def test_registry_is_complete():
     covered = {name.split(".")[0] for name, *_ in ENTRIES}
     public = {name for name in svtkit.__all__
@@ -386,8 +413,6 @@ PROBES = {
                                             np.random.default_rng(0)),
     "accuracy_alpha_bound(k=nan)":
         lambda: metrics.accuracy_alpha_bound(NAN, 1.0, 0.1),
-    "accuracy_beta_bound(k=nan)":
-        lambda: metrics.accuracy_beta_bound(NAN, 1.0, 1.0),
     "discretize(m=2.5)":
         lambda: correction.discretize(noise.laplace(1.0), 2.5, 3.0),
     "discretize(B=inf)":

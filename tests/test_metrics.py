@@ -157,11 +157,11 @@ def test_corrected_exponential_beats_laplace_failure_rate():
 
 
 def test_accuracy_bounds_invert_each_other():
+    """The alpha bound inverts beta = 2k exp(-alpha eps/4)."""
     k, eps = 50, 1.0
     for beta in (0.2, 0.05, 0.004):
         alpha = metrics.accuracy_alpha_bound(k, eps, beta)
-        assert metrics.accuracy_beta_bound(k, eps, alpha) == pytest.approx(beta, rel=1e-12)
-    assert metrics.accuracy_beta_bound(50, 1.0, 0.0) == 1.0  # capped
+        assert 2.0 * k * math.exp(-alpha * eps / 4.0) == pytest.approx(beta, rel=1e-12)
 
 
 def test_accuracy_bounds_validation():
@@ -169,8 +169,6 @@ def test_accuracy_bounds_validation():
         metrics.accuracy_alpha_bound(0, 1.0, 0.1)
     with pytest.raises(ValueError):
         metrics.accuracy_alpha_bound(5, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        metrics.accuracy_beta_bound(5, -1.0, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
@@ -179,8 +177,6 @@ def test_non_finite_alpha_rejected(alpha):
     with pytest.raises(ValueError):
         metrics.alpha_beta_estimate(lambda rng: None, alpha, truth, 5,
                                     np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        metrics.accuracy_beta_bound(5, 1.0, alpha)
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
