@@ -17,19 +17,25 @@ and, for each per-layer metric, the median, run count and every run's
 value (a metric a workload does not report is null). It adds the ``src/``
 line split into code, docstring, comment and blank lines, in total and per
 file: a docstring line is one of a string that stands alone as a
-statement, a comment line holds a comment and no code.
+statement, a comment line holds a comment and no code. ``--tier1 LOG``
+adds ``tier1``, the passed and failed counts and the seconds of pytest's
+final summary line in a saved tier-1 log (errors count as failed); the
+field is null without it.
 
 ``compare`` prints each file's commit and ``src_sha256[:12]``, a warning
 line when the files' boot ids differ or either is missing (verdicts across
 sessions mix host drift with the change), then, for every workload in both
 files, one verdict per end-to-end metric from ``perfbench/compare.py``'s
-``verdict`` over the runs' values, and the workload's summary verdict.
+``verdict`` over the runs' values, and the workload's summary verdict; and
+last both files' ``tier1`` values ("unrecorded" where a file has none).
 Standard library only (numpy's CPU features are read in a child process).
 
     python3 perfbench/run.py --workload all --seed 1 --out runs.jsonl
     python3 perfbench/run.py --workload all --seed 1 --trace 1 --out runs.jsonl
-    python3 bench/bench_json.py record runs.jsonl --out BENCH_36.json
-    python3 bench/bench_json.py compare BENCH_35.json BENCH_36.json
+    python3 -m pytest -q > tier1.log
+    python3 bench/bench_json.py record runs.jsonl --tier1 tier1.log \
+        --out BENCH_37.json
+    python3 bench/bench_json.py compare BENCH_36.json BENCH_37.json
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import argparse
 import hashlib
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -57,6 +64,10 @@ CPU_FEATURES = ("import json, numpy._core._multiarray_umath as m; print("
 BLANK_TOKENS = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
                 tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 BOOT_ID = Path("/proc/sys/kernel/random/boot_id")
+# pytest's final summary line, with or without its rule of "=":
+# "1 failed, 1626 passed, 2 warnings in 50.25s (0:00:50)".
+SUMMARY = re.compile(r"=*\s*((?:\d+ \w+, )*\d+ \w+) in ([\d.]+)s"
+                     r"(?: \([\d:]+\))?\s*=*")
 
 
 def line_split(source: str) -> Counter:
@@ -106,6 +117,22 @@ def boot_id() -> str | None:
         return BOOT_ID.read_text(encoding="ascii").strip() or None
     except OSError:
         return None
+
+
+def tier1(log: str) -> dict:
+    """Passed and failed tests (errors count as failed) and seconds, from
+    the last pytest summary line in a saved log."""
+    text = Path(log).read_text(encoding="utf-8", errors="replace")
+    for line in reversed(text.splitlines()):
+        found = SUMMARY.fullmatch(line.strip())
+        if found:
+            counts = Counter()
+            for n, kind in re.findall(r"(\d+) (\w+)", found[1]):
+                counts[kind.rstrip("s")] += int(n)  # "1 error", "2 errors"
+            return {"passed": counts["passed"],
+                    "failed": counts["failed"] + counts["error"],
+                    "seconds": float(found[2])}
+    raise SystemExit(f"{log}: no pytest summary line")
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -161,7 +188,9 @@ def record(args) -> int:
                  timespec="seconds"),
              "boot_id": boot_id(),
              "cpu_features": json.loads(features),
-             "src_lines": src_lines(checkout), "workloads": workloads}
+             "src_lines": src_lines(checkout),
+             "tier1": tier1(args.tier1) if args.tier1 else None,
+             "workloads": workloads}
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n",
                               encoding="utf-8")
     return 0
@@ -193,6 +222,10 @@ def compare(args) -> int:
                   f"{wb[name]['median']:12.5g} {m['unit']:<4} "
                   f"n={wa[name]['runs']}/{wb[name]['runs']}  {v}")
         print(f"{wl:<16} {summary(verdicts)}")
+    print("tier1   " + " -> ".join(
+        "unrecorded" if not side.get("tier1") else
+        "{passed} passed, {failed} failed, {seconds} s".format(**side["tier1"])
+        for side in (a, b)))
     return 0
 
 
@@ -204,6 +237,8 @@ def main(argv=None) -> int:
     rec.add_argument("--out", required=True, help="the BENCH file to write")
     rec.add_argument("--checkout", default=str(ROOT),
                      help="the checkout the runs ran (commit and src lines)")
+    rec.add_argument("--tier1", default=None, metavar="LOG",
+                     help="a saved tier-1 pytest log: records its summary")
     rec.set_defaults(run=record)
     cmp = sub.add_parser("compare", help="verdicts between two BENCH files")
     cmp.add_argument("a")

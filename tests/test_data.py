@@ -198,3 +198,44 @@ def test_read_scores_content_errors_name_the_file(tmp_path, text):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "):
             data.read_scores(path)
+
+
+MIN_WIDTH = "".join(f"{i},{9 - i}\n" for i in range(10))
+
+
+@pytest.mark.parametrize("body", [
+    MIN_WIDTH,
+    MIN_WIDTH.rstrip("\n"),
+    "1,2.5\r\n2,-0.0\r\n3,1e-300\r\n",
+    "1,2.5\r2,-0.0\r3,1e-300",
+    "\n\n1,2.5\n\n\n2,0.1\n\n",
+    "1,2.5\n   \n2,0.1\n \t\n",
+], ids=["min width", "min width, no final newline", "crlf", "cr",
+        "blank lines", "blank lines with spaces"])
+@pytest.mark.parametrize("header", ["# name=s threshold=1.0",
+                                    "# name=a,b threshold=1.0"])
+def test_read_scores_reads_every_row(tmp_path, header, body):
+    """Each row, bit for bit as int() and float() read it, whatever the line
+    ends, blank lines and row widths; and no warning."""
+    ends = "\r\n" if "\r\n" in body else "\r" if "\r" in body else "\n"
+    path = tmp_path / "s.scores"
+    path.write_bytes((header + ends + body).encode())
+    rows = [line.split(",") for line in body.splitlines() if line.strip()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = data.read_scores(path)
+    assert ds.name == header[len("# name="):-len(" threshold=1.0")]
+    assert ds.ids.tolist() == [int(i) for i, _ in rows]
+    assert ds.scores.tobytes() == np.array([float(s) for _, s in rows]).tobytes()
+
+
+def test_read_scores_rejects_a_file_that_grew_after_its_count(tmp_path,
+                                                               monkeypatch):
+    """A file that gains a row between the count and the parse would fill
+    the bound; simulated by a count taken before the last row was added."""
+    path = tmp_path / "s.scores"
+    path.write_text("# name=s threshold=1.0\n1,2.0\n2,3.0\n")
+    commas = data._commas
+    monkeypatch.setattr(data, "_commas", lambda p: commas(p) - 1)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*grew"):
+        data.read_scores(path)
