@@ -22,20 +22,23 @@ adds ``tier1``, the passed and failed counts and the seconds of pytest's
 final summary line in a saved tier-1 log (errors count as failed); the
 field is null without it.
 
-``compare`` prints each file's commit and ``src_sha256[:12]``, a warning
-line when the files' boot ids differ or either is missing (verdicts across
-sessions mix host drift with the change), then, for every workload in both
-files, one verdict per end-to-end metric from ``perfbench/compare.py``'s
-``verdict`` over the runs' values, and the workload's summary verdict; and
-last both files' ``tier1`` values ("unrecorded" where a file has none).
-Standard library only (numpy's CPU features are read in a child process).
+``compare`` prints each file's commit, ``src_sha256[:12]``,
+``recorded_at`` and boot id, and a warning line that its verdicts mix host
+drift with the change: two files are two recordings, and a shared boot id
+does not make them one session (sessions on one boot share it). Then, for
+every workload in both files, one verdict per end-to-end metric from
+``perfbench/compare.py``'s ``verdict`` over the runs' values, and the
+workload's summary verdict; and last both files' ``tier1`` values
+("unrecorded" where a file has none). A gain claim rests on alternating
+pairs run in one session, not on two files. Standard library only (numpy's
+CPU features are read in a child process).
 
     python3 perfbench/run.py --workload all --seed 1 --out runs.jsonl
     python3 perfbench/run.py --workload all --seed 1 --trace 1 --out runs.jsonl
     python3 -m pytest -q > tier1.log
     python3 bench/bench_json.py record runs.jsonl --tier1 tier1.log \
-        --out BENCH_37.json
-    python3 bench/bench_json.py compare BENCH_36.json BENCH_37.json
+        --out BENCH_38.json
+    python3 bench/bench_json.py compare BENCH_37.json BENCH_38.json
 """
 
 from __future__ import annotations
@@ -205,8 +208,9 @@ def compare(args) -> int:
         sha = (side.get("src_sha256") or "unrecorded")[:12]
         print(f"{path}: {side['commit'][:7]}{dirty}, src {sha}, src lines "
               f"{side['src_lines']['total']}")
-    if a.get("boot_id") is None or a.get("boot_id") != b.get("boot_id"):
-        print("different sessions: verdicts mix host drift with the change")
+        print(f"  recorded {side.get('recorded_at') or 'unrecorded'}, "
+              f"boot id {side.get('boot_id') or 'unrecorded'}")
+    print("two recordings: verdicts mix host drift with the change")
     # A workload with traced runs only has per-layer metrics and no verdicts.
     for wl in [wl for wl in a["workloads"] if "metrics" in a["workloads"][wl]
                and "metrics" in b["workloads"].get(wl, {})]:

@@ -19,8 +19,16 @@ generator end state must be equal, or the run stops at the first that
 differs. ``--src`` and ``--against`` take a checkout's root or the
 directory holding its ``svtkit``. Standard library and numpy only.
 
+``--block`` adds the block path of a checkout that has it: at each point,
+after the estimate, ``svt.run_trials`` of the same trials on a generator
+of the estimate's seed, then ``metrics.failure_rate`` over the record,
+timed together. The run stops if its estimate or its generator end state
+differs from the runner path's. Per variant it prints the median µs per
+block-path trial and the runner path's time over it.
+
     python3 bench/mc_calls.py
     python3 bench/mc_calls.py --against /path/to/other/checkout
+    python3 bench/mc_calls.py --block
 """
 
 from __future__ import annotations
@@ -47,6 +55,8 @@ class Side:
         cli, metrics, svt, allocation = load(src, name, "cli", "metrics",
                                              "svt", "allocation")
         self.run_svt, self.estimate = svt.run_svt, metrics.alpha_beta_estimate
+        self.block = (getattr(svt, "run_trials", None),
+                      getattr(metrics, "failure_rate", None))
         self.points = []
         for token in wl.MC_VARIANTS:
             variant = allocation.Variant(token)
@@ -63,9 +73,10 @@ class Side:
                 self.points.append((token, alpha, stream, truth, cfg))
         self.call_us: dict[str, list[float]] = {}
         self.trial_us: dict[str, list[float]] = {}
+        self.block_us: dict[str, list[float]] = {}
 
     def visit(self, i: int, seed: list[int], calls: int, trials: int,
-              record: bool = True) -> list:
+              record: bool = True, block: bool = False) -> list:
         """The point's outcomes, estimate and end states as (label, value)
         pairs, its calls and trials timed."""
         token, alpha, stream, truth, cfg = self.points[i]
@@ -92,11 +103,28 @@ class Side:
             self.call_us.setdefault(token, []).extend(
                 1e6 * s for s in spent)
             self.trial_us.setdefault(token, []).append(1e6 * trial)
+        run_trials, failure_rate = self.block
+        if block and run_trials:
+            rng = np.random.default_rng(seed + [1])
+            t0 = now()
+            block_beta = failure_rate(run_trials(stream, cfg, rng, trials),
+                                      alpha, truth)
+            spent_block = (now() - t0) / trials
+            for label, got, want in (
+                    ("estimate", block_beta, beta_hat),
+                    ("end state", rng.bit_generator.state, seen[-1][1])):
+                if got != want:
+                    raise SystemExit(f"{self.label}, {token} at alpha "
+                                     f"{alpha}: the block path's {label} "
+                                     f"differs from the runner path's")
+            if record:
+                self.block_us.setdefault(token, []).append(1e6 * spent_block)
         return seen
 
     def report(self) -> dict:
         return {token: (statistics.median(self.call_us[token]),
-                        statistics.median(self.trial_us[token]))
+                        statistics.median(self.trial_us[token]),
+                        statistics.median(self.block_us.get(token, [0.0])))
                 for token in self.call_us}
 
 
@@ -114,6 +142,8 @@ def main() -> int:
                         help="trials per estimate (default: the workload's)")
     parser.add_argument("--seed", type=int, default=0,
                         help="root seed of the generators")
+    parser.add_argument("--block", action="store_true",
+                        help="also time run_trials plus failure_rate")
     args = parser.parse_args()
     src = package_dir(args.src)
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
@@ -131,7 +161,8 @@ def main() -> int:
     for block in range(args.blocks):
         for i in range(n_points):
             turn = (block + i) % len(sides)
-            seen = [side.visit(i, [args.seed, block, i], args.calls, trials)
+            seen = [side.visit(i, [args.seed, block, i], args.calls, trials,
+                               block=args.block)
                     for side in sides[turn:] + sides[:turn]]
             for (label, a), (_, b) in zip(seen[0], seen[-1]):
                 if a != b:
@@ -142,12 +173,16 @@ def main() -> int:
           f"{trials} trials per point and side"
           + ("; outcomes, estimates and end states equal" if args.against
              else ""))
-    print(f"{'side':8} {'variant':9} {'us/call':>8} {'us/trial':>9}   src")
+    block_cols = f" {'us/block':>9} {'gain':>6}" if args.block else ""
+    print(f"{'side':8} {'variant':9} {'us/call':>8} {'us/trial':>9}"
+          f"{block_cols}   src")
     reports = [side.report() for side in sides]
     for side, rep in zip(sides, reports):
-        for token, (call, trial) in rep.items():
-            print(f"{side.label:8} {token:9} {call:8.2f} {trial:9.2f}   "
-                  f"{side.src}")
+        for token, (call, trial, block) in rep.items():
+            gain = (f" {block:9.2f} {trial / block:5.1f}x" if block
+                    else f" {'-':>9} {'-':>6}") if args.block else ""
+            print(f"{side.label:8} {token:9} {call:8.2f} {trial:9.2f}{gain}"
+                  f"   {side.src}")
     if args.against:
         new, base = reports
         for token in new:

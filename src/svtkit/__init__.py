@@ -20,7 +20,14 @@ from .data import (
     ingest_transactions,
     shuffle_and_stream,
 )
-from .metrics import GroundTruth, accuracy_alpha_bound, alpha_beta_estimate, f1, ncr
+from .metrics import (
+    GroundTruth,
+    accuracy_alpha_bound,
+    alpha_beta_estimate,
+    f1,
+    failure_rate,
+    ncr,
+)
 from .noise import NoiseDist, exponential, gaussian, gumbel, laplace
 from .svt import (
     HaltReason,
@@ -30,6 +37,7 @@ from .svt import (
     effective_lambda,
     privacy_cost,
     run_svt,
+    run_trials,
 )
 
 __version__ = "0.1.0"
@@ -52,6 +60,7 @@ __all__ = [
     "effective_lambda",
     "exponential",
     "f1",
+    "failure_rate",
     "gaussian",
     "gen_binary",
     "gen_zipf",
@@ -63,6 +72,7 @@ __all__ = [
     "optimal_w",
     "privacy_cost",
     "run_svt",
+    "run_trials",
     "shuffle_and_stream",
     "split",
     "success_probability_analytical",

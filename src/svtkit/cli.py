@@ -356,8 +356,8 @@ def _series_accuracy(k: int = 50, eps: float = 1.0, delta: float = 1.0,
                 delta=delta, eps1=eps / 2, eps2=eps / 2, c=1, k_max=k + 1,
                 variant=variant, alpha=alpha, k_est=k, delta_dp=1.0 / (k + 1))
             rng = cell_rng(seed, eps, token, 1, 0)
-            beta_hat = metrics.alpha_beta_estimate(
-                lambda r: run_svt(stream, cfg, r), alpha, truth, trials, rng)
+            beta_hat = metrics.failure_rate(
+                svt.run_trials(stream, cfg, rng, trials), alpha, truth)
             rows.append({"kind": "accuracy", "variant": token, "eps": eps,
                          "alpha": alpha, "beta_hat": beta_hat,
                          "trials": trials})

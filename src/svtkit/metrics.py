@@ -17,7 +17,7 @@ import numpy as np
 
 from . import checks
 from .data import Items, ScoredDataset
-from .svt import Record, SvtOutcome, frozen, sealed
+from .svt import Record, SvtOutcome, TrialRecord, frozen, sealed
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -112,6 +112,7 @@ def f1(positives: Iterable[int], truth: GroundTruth) -> float:
 
 
 _BATCH_ANSWERS = 1 << 12  # outcomes are held until this many answers
+_MISSING = "an answered id is missing from the ground truth"
 
 
 def alpha_beta_estimate(runner: Callable[[np.random.Generator], SvtOutcome],
@@ -127,8 +128,11 @@ def alpha_beta_estimate(runner: Callable[[np.random.Generator], SvtOutcome],
 
     The runner is called ``trials`` times in order on ``rng``, and the
     outcomes are checked in batches of about 2^12 answers, one vectorized
-    pass each: an id missing from ``truth`` raises ``ValueError`` at the
-    end of its batch, after up to one batch of further runner calls.
+    pass each: an answered id missing from ``truth`` raises ``ValueError``
+    at the end of its batch, after up to one batch of further runner
+    calls. A one-block outcome of ``run_svt`` answered a prefix of its
+    stream, so it is checked by stream position: each stream's ids are
+    looked up in the truth once per call.
 
     Args:
         runner: closure running one mechanism invocation with the given rng.
@@ -142,38 +146,92 @@ def alpha_beta_estimate(runner: Callable[[np.random.Generator], SvtOutcome],
     """
     checks.count(1, trials=trials)
     checks.nonnegative(alpha=alpha)
-    order = np.argsort(truth.ids)
-    ids, scores = truth.ids[order], truth.scores[order]
-    # Row 0: wrong if answered negative; row 1: wrong if answered positive.
-    wrong = np.stack((scores > truth.threshold + alpha,
-                      scores < truth.threshold - alpha))
+    ids, wrong = _truth_masks(truth, alpha)
+    # The truth by position of each stream checked so far, keyed by the id()
+    # of its id column, which the entry holds so that no other takes it.
+    streams: dict[int, tuple] = {}
     failures = held = 0
-    batch: list[SvtOutcome] = []
+    batch: dict[int, list[SvtOutcome]] = {}  # by id(_prefix_of)
     for trial in range(1, trials + 1):
-        batch.append(runner(rng))
-        held += batch[-1].answer_ids.size
+        outcome = runner(rng)
+        batch.setdefault(id(outcome._prefix_of), []).append(outcome)
+        held += outcome.flags.size
         if held >= _BATCH_ANSWERS or trial == trials:
-            failures += _failed_trials(batch, ids, wrong)
-            batch, held = [], 0
+            for group in batch.values():
+                failures += _failed_trials(group, ids, wrong, streams)
+            batch, held = {}, 0
     return failures / trials
 
 
-def _failed_trials(batch: list[SvtOutcome], ids: np.ndarray,
-                   wrong: np.ndarray) -> int:
+def failure_rate(record: TrialRecord, alpha: float,
+                 truth: GroundTruth) -> float:
+    """:func:`alpha_beta_estimate`'s failure rate over the runs of
+    :func:`svt.run_trials`, by the same check by stream position: with the
+    same generator it is the estimate of a runner calling ``run_svt``, bit
+    for bit. An answered id missing from ``truth`` raises ``ValueError``."""
+    checks.nonnegative(alpha=alpha)
+    full = record.flags[record.n_a == record.ids.size]
+    return _prefix_failures(record.ids, record.n_a, full, *_truth_masks(
+        truth, alpha), {}) / record.n_a.size
+
+
+def _truth_masks(truth: GroundTruth, alpha: float):
+    """The truth's ids ascending and, aligned with them, row 0: wrong if
+    answered negative; row 1: wrong if answered positive."""
+    order = np.argsort(truth.ids)
+    ids, scores = truth.ids[order], truth.scores[order]
+    return ids, np.stack((scores > truth.threshold + alpha,
+                          scores < truth.threshold - alpha))
+
+
+def _prefix_failures(column: np.ndarray, lengths, full: np.ndarray,
+                     ids: np.ndarray, wrong: np.ndarray, streams: dict) -> int:
+    """Failed trials among runs that answered prefixes of the in-order id
+    ``column``: ``lengths`` are their answer counts and ``full`` the flags
+    of those that answered all of it, one row each. A shorter run left
+    queries unseen, and one that answered an id the truth lacks raises.
+    ``streams`` keeps the column's truth rows by position and whether the
+    truth holds each id, under the column's id(), and the column itself."""
+    if id(column) not in streams:
+        at = ids.searchsorted(column)
+        streams[id(column)] = (column, wrong.take(at, axis=1, mode="clip"),
+                               ids.take(at, mode="clip") == column)
+    _, rows, known = streams[id(column)]
+    if not known[:np.max(lengths)].all():
+        raise ValueError(_MISSING)
+    # A flag is wrong where it is not row 0's (a score above threshold +
+    # alpha) and the score lies outside the band where either is right.
+    bad = np.flatnonzero((full != rows[0]) & (rows[0] | rows[1]))
+    return (int(np.count_nonzero(np.less(lengths, column.size)))
+            + np.unique(bad // column.size).size)
+
+
+def _failed_trials(group: list[SvtOutcome], ids: np.ndarray,
+                   wrong: np.ndarray, streams: dict) -> int:
+    """Failed trials among a batch's outcomes that answered prefixes of one
+    stream column, by stream position, or among those that did not
+    (``_prefix_of`` None), by id."""
+    column = group[0]._prefix_of
+    if column is not None:
+        full = [o.flags for o in group if o.flags.size == column.size]
+        full = np.concatenate(full or [np.zeros(0, bool)])
+        return _prefix_failures(column, [o.flags.size for o in group],
+                                full.reshape(-1, column.size), ids, wrong,
+                                streams)
     id_cols, flag_cols, traverse_cols, queries = zip(*[
         (o.answer_ids, o.flags, o.traverses, o.n_queries or ids.size)
-        for o in batch])
+        for o in group])
     answer_ids = np.concatenate(id_cols)
     at = ids.searchsorted(answer_ids)
     if np.count_nonzero(ids.take(at, mode="clip") != answer_ids):
-        raise ValueError("an answered id is missing from the ground truth")
+        raise ValueError(_MISSING)
     flags = np.concatenate(flag_cols).view(np.uint8)
-    trial = np.repeat(np.arange(len(batch)), list(map(len, flag_cols)))
-    bad = np.bincount(trial[wrong[flags, at]], minlength=len(batch))
+    trial = np.repeat(np.arange(len(group)), list(map(len, flag_cols)))
+    bad = np.bincount(trial[wrong[flags, at]], minlength=len(group))
     # Each query is evaluated in traverse 1 exactly once, so these answers
     # count the distinct queries seen.
     first = np.concatenate(traverse_cols) == 1
-    seen = np.bincount(trial[first], minlength=len(batch))
+    seen = np.bincount(trial[first], minlength=len(group))
     return int(np.count_nonzero(bad | (seen < queries)))
 
 

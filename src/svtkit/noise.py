@@ -17,6 +17,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,6 +57,11 @@ class NoiseDist:
     def __post_init__(self) -> None:
         checks.positive(scale=self.scale)
         checks.finite(location=self.location)
+
+    # Read-only 0-d copies of (scale, -scale, location), the operands of
+    # the array draws, kept from the first one.
+    _operands = cached_property(lambda d: tuple(
+        np.broadcast_to(float(v), ()) for v in (d.scale, -d.scale, d.location)))
 
     def mean(self) -> float:
         return self.location + _LAWS[self.kind].mean * self.scale
@@ -182,12 +188,17 @@ def _exponential_cdf(z, out=None):
     return np.negative(out, out)
 
 
+# The array quantile's constants, as read-only 0-d operands.
+_HALF_UP, _ONE, _TWO = (np.broadcast_to(v, ()) for v in (0.5000000000000001,
+                                                         1.0, 2.0))
+
+
 def _laplace_quantile(p, out=None):
     if out is None:
         return np.log(2.0 * p) if p < 0.5 else -np.log(2.0 * (1.0 - p))
     # min(p, 1 - p) is each branch's operand, p - (1/2 + 2**-53) its sign
-    sign = p - 0.5000000000000001
-    np.multiply(np.minimum(p, 1.0 - p, out=out), 2.0, out)
+    sign = p - _HALF_UP
+    np.multiply(np.minimum(p, _ONE - p, out=out), _TWO, out)
     return np.copysign(np.log(out, out), sign, out)
 
 
@@ -253,15 +264,17 @@ def from_uniform(d: NoiseDist, u: float | np.ndarray) -> float | np.ndarray:
     smallest positive double: a float for a float, else written into ``u``."""
     law = _LAWS[d.kind]
     if isinstance(u, float):
-        return float(d.location + d.scale * law.quantile(max(u, _TINY_U)))
+        q = float(law.quantile(max(u, _TINY_U)))
+        return float(d.location + d.scale * q)  # fields may be numpy's
+    scale, negative_scale, location = d._operands
     np.maximum(u, _TINY_0D, out=u)
     if d.kind is not _EXPONENTIAL:
-        np.multiply(law.quantile(u, u), d.scale, u)
+        np.multiply(law.quantile(u, u), scale, u)
     else:  # = -log1p(-u) * scale bitwise; never -0.0, so + 0.0 changes nothing
-        np.multiply(np.log1p(np.negative(u, u), u), -d.scale, u)
+        np.multiply(np.log1p(np.negative(u, u), u), negative_scale, u)
         if not d.location:
             return u
-    u += d.location
+    u += location
     return u
 
 

@@ -235,8 +235,10 @@ class SvtConfig:
         if self.variant.query_kind is Kind.GAUSSIAN:
             checks.probability(delta_dp=self.delta_dp)
 
-    # (threshold law, query law, correction r), computed on the first run.
+    # (threshold law, query law, correction r), computed on the first run,
+    # and r as the one-block path's 0-d operand.
     _laws = cached_property(lambda c: noise_pair(c) + (correction_term(c),))
+    _r = cached_property(lambda c: np.broadcast_to(c._laws[2], ()))
 
     # Pickles and copies carry the fields only, so a config unpickled in
     # another process or on another host computes its laws there.
@@ -251,10 +253,13 @@ class SvtOutcome(Record):
     ``positives`` (the flagged ids) are read off the columns. A run of
     several traverses keeps its stream's id column and evaluated rows
     instead, and ``positives`` gathers the flagged rows: the first read of
-    either column builds both, sealed, and drops them. ``n_queries`` (not
-    compared) is a run's stream length, None for one built from columns."""
+    either column builds both, sealed, and drops them. A one-block run
+    keeps ``_prefix_of``, its stream's ids in order, whose first ``n_a`` it
+    answered in traverse 1, and builds both columns from it alike.
+    ``n_queries`` (not compared) is a run's stream length, None for one
+    built from columns. A pickle carries the columns only."""
 
-    n_queries = None
+    n_queries = _prefix_of = None
     # Non-data descriptors: a column set on the instance shadows them.
     answer_ids: np.ndarray = cached_property(lambda self: self._build()[0])
     flags: np.ndarray
@@ -285,8 +290,11 @@ class SvtOutcome(Record):
             evaluated, flagged)])].tolist())
 
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
-        """Set ``answer_ids`` and ``traverses`` from the kept rows, once."""
-        ids, evaluated, _ = vars(self).pop("_parts")
+        """Set ``answer_ids`` and ``traverses`` from the kept rows or the
+        stream's ids, once."""
+        # A one-block run answered its stream's first n_a ids in traverse 1.
+        ids, evaluated, _ = vars(self).pop(
+            "_parts", (self._prefix_of, [np.arange(self.flags.size)], None))
         answer_ids = sealed(ids[np.concatenate(evaluated)])
         traverses = sealed(np.repeat(np.arange(1, len(evaluated) + 1),
                                      [*map(len, evaluated)]))
@@ -410,13 +418,17 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     same. Without either, one traverse of at most ``_FIRST_CHUNK`` and
     k_max queries skips both loops: rho and the query noise are one block
     of draws, bit for bit, and the ids and gaps come in stream order from
-    the stream, which keeps them from its first such run.
+    the stream, which keeps them from its first such run; its operands r
+    and the laws' scale and location are read-only 0-d arrays.
     :class:`SvtOutcome` says which outcome columns are built on first
     read. ``rng`` must be a ``numpy.random.Generator`` (``ValueError``
     otherwise). Draw order is fixed for reproducibility: one threshold
     draw up front, then query noise for each traverse in evaluation order;
     under ``resample``, threshold redraws happen per positive after the
-    chunk's query draws.
+    chunk's query draws. So a run of one traverse without ``resample`` or
+    ``noise_override`` and with k_max at least the stream's n moves
+    ``rng`` by exactly 1 + n uniforms, halted or not, as ``run_trials``
+    draws them for whole blocks of such runs.
     A ``noise_override`` replaces both noise sources with a deterministic
     callable ``(role, query_id, traverse) -> float`` where role is
     "threshold" (query_id -1, traverse = redraw index) or "query"; a value
@@ -448,7 +460,7 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         base = noise_mod.from_uniform(qry_dist, u[1:])
         base += gaps
         if r:
-            base -= r
+            base -= cfg._r
         flags = _greater_equal(base, rho)
         flags.setflags(False)
         hits = flags.nonzero()[0]
@@ -456,9 +468,9 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
         if hits.size >= cfg.c:
             n, halt = hits.item(cfg.c - 1) + 1, _POSITIVE_BUDGET
         outcome = _new(SvtOutcome)
-        vars(outcome).update(answer_ids=stream_ids[:n], flags=flags[:n],
-                             traverses=_ONES[:n], halt_reason=halt,
-                             correction_used=r, n_queries=batch.size)
+        vars(outcome).update(_prefix_of=stream_ids, flags=flags[:n],
+                             halt_reason=halt, correction_used=r,
+                             n_queries=batch.size)
         return outcome
 
     skippable = plain and type(rng.bit_generator) in _SKIPPABLE
@@ -537,3 +549,85 @@ def run_svt(queries: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
     outcome = _outcome(ids, evaluated, flagged, halt, r)
     vars(outcome)["n_queries"] = queries.order.size
     return outcome
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class TrialRecord(Record):
+    """The runs of :func:`run_trials`, all read-only: ``ids``, the stream's
+    ids in order; ``flags``, one row of n per trial, False past the
+    trial's ``n_a`` answers; per trial ``n_a``, ``n_c`` and
+    ``halt_reasons`` (a ``HaltReason`` each); and the runs' r."""
+
+    ids: np.ndarray
+    flags: np.ndarray
+    n_a: np.ndarray
+    n_c: np.ndarray
+    halt_reasons: np.ndarray
+    correction_used: float
+
+
+_TRIAL_BLOCK = 1 << 18  # uniforms per block of run_trials
+_HALTS = sealed(np.array([_EXHAUSTED, _POSITIVE_BUDGET], dtype=object))
+
+
+def run_trials(stream: QueryStream, cfg: SvtConfig, rng: np.random.Generator,
+               trials: int) -> TrialRecord:
+    """``trials`` runs of ``run_svt(stream, cfg, rng)``, made as blocks of
+    whole trials.
+
+    A plain one-traverse run of ``run_svt`` takes exactly 1 + n uniforms
+    of ``rng`` (n the stream's length), halted or not: rho from the first,
+    the query noise from the rest. So T runs are one (T, 1 + n) block of
+    uniforms in row order, drawn here in blocks of at most about 2^18
+    uniforms. rho is transformed as a column and the query noise in place,
+    and the stream's ids and gaps are read once. Ids, flags, n_a, n_c,
+    halt reasons and the generator's end state are those of the loop of
+    ``run_svt`` calls, bit for bit. Other runs do not keep that draw order
+    or are not plain, so ``resample``, more than one traverse, ``k_max``
+    below n and a ``correction_override`` raise ``ValueError``, as do an
+    empty stream, ``trials`` below 1 and an ``rng`` that is not a
+    ``numpy.random.Generator``. :func:`metrics.failure_rate` checks the
+    record.
+    """
+    checks.count(1, trials=trials)
+    if not isinstance(rng, np.random.Generator):
+        checks.instance(np.random.Generator, rng=rng)
+    n = len(stream)
+    for refused, name in ((n == 0, "an empty query stream"),
+                          (cfg.resample, "resample"),
+                          (cfg.append and cfg.max_traverses > 1,
+                           "more than one traverse"),
+                          (cfg.k_max < n, f"k_max below the {n} queries"),
+                          (cfg.correction_override is not None,
+                           "a correction_override")):
+        if refused:
+            raise ValueError(f"run_trials runs plain one-traverse trials of "
+                             f"a stream, got {name}")
+    thr_dist, qry_dist, r = cfg._laws
+    ids, gaps = stream._in_order
+    gaps = np.append(0.0, gaps)  # under column 0, rho's, copied out first
+    flags = np.empty((trials, n), dtype=bool)
+    n_a, n_c = np.full(trials, n), np.empty(trials, np.int64)
+    step = max(1, _TRIAL_BLOCK // (1 + n))
+    for start in range(0, trials, step):
+        u = rng.random((min(step, trials - start), 1 + n))
+        rho = noise_mod.from_uniform(thr_dist, u[:, 0].copy())
+        # The whole block: the query law and the gaps read one contiguous
+        # array, and column 0 is left unread.
+        base = noise_mod.from_uniform(qry_dist, u)
+        base += gaps
+        if r:
+            base -= cfg._r
+        rows = slice(start, start + len(u))
+        block = np.greater_equal(base[:, 1:], rho[:, None], out=flags[rows])
+        hits = np.flatnonzero(block)
+        # Where each trial's positives start in hits, and where they end.
+        first = hits.searchsorted(np.arange(0, block.size + 1, n))
+        np.minimum(np.diff(first), cfg.c, out=n_c[rows])
+        halted = np.flatnonzero(n_c[rows] == cfg.c)  # at the c-th positive
+        n_a[start + halted] = hits[first[halted] + cfg.c - 1] % n + 1
+        block &= np.arange(n) < n_a[rows, None]
+    return TrialRecord.trusted(
+        ids=ids, flags=sealed(flags), n_a=sealed(n_a), n_c=sealed(n_c),
+        halt_reasons=sealed(_HALTS[(n_c == cfg.c).view(np.int8)]),
+        correction_used=r)

@@ -15,9 +15,9 @@ import time
 
 import numpy as np
 
-from svtkit import allocation, cli, correction, metrics, noise
+from svtkit import allocation, cli, correction, metrics, noise, svt
 from svtkit.allocation import Variant
-from svtkit.svt import SvtConfig, run_svt
+from svtkit.svt import SvtConfig
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -211,8 +211,8 @@ def test_criterion_6_accuracy_bound_holds():
                         k_max=k + 1, variant=Variant.EXP_OPT_CORR,
                         alpha=alpha, k_est=k)
         rng = np.random.default_rng(2026)
-        beta_hat = metrics.alpha_beta_estimate(
-            lambda r: run_svt(stream, cfg, r), alpha, truth, trials, rng)
+        beta_hat = metrics.failure_rate(
+            svt.run_trials(stream, cfg, rng, trials), alpha, truth)
         stderr = math.sqrt(beta_hat * (1.0 - beta_hat) / trials)
         results.append((beta_target, beta_hat, stderr))
     elapsed = time.perf_counter() - t0

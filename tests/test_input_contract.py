@@ -22,7 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import svtkit
-from svtkit import allocation, checks, cli, correction, data, metrics, noise
+from svtkit import (allocation, checks, cli, correction, data, metrics, noise,
+                    svt)
 from svtkit.allocation import Variant
 from svtkit.noise import Kind
 from svtkit.svt import HaltReason, QueryStream, SvtConfig, SvtOutcome, run_svt
@@ -116,11 +117,13 @@ def _series(kind):
     return functools.partial(cli.emit_plot_series, kind)
 
 
-def _runner():
-    stream = QueryStream([1, 2], [2.0, 0.0], 1.0)
-    cfg = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=1, k_max=2,
+RUN_STREAM = QueryStream([1, 2], [2.0, 0.0], 1.0)
+RUN_CFG = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=1, k_max=2,
                     variant=Variant.LAP)
-    return lambda rng: run_svt(stream, cfg, rng)
+
+
+def _runner():
+    return lambda rng: run_svt(RUN_STREAM, RUN_CFG, rng)
 
 
 def _long_runner():
@@ -247,6 +250,15 @@ ENTRIES = [
      dict(runner=_runner(), alpha=0.5, truth=TRUTH, trials=2,
           rng=np.random.default_rng(0)),
      dict(alpha=NONNEGATIVE, trials=count(1))),
+    ("run_trials", svt.run_trials,
+     dict(stream=RUN_STREAM, cfg=RUN_CFG, rng=np.random.default_rng(0),
+          trials=2),
+     dict(trials=count(1))),
+    ("failure_rate", metrics.failure_rate,
+     dict(record=svt.run_trials(RUN_STREAM, RUN_CFG,
+                                np.random.default_rng(0), 3),
+          alpha=0.5, truth=TRUTH),
+     dict(alpha=NONNEGATIVE)),
     ("accuracy_alpha_bound", metrics.accuracy_alpha_bound,
      dict(k=5, eps=1.0, beta=0.1),
      dict(k=count(1), eps=POSITIVE, beta=PROBABILITY)),

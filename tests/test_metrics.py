@@ -1,13 +1,15 @@
 """Metric tests: rank-weighted recovery, F1, and the empirical
 (alpha, beta)-accuracy estimator."""
 
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from svtkit import cli, metrics
+from svtkit import cli, metrics, svt
 from svtkit.allocation import Variant
 from svtkit.data import ScoredDataset
 from svtkit.metrics import GroundTruth
@@ -470,3 +472,176 @@ def test_unseen_queries_count_against_the_streams_length(token, appended):
             for truth in (exact, wider)]
     assert beta[0] == beta[1] < 1.0
     assert run_svt(stream, cfg, np.random.default_rng(0)).n_queries == 51
+
+
+# --- the check by stream position -------------------------------------------
+# A one-block outcome of run_svt answered a prefix of its stream's ids, and
+# the estimator checks it by position; every other outcome by id.
+
+_IDS, _SCORES = (list(column) for column in zip(*_MIXED_SCORES))
+_FORWARD = QueryStream(_IDS, _SCORES, 10.0)
+_BACKWARD = QueryStream(_IDS[::-1], _SCORES[::-1], 10.0)
+_PLAIN = SvtConfig(delta=1.0, eps1=1.0, eps2=1.0, c=3, k_max=12,
+                   variant=Variant.LAP)
+
+
+def _two_stream_runner():
+    """One-block outcomes of two streams over the same ids in two orders,
+    between appended, query-budget and column-built outcomes."""
+    built = _scripted([(i, s >= 10.0) for i, s in _MIXED_SCORES[:7]])(None)
+    steps = itertools.cycle([
+        (_FORWARD, _PLAIN), (_BACKWARD, _PLAIN),
+        (_FORWARD, _MIXED_CONFIGS[0]), (_BACKWARD, _MIXED_CONFIGS[2]), None,
+        (_BACKWARD, _MIXED_CONFIGS[1]), (_FORWARD, _PLAIN)])
+
+    def runner(rng):
+        step = next(steps)
+        return built if step is None else run_svt(*step, rng)
+    return runner
+
+
+def test_two_stream_runner_mixes_every_kind_of_outcome():
+    runner, rng = _two_stream_runner(), np.random.default_rng(0)
+    outcomes = [runner(rng) for _ in range(7)]
+    prefixes = [o._prefix_of for o in outcomes]
+    assert prefixes[0] is prefixes[6] is _FORWARD._in_order[0]
+    assert prefixes[1] is prefixes[5] is _BACKWARD._in_order[0]
+    assert prefixes[2] is prefixes[3] is prefixes[4] is None
+    assert "_parts" in vars(outcomes[2]) and outcomes[4].n_queries is None
+
+
+@pytest.mark.parametrize("bound", [1, 7, 50, metrics._BATCH_ANSWERS])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 4.0])
+def test_position_check_matches_per_trial_loop(monkeypatch, bound, seed,
+                                               alpha):
+    truth = GroundTruth.from_items(_MIXED_SCORES, 10.0, c=3)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = _per_trial_reference(_two_stream_runner(), alpha, truth, 97,
+                                    ref_rng)
+    monkeypatch.setattr(metrics, "_BATCH_ANSWERS", bound)
+    beta = metrics.alpha_beta_estimate(_two_stream_runner(), alpha, truth, 97,
+                                       rng)
+    assert beta == expected and 0.0 < beta < 1.0 and type(beta) is float
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bound", [1, metrics._BATCH_ANSWERS])
+def test_unpickled_one_block_outcomes_are_checked_by_id(monkeypatch, bound):
+    """A pickle carries the columns only, so the copy has no stream."""
+    def runner(rng):
+        copy = pickle.loads(pickle.dumps(run_svt(_FORWARD, _PLAIN, rng)))
+        assert copy._prefix_of is None and "answer_ids" in vars(copy)
+        return copy
+
+    truth = GroundTruth.from_items(_MIXED_SCORES, 10.0, c=3)
+    expected = _per_trial_reference(runner, 1.0, truth, 60,
+                                    np.random.default_rng(4))
+    monkeypatch.setattr(metrics, "_BATCH_ANSWERS", bound)
+    assert metrics.alpha_beta_estimate(runner, 1.0, truth, 60,
+                                       np.random.default_rng(4)) == expected
+
+
+def test_one_block_columns_read_after_the_check():
+    """The columns a one-block outcome builds on first read, after the
+    estimator checked it by position, are the stream's prefix, all in
+    traverse 1, and read-only."""
+    outcomes = []
+    truth = GroundTruth.from_items(_MIXED_SCORES, 10.0, c=3)
+    metrics.alpha_beta_estimate(
+        lambda rng: outcomes.append(run_svt(_BACKWARD, _PLAIN, rng))
+        or outcomes[-1], 1.0, truth, 40, np.random.default_rng(2))
+    assert all("answer_ids" not in vars(o) for o in outcomes)
+    for o in outcomes:
+        n = o.n_a
+        assert np.array_equal(o.answer_ids, _BACKWARD.ids[:n])
+        assert np.array_equal(o.traverses, np.ones(n, dtype=np.int64))
+        assert o.positives == tuple(_BACKWARD.ids[:n][o.flags].tolist())
+        assert not (o.answer_ids.flags.writeable or o.traverses.flags.writeable)
+        assert o == SvtOutcome(_BACKWARD.ids[:n], o.flags, [1] * n,
+                               o.halt_reason, o.correction_used)
+    assert len({o.n_a for o in outcomes}) > 2
+
+
+def _sure_first_stream():
+    """Query 1 is far above the threshold, so a c = 1 run answers it and
+    halts: ids 2 to 12 are never answered."""
+    scores = [10.0**6] + [10.0 + i for i in range(11)]
+    return QueryStream(range(1, 13), scores, 10.0)
+
+
+def test_a_truth_may_lack_ids_no_run_answers():
+    queries = _sure_first_stream()
+    keep = queries.ids != 5
+    truth = GroundTruth.ranked(queries.ids[keep], queries.scores[keep], 10.0,
+                               c=1)
+    cfg = SvtConfig(delta=1.0, eps1=1.0, eps2=1.0, c=1, k_max=12,
+                    variant=Variant.LAP)
+    runner = lambda rng: run_svt(queries, cfg, rng)
+    expected = _per_trial_reference(runner, 1.0, truth, 30,
+                                    np.random.default_rng(1))
+    assert metrics.alpha_beta_estimate(
+        runner, 1.0, truth, 30, np.random.default_rng(1)) == expected == 1.0
+    record = svt.run_trials(queries, cfg, np.random.default_rng(1), 30)
+    assert metrics.failure_rate(record, 1.0, truth) == expected
+
+
+@pytest.mark.parametrize("bound", [9, 40])
+def test_an_answered_id_missing_from_the_truth_raises_at_its_batch_end(
+        monkeypatch, bound):
+    """The truth lacks the stream's ninth id: the first run that answers it
+    (the second) raises at the end of its batch, which it closes at a bound
+    of 9 answers and which ends ten runs later at 40; so does the failure
+    rate over the same runs."""
+    stream = cli.near_threshold_stream(11, 100.0, 1.0)
+    keep = stream.ids != stream.ids[8]
+    truth = GroundTruth.ranked(stream.ids[keep], stream.scores[keep], 100.0,
+                               c=1)
+    cfg = SvtConfig(delta=1.0, eps1=0.2, eps2=0.2, c=1, k_max=12,
+                    variant=Variant.LAP)
+    sizes = [run_svt(stream, cfg, rng).n_a
+             for rng in [np.random.default_rng(6)] for _ in range(200)]
+    first = next(t for t, n_a in enumerate(sizes) if n_a > 8)
+    held, batch_end = 0, None
+    for t, n_a in enumerate(sizes):
+        held += n_a
+        if held >= bound:
+            held = 0
+            if t >= first:
+                batch_end = t + 1
+                break
+    assert (first, batch_end - 1 - first) == (1, {9: 0, 40: 10}[bound])
+    calls = []
+
+    def runner(rng):
+        calls.append(None)
+        return run_svt(stream, cfg, rng)
+
+    monkeypatch.setattr(metrics, "_BATCH_ANSWERS", bound)
+    with pytest.raises(ValueError, match="missing"):
+        metrics.alpha_beta_estimate(runner, 1.0, truth, 200,
+                                    np.random.default_rng(6))
+    assert len(calls) == batch_end
+    with pytest.raises(ValueError, match="missing"):
+        metrics.failure_rate(svt.run_trials(stream, cfg,
+                                            np.random.default_rng(6), 200),
+                             1.0, truth)
+
+
+@pytest.mark.parametrize("token", ["exp-opt", "exp-none", "lap", "gau", "gum"])
+@pytest.mark.parametrize("alpha", [0.0, 5.0, 40.0])
+def test_failure_rate_is_the_runner_estimate(token, alpha):
+    """Over ``run_trials`` on the same generator, the failure rate is the
+    estimate of a runner calling ``run_svt``, bit for bit."""
+    stream = cli.near_threshold_stream(50, 1000.0, alpha)
+    truth = GroundTruth.ranked(stream.ids, stream.scores, 1000.0, c=1)
+    cfg = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=1, k_max=51,
+                    variant=Variant(token), alpha=alpha, k_est=50,
+                    delta_dp=0.02)
+    runner_rng, block_rng = np.random.default_rng(9), np.random.default_rng(9)
+    beta = metrics.alpha_beta_estimate(lambda r: run_svt(stream, cfg, r),
+                                       alpha, truth, 700, runner_rng)
+    record = svt.run_trials(stream, cfg, block_rng, 700)
+    rate = metrics.failure_rate(record, alpha, truth)
+    assert rate == beta and type(rate) is type(beta) is float
+    assert runner_rng.bit_generator.state == block_rng.bit_generator.state

@@ -378,13 +378,16 @@ def test_scalar_draws_are_one_block(d, bit_generator):
 
 
 @pytest.mark.parametrize("n", [1, 51, 4096, 4097])
-@pytest.mark.parametrize("d", LAWS + ALL_DISTS + [noise.laplace(1.3, -0.0)],
-                         ids=lambda d: f"{d.kind.value}@{d.location}")
+@pytest.mark.parametrize("d", LAWS + ALL_DISTS + [
+    noise.laplace(1.3, -0.0),
+    noise.gumbel(np.float64(1.3), np.float64(0.5))],  # numpy fields
+    ids=lambda d: f"{d.kind.value}@{d.location}")
 def test_in_place_draws_equal_sample(d, n):
     """Draws made in place from the offset view u[1:] of one block, as a
     run draws its query noise after rho, are noise.sample's draws of the
     same uniforms bit for bit, signed zeros included (a location of -0.0
-    keeps the Laplace draw's -0.0 at u = 0.5), and are the view itself."""
+    keeps the Laplace draw's -0.0 at u = 0.5), and are the view itself; a
+    scalar draw is a Python float, from a law with numpy fields too."""
     block = np.random.default_rng(n).random(1 + n)
     block[1:4] = [0.5, 0.0, 1.0 - 2.0**-53][:n]
     u = block[1:].tolist()

@@ -938,3 +938,95 @@ def test_appended_run_over_a_callers_writable_rows_defers_on_a_copy(
     assert lazy == eager and lazy.traverses.max() == 3
     assert np.array_equal(lazy.answer_ids[lazy.flags], positives)
     assert run_svt(queries, cfg, np.random.default_rng(4)) == eager
+
+
+# --- run_trials: whole blocks of plain one-traverse trials ------------------
+
+def trial_stream(n: int) -> QueryStream:
+    """n queries against 500: most far below it, every (n // 4)-th just
+    below, so runs halt at the c-th positive or exhaust the stream."""
+    scores = np.full(n, 400.0)
+    scores[::max(1, n // 4)] = 495.0
+    return QueryStream(np.arange(7, 7 + n), scores, 500.0)
+
+
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+    np.random.SFC64, np.random.Philox], ids=lambda g: g.__name__)
+@pytest.mark.parametrize("n, trials, block", [
+    (1, 10, 8),             # 4 trials a block: 4, 4, 2
+    (51, 10, 3 * 52),       # 3 a block: 3, 3, 3, 1
+    (5000, 7, 3 * 5001)],   # run_svt's chunk loop; 3 a block: 3, 3, 1
+    ids=["1", "51", "5000"])
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_run_trials_is_a_loop_of_run_svt(monkeypatch, variant, c, n, trials,
+                                         block, bit_generator):
+    """Ids, flags (False past each trial's n_a), n_c, n_a, halt reasons and
+    the generator's end state are those of ``trials`` ``run_svt`` calls,
+    for three seeds; the generators first make one 32-bit draw, so they
+    hold a spare 32-bit output that a skip must keep."""
+    monkeypatch.setattr(svt, "_TRIAL_BLOCK", block)
+    queries = trial_stream(n)
+    cfg = cfg_with(variant=variant, c=c, k_max=n + c - 1, alpha=1.0,
+                   k_est=20, delta_dp=0.01)
+    for seed in (0, 1, 2):
+        new, ref = (np.random.Generator(bit_generator(seed)) for _ in "ab")
+        for rng in (new, ref):
+            rng.integers(0, 10, dtype=np.int32)
+        record = svt.run_trials(queries, cfg, new, trials)
+        outcomes = [run_svt(queries, cfg, ref) for _ in range(trials)]
+        np.testing.assert_equal(new.bit_generator.state,
+                                ref.bit_generator.state)
+        assert record.flags.shape == (trials, n)
+        assert np.array_equal(record.ids, queries.ids)
+        for flags, n_a, n_c, halt, out in zip(
+                record.flags, record.n_a.tolist(), record.n_c.tolist(),
+                record.halt_reasons, outcomes):
+            assert (n_a, n_c, halt) == (out.n_a, out.n_c, out.halt_reason)
+            assert np.array_equal(record.ids[:n_a], out.answer_ids)
+            assert np.array_equal(flags[:n_a], out.flags)
+            assert not flags[n_a:].any()
+        assert record.correction_used == outcomes[0].correction_used
+    assert not any(getattr(record, name).flags.writeable for name in (
+        "ids", "flags", "n_a", "n_c", "halt_reasons"))
+
+
+@pytest.mark.parametrize("kw, scores, rng, trials, named", [
+    (dict(resample=True), [1.0], None, 5, "resample"),
+    (dict(append=True, max_traverses=2), [1.0], None, 5, "traverse"),
+    (dict(k_max=1), [1.0, 2.0], None, 5, "k_max"),
+    (dict(correction_override=0.0), [1.0], None, 5, "correction_override"),
+    ({}, [], None, 5, "empty"),
+    ({}, [1.0], np.random.RandomState(0), 5, "rng"),
+    ({}, [1.0], None, 0, "trials"),
+], ids=["resample", "traverses", "k_max", "override", "empty", "rng",
+        "trials"])
+def test_run_trials_refuses_what_it_cannot_run_as_a_block(
+        kw, scores, rng, trials, named):
+    with pytest.raises(ValueError, match=named):
+        svt.run_trials(stream(scores), cfg_with(**kw),
+                       np.random.default_rng(0) if rng is None else rng,
+                       trials)
+
+
+def test_run_trials_across_blocks_of_the_real_size():
+    """2^18 uniforms hold 5,041 trials of 51 queries: 5,043 trials are
+    two blocks."""
+    queries, cfg = trial_stream(51), cfg_with(variant=Variant.LAP, k_max=51)
+    new, ref = np.random.default_rng(8), np.random.default_rng(8)
+    record = svt.run_trials(queries, cfg, new, 5043)
+    loop = [run_svt(queries, cfg, ref) for _ in range(5043)]
+    assert new.bit_generator.state == ref.bit_generator.state
+    assert record.n_a.tolist() == [out.n_a for out in loop]
+    assert all(np.array_equal(flags[:out.n_a], out.flags)
+               for flags, out in zip(record.flags, loop))
+
+
+def test_run_trials_takes_append_with_one_traverse():
+    """``append`` with one traverse is a plain run."""
+    queries = trial_stream(51)
+    plain, appended = (svt.run_trials(
+        queries, cfg_with(variant=Variant.LAP, k_max=60, **kw),
+        np.random.default_rng(3), 20) for kw in ({}, dict(append=True)))
+    assert plain == appended
