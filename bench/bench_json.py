@@ -20,10 +20,16 @@ file: a docstring line is one of a string that stands alone as a
 statement, a comment line holds a comment and no code. ``--tier1 LOG``
 adds ``tier1``, the passed and failed counts and the seconds of pytest's
 final summary line in a saved tier-1 log (errors count as failed); the
-field is null without it.
+field is null without it. ``floors`` holds the best-of-5 microseconds
+of the sweep cell's floors, taken in one fresh subprocess over the
+checkout's ``src/``: ``rng.permutation(10**4)`` (a sweep cell's shuffle),
+``rng.permutation(10**6)`` (a sweep-1e6 cell's) and ``cli.cell_rng`` (a
+cell's random stream). A change that leaves them alone moves its cells
+by its own work; one that moves them shows host drift.
 
 ``compare`` prints each file's commit, ``src_sha256[:12]``,
-``recorded_at`` and boot id, and a warning line that its verdicts mix host
+``recorded_at`` and boot id, both files' floors side by side
+("unrecorded" where a file has none), and a warning line that its verdicts mix host
 drift with the change: two files are two recordings, and a shared boot id
 does not make them one session (sessions on one boot share it). Then, for
 every workload in both files, one verdict per end-to-end metric from
@@ -67,6 +73,20 @@ CPU_FEATURES = ("import json, numpy._core._multiarray_umath as m; print("
 BLANK_TOKENS = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
                 tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 BOOT_ID = Path("/proc/sys/kernel/random/boot_id")
+# The floors' best-of-5 microseconds, printed as JSON by a fresh process
+# whose first argument is the src/ directory to import svtkit from.
+FLOORS = """
+import json, sys, timeit
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from svtkit import cli
+rng = np.random.default_rng(0)
+calls = {"permutation_1e4_us": (lambda: rng.permutation(10**4), 200),
+         "permutation_1e6_us": (lambda: rng.permutation(10**6), 3),
+         "cell_rng_us": (lambda: cli.cell_rng(0, 0.5, "lap", 5, 0), 1000)}
+print(json.dumps({name: round(min(timeit.repeat(call, number=n, repeat=5))
+                              / n * 1e6, 3) for name, (call, n) in calls.items()}))
+"""
 # pytest's final summary line, with or without its rule of "=":
 # "1 failed, 1626 passed, 2 warnings in 50.25s (0:00:50)".
 SUMMARY = re.compile(r"=*\s*((?:\d+ \w+, )*\d+ \w+) in ([\d.]+)s"
@@ -193,6 +213,9 @@ def record(args) -> int:
              "cpu_features": json.loads(features),
              "src_lines": src_lines(checkout),
              "tier1": tier1(args.tier1) if args.tier1 else None,
+             "floors": json.loads(subprocess.run(
+                 [sys.executable, "-c", FLOORS, str(checkout / "src")],
+                 check=True, capture_output=True, text=True).stdout),
              "workloads": workloads}
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n",
                               encoding="utf-8")
@@ -210,6 +233,12 @@ def compare(args) -> int:
               f"{side['src_lines']['total']}")
         print(f"  recorded {side.get('recorded_at') or 'unrecorded'}, "
               f"boot id {side.get('boot_id') or 'unrecorded'}")
+    floors = [side.get("floors") or {} for side in (a, b)]
+    print("floors, best of 5 in one fresh process (us)")
+    for name in dict.fromkeys([*floors[0], *floors[1]]):
+        print(f"  {name:<20} " + " -> ".join(
+            f"{side[name]:10.4g}" if name in side else "unrecorded"
+            for side in floors))
     print("two recordings: verdicts mix host drift with the change")
     # A workload with traced runs only has per-layer metrics and no verdicts.
     for wl in [wl for wl in a["workloads"] if "metrics" in a["workloads"][wl]

@@ -21,9 +21,22 @@ c = 50, one traverse, two repetitions) over that scores file (``svtkit gen
 --dataset zipf --n-items 1000000 --out PATH`` writes perfbench's); its upper
 group's draws per answer is the share of items the reference draws noise
 for. ``--src`` and ``--against`` take a checkout's root or the directory
-holding its ``svtkit``. Standard library and numpy only.
+holding its ``svtkit``.
+
+``--split`` adds, per side and variant group, the median microseconds of
+each stage of a cell: ``permutation`` (``rng.permutation``), ``stream``
+(the rest of ``data.shuffle_and_stream``), ``run_svt``, ``positives``
+(the outcome's property), ``ncr + f1``, ``reference`` (the upper cell's
+``cli._noisy_ranking``) and ``rest`` (the cell's ``wall_time_ms`` less
+those stages). Each stage is timed by a wrapper around the call
+``run_sweep`` makes, the permutation by a ``Generator`` subclass sharing
+the cell's bit generator, so the rows are ``run_sweep``'s own, still
+compared between the sides; the wrappers add a few tenths of a
+microsecond per call to ``rest`` and to the cell times. Standard library
+and numpy only.
 
     python3 bench/sweep_cells.py --seeds 20
+    python3 bench/sweep_cells.py --seeds 12 --split
     python3 bench/sweep_cells.py --against /path/to/other/checkout
     python3 bench/sweep_cells.py --scores zipf-1e6.csv --seeds 5 --against ..
 """
@@ -36,6 +49,7 @@ import importlib.util
 import json
 import statistics
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +65,8 @@ GRIDS = (
 GROUPS = {"lap": "baseline", "exp-none": "baseline", "exp-mean": "baseline",
           "gau": "gau", "exp-opt": "exp-opt", "upper": "upper"}
 GROUP_ORDER = ("baseline", "gau", "exp-opt", "upper", "all")
+STAGES = ("permutation", "stream", "run_svt", "positives", "ncr + f1",
+          "reference", "rest")
 
 
 def scores_grid(path: str) -> dict:
@@ -84,17 +100,24 @@ def load(src: Path, name: str, *modules: str) -> list:
 
 class Side:
     """One checkout under test: its cells' times and draw counts per
-    group. Query draws are counted per cell: run_sweep flushes its sink
-    after the header and after each row, and each flush opens the next
-    cell's count."""
+    group and, with ``split``, its stage times. Both are kept per cell:
+    run_sweep flushes its sink after the header and after each row, and
+    each flush opens the next cell's count and stage times."""
 
     def __init__(self, label: str, src: Path, name: str,
-                 grids: tuple = GRIDS) -> None:
+                 grids: tuple = GRIDS, split: bool = False) -> None:
         self.label, self.src, self.grids = label, src, grids
         self.cli, noise = load(src, name, "cli", "noise")
         self.cells: dict[str, list[float]] = {}
         self.counts: dict[str, list[int]] = {}
         self.drawn: list[int] = []
+        # Per cell, the seconds spent in each timed call, keyed by stage;
+        # per group, each stage's microseconds, one value per cell.
+        self.spent: list[dict[str, float]] = []
+        self.stages: dict[str, dict[str, list[float]]] = {}
+        self.split = split
+        if split:
+            self.time_stages()
         from_uniform = noise.from_uniform
 
         def counted(d, u):
@@ -104,33 +127,81 @@ class Side:
 
         noise.from_uniform = counted
 
+    def time_stages(self) -> None:
+        """Wrap the calls a sweep cell makes, so each adds its time to the
+        current cell's stage."""
+        cli, data, svt, metrics = (
+            self.cli, self.cli.data, self.cli.svt, self.cli.metrics)
+        clock, spent = time.perf_counter, self.spent
+
+        def timed(stage, call):
+            def wrapper(*args):
+                start = clock()
+                result = call(*args)
+                spent[-1][stage] += clock() - start
+                return result
+            return wrapper
+
+        class Timed(np.random.Generator):
+            def permutation(self, x, axis=0):
+                start = clock()
+                result = super().permutation(x, axis)
+                spent[-1]["permutation"] += clock() - start
+                return result
+
+        cell_rng = cli.cell_rng
+        cli.cell_rng = lambda *key: Timed(cell_rng(*key).bit_generator)
+        data.shuffle_and_stream = timed("shuffle", data.shuffle_and_stream)
+        cli.run_svt = timed("run_svt", cli.run_svt)
+        cli._noisy_ranking = timed("reference", cli._noisy_ranking)
+        metrics.ncr = timed("ncr + f1", metrics.ncr)
+        metrics.f1 = timed("ncr + f1", metrics.f1)
+        svt.SvtOutcome.positives = property(
+            timed("positives", svt.SvtOutcome.positives.fget))
+
     def write(self, text: str) -> int:
         return len(text)
 
     def flush(self) -> None:
         self.drawn.append(0)
+        self.spent.append(dict.fromkeys(("shuffle", *STAGES), 0.0))
 
     def one_pass(self, seed: int, record: bool = True) -> list[dict]:
         all_rows = []
         for grid in self.grids:
             self.drawn[:] = [0]
+            self.spent[:] = [{}]
             rows = self.cli.run_sweep(
                 self.cli.ExperimentConfig(seed=seed, **grid), out=self)
             all_rows += rows
             if not record:
                 continue
-            for row, draws in zip(rows, self.drawn[1:]):
+            for row, draws, spent in zip(rows, self.drawn[1:],
+                                         self.spent[1:]):
+                spent["stream"] = spent["shuffle"] - spent["permutation"]
+                spent["rest"] = row["wall_time_ms"] / 1e3 - sum(
+                    spent[stage] for stage in ("shuffle", *STAGES[2:-1]))
+                del spent["shuffle"]
                 for group in (GROUPS[row["variant"]], "all"):
                     self.cells.setdefault(group, []).append(
                         row["wall_time_ms"])
                     total = self.counts.setdefault(group, [0, 0])
                     total[0] += draws
                     total[1] += row["n_a"]
+                    for stage, seconds in spent.items() if self.split else ():
+                        self.stages.setdefault(group, {}).setdefault(
+                            stage, []).append(seconds * 1e6)
         return all_rows
 
     def groups(self) -> dict:
         def p90(values):
             return statistics.quantiles(values, n=10, method="inclusive")[-1]
+
+        def stages(group):
+            times = self.stages.get(group, {})
+            return {"stage_us_p50": {
+                stage: round(statistics.median(times[stage]), 2)
+                for stage in STAGES if any(times[stage])}} if times else {}
 
         return {group: {
             "cells": len(self.cells[group]),
@@ -139,7 +210,8 @@ class Side:
             "cells_per_s": round(len(self.cells[group])
                                  / (sum(self.cells[group]) / 1e3), 1),
             "draws_per_answer": float("%.4g" % (self.counts[group][0]
-                                                / self.counts[group][1]))}
+                                                / self.counts[group][1])),
+            **stages(group)}
             for group in GROUP_ORDER if group in self.cells}
 
 
@@ -160,6 +232,8 @@ def main() -> int:
     parser.add_argument("--scores", default=None,
                         help="run perfbench's sweep-1e6 grid over this "
                              "scores file instead")
+    parser.add_argument("--split", action="store_true",
+                        help="time each stage of a cell, per group")
     args = parser.parse_args()
     src = package_dir(args.src)
     grids = GRIDS
@@ -167,10 +241,10 @@ def main() -> int:
         if not Path(args.scores).is_file():
             parser.error(f"no scores file at {args.scores}")
         grids = (scores_grid(args.scores),)
-    sides = [Side("src", src, "svtkit_src", grids)]
+    sides = [Side("src", src, "svtkit_src", grids, args.split)]
     if args.against:
         sides.append(Side("against", package_dir(args.against),
-                          "svtkit_against", grids))
+                          "svtkit_against", grids, args.split))
 
     for side in sides:
         side.one_pass(10**6, record=False)  # warm-up: imports, caches

@@ -157,6 +157,10 @@ def cell_rng(seed: int, eps: float, variant: str, traverses: int,
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))
 
 
+# The upper reference's law per scale, kept with its draw operands.
+_reference_law = functools.lru_cache(maxsize=256)(noise.exponential)
+
+
 def _noisy_ranking(ds: data.ScoredDataset, eps2: float, delta: float, c: int,
                    rng: np.random.Generator, s_c: float) -> list[int]:
     """Non-interactive reference: top-c ids of scores + Exp(delta/eps2).
@@ -165,7 +169,7 @@ def _noisy_ranking(ds: data.ScoredDataset, eps2: float, delta: float, c: int,
     at least s_c - N - |s_c| 2^-30 (s_c the c-th largest score) can reach
     the top c. The uniforms past the last of them are skipped on ``rng``, a
     PCG64: ids, order and end state equal a full draw's, bit for bit."""
-    d = noise.exponential(delta / eps2)
+    d = _reference_law(delta / eps2)
     reach = np.flatnonzero(
         ds.scores >= s_c - (_EXP_REACH * d.scale + abs(s_c) * 2.0**-30))
     rest = ds.n_items - 1 - reach.item(-1)

@@ -5,13 +5,14 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import checks
-from .svt import QueryStream, Record, frozen, sealed
+from .svt import QueryStream, Record, _shared, frozen, sealed
 
 BINARY_THRESHOLD = 500.0
 ZIPF_THRESHOLD = 200.0
@@ -36,7 +37,9 @@ class ScoredDataset(Record):
     """Items -- unique int64 ids with finite float64 scores, taken as
     aligned columns -- and the predefined selection threshold. ``items``
     reads them as an :class:`Items` view of (id, score) pairs, the view
-    perfbench reads."""
+    perfbench reads. The stream columns that :func:`shuffle_and_stream`
+    reads are built on the first shuffle and kept; they are no field, so
+    ``==``, ``repr`` and pickles ignore them."""
 
     name: str
     ids: np.ndarray
@@ -59,6 +62,11 @@ class ScoredDataset(Record):
     @property
     def n_items(self) -> int:
         return self.ids.size
+
+    # The stream columns every shuffle reads, kept from the first: the ids,
+    # the scores and one stride-0 threshold column.
+    _columns = cached_property(lambda ds: (
+        ds.ids, ds.scores, _shared(ds.threshold, ds.n_items)))
 
 
 def gen_binary(n_items: int = 10000, n_positive: int = 100) -> ScoredDataset:
@@ -192,10 +200,12 @@ def _score_rows(lines: Iterable[str], path: Path) -> Iterator[tuple[int, float]]
 
 def shuffle_and_stream(ds: ScoredDataset, rng: np.random.Generator) -> QueryStream:
     """Uniformly permute the items and pair each with the dataset threshold.
-    The stream reads the dataset's arrays through the permutation; ``rng``
-    must be a ``numpy.random.Generator``."""
+    The stream reads the dataset's arrays through the permutation, the
+    columns the dataset keeps for every shuffle; ``rng`` must be a
+    ``numpy.random.Generator``."""
     if not isinstance(rng, np.random.Generator):
         checks.instance(np.random.Generator, rng=rng)
-    # The dataset's ids are unique and its values finite: no second check.
-    return QueryStream.permuted(ds.ids, ds.scores, ds.threshold,
-                                sealed(rng.permutation(ds.n_items)))
+    # The dataset's columns are sealed, its ids unique and its values
+    # finite: no second check and no copy.
+    return QueryStream.trusted(columns=ds._columns,
+                               order=sealed(rng.permutation(ds.n_items)))

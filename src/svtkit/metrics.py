@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -26,7 +27,9 @@ class GroundTruth(Record):
     the true score of ``ids[i]``, c the selection size. :func:`ncr`,
     :func:`f1` and a sweep's ``upper`` cell (its c-th score) read the first
     c entries, all :meth:`top` holds; :func:`alpha_beta_estimate` needs
-    every queried id, and raises on a missing one."""
+    every queried id, and raises on a missing one. ncr and f1 read a
+    scoring table built on a truth's first score and kept; it is no field,
+    so ``==``, ``repr`` and pickles ignore it."""
 
     ids: np.ndarray
     scores: np.ndarray
@@ -73,6 +76,14 @@ class GroundTruth(Record):
     def top_c_ids(self) -> tuple[int, ...]:
         return tuple(self.ids[:self.c].tolist())
 
+    # The scoring table, kept from the first score: each top-c id's credit,
+    # c - rank0 at or above the threshold and 0 below it. Its keys are the
+    # top-c set that f1 reads.
+    _credit = cached_property(lambda t: {
+        item: t.c - rank0 if score >= t.threshold else 0
+        for rank0, (item, score) in enumerate(zip(
+            t.top_c_ids(), t.scores[:t.c].tolist()))})
+
 
 def _top(values: np.ndarray, c: int, ties=None) -> np.ndarray:
     """Positions of the c largest values, largest first and ties in
@@ -91,22 +102,19 @@ def ncr(positives: Iterable[int], truth: GroundTruth) -> float:
     below the threshold contributes nothing. The sum is divided by
     c(c+1)/2, the score of a perfect selection.
     """
-    emitted = list(dict.fromkeys(positives))
+    emitted = set(positives)
     if len(emitted) > truth.c:
         raise ValueError(f"at most c={truth.c} positives expected, "
                          f"got {len(emitted)}")
-    top = zip(truth.top_c_ids(), truth.scores[:truth.c].tolist())
-    credit = {item: truth.c - rank0 for rank0, (item, score) in enumerate(top)
-              if score >= truth.threshold}
-    total = sum(credit.get(item, 0) for item in emitted)
+    total = sum(map(truth._credit.get, truth._credit.keys() & emitted))
     return 2.0 * total / (truth.c * (truth.c + 1))
 
 
 def f1(positives: Iterable[int], truth: GroundTruth) -> float:
     """F1 of the emitted set against the true top-c set."""
     emitted = set(positives)
-    target = truth.top_c_ids()
-    tp = len(emitted.intersection(target))
+    target = truth._credit.keys()
+    tp = len(target & emitted)
     denom = len(emitted) + len(target)  # 2 tp + false pos. + false neg.
     return 2.0 * tp / denom if denom else 0.0
 

@@ -41,6 +41,12 @@ class Kind(enum.Enum):
     __hash__ = object.__hash__  # each draw's _LAWS lookup: skip Enum's hash
 
 
+def field_state(record) -> dict:
+    """A dataclass's fields by name, what its pickles and copies carry:
+    values kept from first use are computed anew by the copy."""
+    return {name: vars(record)[name] for name in record.__dataclass_fields__}
+
+
 @dataclass(frozen=True)
 class NoiseDist:
     """A noise law: kind, scale, location.
@@ -59,9 +65,10 @@ class NoiseDist:
         checks.finite(location=self.location)
 
     # Read-only 0-d copies of (scale, -scale, location), the operands of
-    # the array draws, kept from the first one.
+    # the array draws, kept from the first one and not pickled.
     _operands = cached_property(lambda d: tuple(
         np.broadcast_to(float(v), ()) for v in (d.scale, -d.scale, d.location)))
+    __getstate__ = field_state
 
     def mean(self) -> float:
         return self.location + _LAWS[self.kind].mean * self.scale

@@ -117,6 +117,20 @@ class Record:
         return all(np.array_equal(getattr(self, name), getattr(other, name))
                    for name in self._compared)
 
+    # Pickles and copies carry the fields only, and a pickle keeps no
+    # read-only flag: the copy seals its arrays again.
+    __getstate__ = noise_mod.field_state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(zip(state, map(_resealed, state.values())))
+
+
+def _resealed(value):
+    """An unpickled value with its arrays, alone or in a tuple, sealed."""
+    if isinstance(value, tuple):
+        return tuple(map(_resealed, value))
+    return sealed(value) if isinstance(value, np.ndarray) else value
+
 
 @dataclass(frozen=True, init=False, eq=False)
 class QueryStream(Record):
@@ -242,8 +256,7 @@ class SvtConfig:
 
     # Pickles and copies carry the fields only, so a config unpickled in
     # another process or on another host computes its laws there.
-    def __getstate__(self) -> dict:
-        return {name: vars(self)[name] for name in self.__dataclass_fields__}
+    __getstate__ = noise_mod.field_state
 
 
 @dataclass(frozen=True, init=False, eq=False)

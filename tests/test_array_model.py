@@ -1,10 +1,14 @@
 """The array data model: validation at construction, read-only columns,
 the scores-file reader's two parse paths, and the views perfbench reads."""
 
+import copy
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from svtkit import cli, data, metrics, svt
+from svtkit import cli, data, metrics, noise, svt
 from svtkit.allocation import Variant
 from svtkit.metrics import GroundTruth
 from svtkit.svt import HaltReason, QueryStream, SvtConfig, SvtOutcome, run_svt
@@ -283,3 +287,96 @@ def test_the_calls_perfbench_makes():
     one = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=1, k_max=11,
                     variant=Variant.EXP_OPT_CORR, alpha=2.0, k_est=10)
     assert run_svt(stream, one, np.random.default_rng(0)).n_a <= 11
+
+
+# --- records through pickle and copy -----------------------------------------
+
+_ROUND_TRIPS = {"pickle": lambda r: pickle.loads(pickle.dumps(r)),
+                "pickle-5": lambda r: pickle.loads(pickle.dumps(r, protocol=5)),
+                "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
+def _used_records():
+    """One record of each type, each with its reads kept from first use:
+    a stream's in-order columns, a dataset's stream columns, a truth's
+    scoring table and an outcome's built or deferred columns."""
+    ds = data.gen_zipf(300)
+    stream = data.shuffle_and_stream(ds, np.random.default_rng(0))
+    truth = GroundTruth.top(ds, 5)
+    plain = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=5, k_max=300,
+                      variant=Variant.LAP)
+    appended = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=250, k_max=900,
+                         variant=Variant.LAP, append=True, max_traverses=3)
+    one_block = run_svt(stream, plain, np.random.default_rng(1))
+    deferred = run_svt(stream, appended, np.random.default_rng(2))
+    assert one_block._prefix_of is not None and "_parts" in vars(deferred)
+    metrics.ncr(one_block.positives, truth)
+    built = SvtOutcome([4, 7], [False, True], [1, 1], HaltReason.EXHAUSTED,
+                       0.0)
+    trials = svt.run_trials(stream, plain, np.random.default_rng(3), 4)
+    assert {"_in_order", "_columns", "_credit"} <= (
+        vars(stream).keys() | vars(ds).keys() | vars(truth).keys())
+    return {"stream": stream, "dataset": ds, "truth": truth,
+            "one-block outcome": one_block, "deferred outcome": deferred,
+            "outcome from columns": built, "trials": trials}
+
+
+def _arrays(value):
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
+    return [value] if isinstance(value, np.ndarray) else []
+
+
+@pytest.mark.parametrize("trip", _ROUND_TRIPS.values(), ids=_ROUND_TRIPS.keys())
+def test_records_stay_read_only_through_pickle_and_copy(trip):
+    """A pickled or copied record carries its fields only (an outcome also
+    its ``n_queries``), not the reads it kept, its arrays are read-only and
+    cannot be made writable, it equals the original, and its later reads
+    are read-only too."""
+    for name, record in _used_records().items():
+        moved = trip(record)
+        assert moved == record, name
+        assert vars(moved).keys() <= (
+            {f.name for f in fields(record)} | {"n_queries"}), name
+        for array in [a for v in vars(moved).values() for a in _arrays(v)]:
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+    stream = trip(_used_records()["stream"])
+    assert not any(a.flags.writeable for a in stream._in_order)
+    dataset = trip(_used_records()["dataset"])
+    shuffled = data.shuffle_and_stream(dataset, np.random.default_rng(0))
+    assert not any(a.flags.writeable for a in shuffled.columns)
+
+
+@pytest.mark.parametrize("trip", _ROUND_TRIPS.values(), ids=_ROUND_TRIPS.keys())
+def test_laws_pickle_their_fields_and_draw_as_the_original(trip):
+    """A law's draw operands are kept from its first draw but not pickled
+    or copied: the copy builds read-only ones and draws as the original."""
+    for law in (noise.exponential(2.5), noise.laplace(0.7, 1.0),
+                noise.gaussian(3.0), noise.gumbel(1.5, -2.0)):
+        noise.sample(law, np.random.default_rng(0), size=3)
+        moved = trip(law)
+        assert moved == law and "_operands" not in vars(moved)
+        one, two = np.random.default_rng(4), np.random.default_rng(4)
+        assert (noise.sample(moved, one, size=5).tobytes()
+                == noise.sample(law, two, size=5).tobytes())
+        assert noise.sample(moved, one) == noise.sample(law, two)
+        assert not any(a.flags.writeable for a in moved._operands)
+
+
+def test_a_dataset_builds_its_stream_columns_once():
+    """Every shuffle of a dataset reads the columns it kept on the first:
+    its own id and score arrays and one stride-0 threshold column, so a
+    stream adds no array but its order; ``==`` ignores them."""
+    ds, twin = data.gen_binary(500, 20), data.gen_binary(500, 20)
+    streams = [data.shuffle_and_stream(ds, np.random.default_rng(k))
+               for k in range(3)]
+    ids, scores, thresholds = ds._columns
+    assert ids is ds.ids and scores is ds.scores
+    assert thresholds.strides == (0,) and thresholds.size == ds.n_items
+    assert np.all(thresholds == ds.threshold)
+    assert all(s.columns is ds._columns for s in streams)
+    assert ds == twin and "_columns" not in vars(twin)
+    assert streams[0] == data.shuffle_and_stream(twin,
+                                                 np.random.default_rng(0))

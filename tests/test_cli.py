@@ -367,6 +367,22 @@ def test_upper_cells_rank_as_the_full_draw(monkeypatch):
         monkeypatch.undo()
 
 
+def test_upper_cells_of_one_scale_draw_from_one_law(monkeypatch):
+    """The reference builds its law once per scale: later cells of that
+    scale draw from the same object, with its kept draw operands."""
+    laws = []
+    from_uniform = noise.from_uniform
+    monkeypatch.setattr(noise, "from_uniform",
+                        lambda d, u: laws.append(d) or from_uniform(d, u))
+    ds = data.gen_zipf(300)
+    for eps2 in (0.5, 0.5, 0.25, 0.5):
+        cli._noisy_ranking(ds, eps2, 1.0, 5, np.random.default_rng(0),
+                           c_th_score(ds, 5))
+    assert laws[0] is laws[1] is laws[3] and laws[2] is not laws[0]
+    assert (laws[0], laws[2]) == (noise.exponential(2.0),
+                                  noise.exponential(4.0))
+
+
 # --- correction table --------------------------------------------------
 
 def test_correction_table_columns_and_mean_rule():

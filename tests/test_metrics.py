@@ -645,3 +645,96 @@ def test_failure_rate_is_the_runner_estimate(token, alpha):
     rate = metrics.failure_rate(record, alpha, truth)
     assert rate == beta and type(rate) is type(beta) is float
     assert runner_rng.bit_generator.state == block_rng.bit_generator.state
+
+
+# --- the scoring table against the per-call formulas --------------------------
+
+def per_call_ncr(positives, truth):
+    """The oracle: ncr as it built its credit map on every call."""
+    emitted = list(dict.fromkeys(positives))
+    if len(emitted) > truth.c:
+        raise ValueError(f"at most c={truth.c} positives expected, "
+                         f"got {len(emitted)}")
+    top = zip(truth.top_c_ids(), truth.scores[:truth.c].tolist())
+    credit = {item: truth.c - rank0 for rank0, (item, score) in enumerate(top)
+              if score >= truth.threshold}
+    total = sum(credit.get(item, 0) for item in emitted)
+    return 2.0 * total / (truth.c * (truth.c + 1))
+
+
+def per_call_f1(positives, truth):
+    """The oracle: f1 as it read the top-c ids on every call."""
+    emitted = set(positives)
+    target = truth.top_c_ids()
+    tp = len(emitted.intersection(target))
+    denom = len(emitted) + len(target)
+    return 2.0 * tp / denom if denom else 0.0
+
+
+def _outcome(oracle, positives, truth):
+    """The oracle's float, or the message of the ValueError it raises."""
+    try:
+        return oracle(positives, truth)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(columns=_columns(), c=st.integers(1, 35), data=st.data())
+def test_scoring_table_scores_as_the_per_call_formulas(columns, c, data):
+    """On random truths -- fewer than c entries, top-c entries below the
+    threshold -- and selections with repeated ids, ids outside the truth,
+    as a list, a tuple or a generator, ncr and f1 give the per-call
+    formulas' floats bit for bit, and the same ValueError past c distinct
+    positives."""
+    ids, scores = columns
+    threshold = data.draw(st.sampled_from([-1.0, 0.0, 1.0, 2.0, 7.0]))
+    truth = GroundTruth.ranked(ids, scores, threshold, c)
+    chosen = data.draw(st.lists(st.sampled_from(ids) | st.integers(41, 45),
+                                max_size=c + 3))
+    wrap = data.draw(st.sampled_from([list, tuple, iter]))
+    for score, oracle in ((metrics.ncr, per_call_ncr),
+                          (metrics.f1, per_call_f1)):
+        want = _outcome(oracle, chosen, truth)
+        got = _outcome(score, wrap(chosen), truth)
+        assert repr(got) == repr(want) and type(got) is type(want)
+
+
+def test_scoring_table_covers_every_case_of_the_oracle():
+    """The cases the property test is meant to reach, on fixed truths: an
+    entry below the threshold inside the top c, a truth shorter than c, a
+    generator of repeated and unknown ids, and too many positives."""
+    below = GroundTruth.from_items(ITEMS, threshold=8.5, c=4)
+    short = GroundTruth.from_items(ITEMS[:2], threshold=0.0, c=5)
+    for truth in (below, short, TRUTH3):
+        for chosen in ([], [1, 1, 3], [3, 99, 3, 2], [5, 4, -1], [2, 1]):
+            for score, oracle in ((metrics.ncr, per_call_ncr),
+                                  (metrics.f1, per_call_f1)):
+                got = score((i for i in chosen), truth)
+                assert got == oracle(chosen, truth)
+    for truth in (below, TRUTH3):
+        with pytest.raises(ValueError) as got:
+            metrics.ncr(iter([1, 2, 3, 4, 5, 5]), truth)
+        with pytest.raises(ValueError) as want:
+            per_call_ncr([1, 2, 3, 4, 5, 5], truth)
+        assert str(got.value) == str(want.value)
+
+
+def test_scoring_table_is_built_once_per_truth(monkeypatch):
+    """ncr and f1 read one table, built on the first score of a truth; it
+    is no field, so ``==``, ``repr`` and a pickle ignore it."""
+    built = []
+    top_c_ids = GroundTruth.top_c_ids
+    monkeypatch.setattr(GroundTruth, "top_c_ids",
+                        lambda self: built.append(self) or top_c_ids(self))
+    used = GroundTruth.from_items(ITEMS, threshold=5.0, c=3)
+    other = GroundTruth.from_items(ITEMS, threshold=5.0, c=3)
+    for chosen in ([1, 2], [3], [4, 5, 1]):
+        metrics.ncr(chosen, used)
+        metrics.f1(chosen, used)
+    assert built == [used]
+    assert "_credit" in vars(used) and "_credit" not in vars(other)
+    assert used == other and repr(used) == repr(other)
+    loaded = pickle.loads(pickle.dumps(used))
+    assert "_credit" not in vars(loaded) and loaded == used
+    assert metrics.ncr([1, 3], loaded) == metrics.ncr([1, 3], used)
