@@ -21,11 +21,15 @@ statement, a comment line holds a comment and no code. ``--tier1 LOG``
 adds ``tier1``, the passed and failed counts and the seconds of pytest's
 final summary line in a saved tier-1 log (errors count as failed); the
 field is null without it. ``floors`` holds the best-of-5 microseconds
-of the sweep cell's floors, taken in one fresh subprocess over the
-checkout's ``src/``: ``rng.permutation(10**4)`` (a sweep cell's shuffle),
-``rng.permutation(10**6)`` (a sweep-1e6 cell's) and ``cli.cell_rng`` (a
-cell's random stream). A change that leaves them alone moves its cells
-by its own work; one that moves them shows host drift.
+of the sweep cell's and the cold correction's floors, taken in one fresh
+subprocess over the checkout's ``src/``: ``rng.permutation(10**4)`` (a
+sweep cell's shuffle), ``rng.permutation(10**6)`` (a sweep-1e6 cell's),
+``cli.cell_rng`` (a cell's random stream), and on the default grid the
+two-row ``numpy.fft.rfft`` of a (2, 80000) block, the one-row
+``numpy.fft.irfft`` to 80,000 points (a cold call's two transforms) and
+the 79,999-point ``numpy.cumsum`` (its running cdf). A change that
+leaves them alone moves its cells and calls by its own work; one that
+moves them shows host drift.
 
 ``compare`` prints each file's commit, ``src_sha256[:12]``,
 ``recorded_at`` and boot id, both files' floors side by side
@@ -81,9 +85,15 @@ sys.path.insert(0, sys.argv[1])
 import numpy as np
 from svtkit import cli
 rng = np.random.default_rng(0)
+rows = rng.random((2, 80000))
+spectrum, out = np.fft.rfft(rows[:1], axis=1)[0], np.empty(80000)
+mass, cum = rng.random(79999), np.empty(80000)
 calls = {"permutation_1e4_us": (lambda: rng.permutation(10**4), 200),
          "permutation_1e6_us": (lambda: rng.permutation(10**6), 3),
-         "cell_rng_us": (lambda: cli.cell_rng(0, 0.5, "lap", 5, 0), 1000)}
+         "cell_rng_us": (lambda: cli.cell_rng(0, 0.5, "lap", 5, 0), 1000),
+         "rfft_2x80000_us": (lambda: np.fft.rfft(rows, axis=1), 20),
+         "irfft_80000_us": (lambda: np.fft.irfft(spectrum, 80000, out=out), 20),
+         "cumsum_79999_us": (lambda: np.cumsum(mass, out=cum[1:]), 100)}
 print(json.dumps({name: round(min(timeit.repeat(call, number=n, repeat=5))
                               / n * 1e6, 3) for name, (call, n) in calls.items()}))
 """

@@ -8,14 +8,18 @@ split into discretize (both laws, written into their arrays: ``_discretize``
 where a checkout has it, else ``discretize``), forward (the ``numpy.fft.rfft``
 calls), inverse (the rest of the convolution, ``_convolve_rows`` where a
 checkout has it, else ``convolve_difference``: the product, the ``irfft``
-and the brackets) and read (the rest: the grid bound, the shifted
+and the brackets), bound (``_difference_grid`` less ``_block_difference``:
+the two laws and the grid bound from their quantiles), block (the rest of
+``_block_difference``: the (2, nf) block and its zero padding), cdf
+(``DiscretePmf._cum``, the running cdf) and read (the rest: the window's
 reads of Gamma, log p and the argmax), each a median over the calls, and the
-minor page faults (``ru_minflt``) per call. After the timed calls, an
-untimed pass over the queries under ``tracemalloc`` gives each side's peak
-traced allocation in one cold call (the largest over the queries; numpy's
-arrays are traced, its FFT scratch is not), printed beside the process's
-maximum resident set size. One checkout alone also gets the user and
-system CPU milliseconds per call.
+minor page faults (``ru_minflt``) per call. The two transforms are floors;
+the other stages are what a change to the cold call can attack. After the
+timed calls, an untimed pass over the queries under ``tracemalloc`` gives
+each side's peak traced allocation in one cold call (the largest over the
+queries; numpy's arrays are traced, its FFT scratch is not), printed beside
+the process's maximum resident set size. One checkout alone also gets the
+user and system CPU milliseconds per call.
 
 ``--against`` loads a second checkout's ``svtkit`` under another package
 name and runs it in the same process, query by query in alternating
@@ -38,6 +42,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +51,9 @@ from sweep_cells import load, package_dir
 
 ROOT = Path(__file__).resolve().parents[1]
 BATCHES = 20
-COLUMNS = ("call", "discretize", "forward", "inverse", "read")
+COLUMNS = ("call", "discretize", "forward", "inverse", "bound", "block",
+           "cdf", "read")
+STAGES = ("discretize", "convolve", "block", "grid", "cdf")
 
 # Seconds spent in numpy.fft.rfft since the running cold call began; one
 # side runs at a time, so each call's forward transforms are its own.
@@ -65,23 +72,28 @@ def _timed(spent: list | dict, key, fn):
 
 class Side:
     """One checkout's ``svtkit.correction``, imported as package ``name``
-    so two checkouts can share one process, with its discretize and
-    convolve steps timed per call."""
+    so two checkouts can share one process, with its discretize, convolve,
+    grid and running-cdf steps timed per call."""
 
     def __init__(self, label: str, src: Path, name: str) -> None:
         self.label, self.src = label, src
         self.correction, = load(src, name, "correction")
-        self.spent = {"discretize": 0.0, "convolve": 0.0}
-        self.rows: list[tuple[float, float, float, float, float, int]] = []
+        self.spent = dict.fromkeys(STAGES, 0.0)
+        self.rows: list[tuple] = []
         self.peak = 0
         def own(private: str, public: str) -> str:
             return private if hasattr(self.correction, private) else public
 
         for stage, fname in (
                 ("discretize", own("_discretize", "discretize")),
-                ("convolve", own("_convolve_rows", "convolve_difference"))):
+                ("convolve", own("_convolve_rows", "convolve_difference")),
+                ("block", "_block_difference"), ("grid", "_difference_grid")):
             setattr(self.correction, fname,
                     _timed(self.spent, stage, getattr(self.correction, fname)))
+        pmf = self.correction.DiscretePmf
+        cum = cached_property(_timed(self.spent, "cdf", pmf._cum.func))
+        cum.__set_name__(pmf, "_cum")
+        pmf._cum = cum
 
     def query(self, q):
         """q rebuilt from this side's ``CorrectionQuery``."""
@@ -91,7 +103,7 @@ class Side:
 
     def cold_call(self, q, record: bool = True) -> tuple[float, float]:
         self.correction.optimal_correction.cache_clear()
-        self.spent.update(discretize=0.0, convolve=0.0)
+        self.spent.update(dict.fromkeys(STAGES, 0.0))
         forward[0] = 0.0
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
@@ -99,11 +111,12 @@ class Side:
         total = time.perf_counter() - t0
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         if record:
-            discretize, convolve = (self.spent["discretize"],
-                                    self.spent["convolve"])
+            discretize, convolve, block, grid, cdf = map(self.spent.get,
+                                                         STAGES)
             self.rows.append((total, discretize, forward[0],
-                              convolve - forward[0],
-                              total - discretize - convolve, faults))
+                              convolve - forward[0], grid - block,
+                              block - discretize - convolve, cdf,
+                              total - grid - cdf, faults))
         return got
 
     def trace_peaks(self, queries) -> None:
@@ -174,13 +187,15 @@ def main() -> int:
     print(f"{n} cold calls per side at seed {args.seed}"
           + (", (r, p) equal on every call" if args.against else ""))
     print(f"{'side':8} {'ms/call':>8} {'discretize':>11} {'forward':>8}"
-          f" {'inverse':>8} {'read':>7} {'faults':>7} {'peak MB':>8}   src")
+          f" {'inverse':>8} {'bound':>7} {'block':>7} {'cdf':>7} {'read':>7}"
+          f" {'faults':>7} {'peak MB':>8}   src")
     reports = [side.report() for side in sides]
     for side, rep in zip(sides, reports):
         print(f"{side.label:8} {rep['call']:8.3f} {rep['discretize']:11.3f}"
               f" {rep['forward']:8.3f} {rep['inverse']:8.3f}"
-              f" {rep['read']:7.3f} {rep['faults']:7.2f}"
-              f" {side.peak / 2**20:8.2f}   {side.src}")
+              f" {rep['bound']:7.3f} {rep['block']:7.3f} {rep['cdf']:7.3f}"
+              f" {rep['read']:7.3f}"
+              f" {rep['faults']:7.2f} {side.peak / 2**20:8.2f}   {side.src}")
     if args.against:
         new, base = reports
         print("change   " + "  ".join(

@@ -14,11 +14,16 @@ that law's step cdf, and takes the grid argmax of p. The bracket
 bookkeeping keeps the probability mass outside the finite grid accounted
 for.
 
-At the grid's own values r, r +- alpha is the grid moved by about
-alpha/mesh chunks, so the optimizer finds each step-cdf index with one
-search over the grid values so moved, a window of the grid. It reads log p
-only in a window that holds its maximum (checked; else the whole grid), and
-exponentiates it only near that maximum. Each keeps every result bit.
+The two transforms are the floor of a cold call; every other pass over the
+grid is cut to what the result needs. Each law's cdf at the mesh edges
+comes from ``noise``, which evaluates the exponential only from its
+location up and the Laplace at location 0 only on the edges up to 0. At
+the grid's own values r, r +- alpha is the grid moved by about alpha/mesh
+chunks, so the optimizer finds each step-cdf index with one search over
+the grid values so moved, a window of the grid; at alpha = 0 it is a slice
+of the running cdf. It reads log p only in a window that holds its maximum
+(checked; else the whole grid), and exponentiates it only near that
+maximum. Each keeps every result bit.
 
 The closed-form Gamma of the same difference is kept as an independent
 oracle: the tests and the benchmark check the grid against it.
@@ -119,8 +124,8 @@ class CorrectionQuery:
         checks.count(2, m=self.m)
         checks.within(2.0 ** -54, 0.5, e=self.e)
         e_up = 1.0 - (1.0 - self.e)  # the upper tail at 1 - e, as rounded
-        if max(self.b * -math.log(2.0 * min(self.e, e_up)),  # the grid's
-               -math.log(e_up) / self.lam) == math.inf:     # bound
+        if 2.0 * max(self.b * -math.log(2.0 * min(self.e, e_up)),  # the
+                     -math.log(e_up) / self.lam) == math.inf:  # grid's reach
             raise ValueError(f"b, lam and e overflow the grid bound: {self}")
 
     @classmethod
@@ -150,14 +155,11 @@ def discretize(d: NoiseDist, m: int, B: float) -> DiscretePmf:
 def _discretize(d: NoiseDist, m: int, B: float, mass: np.ndarray) -> DiscretePmf:
     """:func:`discretize`, its masses written into ``mass`` (any view)."""
     u = B / (m - 1)
-    cdf_edges = np.arange(-m + 1, m, dtype=float)  # 2m-1 edges for 2m-2 chunks
-    cdf_edges *= u
-    zeros = (int(np.searchsorted(cdf_edges, d.location))  # the edges below
-             if d.kind is noise.Kind.EXPONENTIAL else 0)  # where cdf is +0.0
-    cdf_edges[:zeros] = 0.0
-    noise._cdf_into(d, cdf_edges[zeros:])  # the rest, overwritten by cdf
-    np.subtract(cdf_edges[1:], cdf_edges[:-1], mass)
-    np.maximum(mass, 0.0, out=mass)
+    zeros, cdf_edges = noise._edge_cdf(d, m, u)  # 2m-1 edges, 2m-2 chunks
+    j = max(zeros - 1, 0)  # the chunks between two +0.0 edges hold 0.0
+    mass[:j], rest = 0.0, mass[j:]
+    np.subtract(cdf_edges[j + 1:], cdf_edges[j:-1], rest)
+    np.maximum(rest, 0.0, out=rest)
     return DiscretePmf(mesh=u, origin_index=-m + 1, mass=mass,
                        neg_inf_mass=float(cdf_edges[0]),
                        pos_inf_mass=float(1.0 - cdf_edges[-1]))
@@ -341,17 +343,19 @@ def _raise_mmap_threshold() -> None:
 
 def _difference_grid(q: CorrectionQuery) -> DiscretePmf:
     """Discretized Z = X - Y for q's query law X and threshold law Y, on the
-    mesh bounded by the largest |quantile| of either law at e and 1 - e.
-    Nothing keeps it or its arrays after the call. A cold
-    :func:`optimal_correction` call on the default grid (m = 20001) makes
-    a (2, 80000) block of both laws' zero-padded masses and one of their
-    spectra, Z's mass written over the second (1.28 MB each); per law an
-    edge array for its cdf (320 KB); Z's running cdf (640 KB); and arrays
-    of the window's size per read. numpy.fft adds its own scratch."""
+    mesh bounded by the largest |quantile| of either law at e and 1 - e
+    (four scalar draws). Nothing keeps it or its arrays after the call. A
+    cold :func:`optimal_correction` call on the default grid (m = 20001)
+    makes a (2, 80000) block of both laws' zero-padded masses and one of
+    their spectra, Z's mass written over the second (1.28 MB each); per law
+    an array of its cdf at the 2m - 1 edges (320 KB) and one of the m edges
+    it evaluates (160 KB); Z's running cdf (640 KB); and arrays of the
+    window's size per read, at alpha = 0 one copy of the cdf's window.
+    numpy.fft adds its own scratch."""
     _raise_mmap_threshold()
     laws = noise.exponential(1.0 / q.lam), noise.laplace(q.b)
-    B = float(np.abs([noise.from_uniform(d, np.array([q.e, 1.0 - q.e]))
-                      for d in laws]).max())
+    B = max(abs(noise.from_uniform(d, p)) for d in laws
+            for p in (q.e, 1.0 - q.e))
     return _block_difference(*laws, q.m, B)
 
 
@@ -383,12 +387,16 @@ def _log_success(q: CorrectionQuery, gamma_plus: np.ndarray,
 def _grid_cdf(pmf: DiscretePmf, shift: float, start: int,
               stop: int) -> np.ndarray:
     """``pmf_cdf(pmf, values + shift)`` at the values of index start to
-    stop - 1, bit for bit, each value (origin + i) * mesh.
-    Value i plus shift lies within two grid values of value i + d, for
+    stop - 1, bit for bit, each value (origin + i) * mesh, in a new array.
+    At shift +-0.0 value i's step cdf is cum[i + 1], as the grid's values
+    are distinct (a query's grid reaches a finite 2B). Else value i plus
+    shift lies within two grid values of value i + d, for
     d = floor(shift / mesh) clipped to +-(n + 2). So one search over the
     grid values of index start + d - 2 to stop + d + 1 (those in the grid),
     offset by that window's start, finds each step-cdf index."""
     cum, n, o, u = pmf._cum, len(pmf.mass), pmf.origin_index, pmf.mesh
+    if not shift:  # a copy: the caller writes over it
+        return cum[start + 1:stop + 1].copy()
     d = int(min(max(shift // u, -n - 2), n + 2))
     a = min(max(start + d - 2, 0), n)
     b = min(max(stop + d + 2, a), n)

@@ -13,6 +13,7 @@ is eligible as pure-DP query noise.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 import numbers
@@ -47,6 +48,13 @@ def field_state(record) -> dict:
     return {name: vars(record)[name] for name in record.__dataclass_fields__}
 
 
+def sealed(array: np.ndarray) -> np.ndarray:
+    """A read-only view of an array the library made, itself marked
+    read-only so that no view of it can be made writable again."""
+    array.setflags(False)
+    return array.view()
+
+
 @dataclass(frozen=True)
 class NoiseDist:
     """A noise law: kind, scale, location.
@@ -67,7 +75,7 @@ class NoiseDist:
     # Read-only 0-d copies of (scale, -scale, location), the operands of
     # the array draws, kept from the first one and not pickled.
     _operands = cached_property(lambda d: tuple(
-        np.broadcast_to(float(v), ()) for v in (d.scale, -d.scale, d.location)))
+        sealed(np.array(float(v))) for v in (d.scale, -d.scale, d.location)))
     __getstate__ = field_state
 
     def mean(self) -> float:
@@ -130,6 +138,29 @@ def _cdf_into(d: NoiseDist, x: np.ndarray) -> np.ndarray:
         x -= d.location
     x /= d.scale
     return _LAWS[d.kind].cdf(x, x)
+
+
+def _edge_cdf(d: NoiseDist, m: int, u: float) -> tuple[int, np.ndarray]:
+    """(j, F): F[i] the :func:`cdf` of ``d`` at the edge k*u, k = i - m + 1,
+    for the 2m - 1 edges from -(m - 1)u to (m - 1)u, bit for bit.
+
+    An exponential law's cdf is +0.0 at the j edges below its location,
+    which are neither built nor evaluated (j = 0 for the other laws). A
+    Laplace law at location +-0.0 is evaluated on the m edges from
+    -(m - 1)u to 0 only: the edge k*u is the exact negative of -k*u, and
+    its cdf, 1 - 0.5 exp(-k*u/b), is 1 less the cdf at -k*u."""
+    cdf = np.empty(2 * m - 1)
+    if d.kind is Kind.LAPLACE and not d.location:
+        np.multiply(np.arange(1 - m, 1, dtype=float), u, cdf[:m])
+        _cdf_into(d, cdf[:m])
+        np.subtract(1.0, cdf[m - 2::-1], cdf[m:])
+        return 0, cdf
+    j = (bisect.bisect_left(range(1 - m, m), d.location, key=u.__mul__)
+         if d.kind is Kind.EXPONENTIAL else 0)
+    cdf[:j] = 0.0
+    np.multiply(np.arange(j + 1 - m, m, dtype=float), u, cdf[j:])
+    _cdf_into(d, cdf[j:])
+    return j, cdf
 
 
 def log_sf(d: NoiseDist, x) -> float | np.ndarray:

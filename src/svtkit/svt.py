@@ -29,7 +29,7 @@ from . import checks
 from . import noise as noise_mod
 from .allocation import Variant, calibrate, query_sensitivity
 from .correction import CorrectionQuery, optimal_correction
-from .noise import Kind, NoiseDist
+from .noise import Kind, NoiseDist, sealed
 
 
 class HaltReason(enum.Enum):
@@ -67,13 +67,6 @@ def frozen(values, dtype) -> np.ndarray:
     if array is values or array.base is not None:
         return _owned(array)
     return sealed(array)
-
-
-def sealed(array: np.ndarray) -> np.ndarray:
-    """A read-only view of an array the library made, itself marked
-    read-only so that no view of it can be made writable again."""
-    array.setflags(False)
-    return array.view()
 
 
 def _owned(array: np.ndarray) -> np.ndarray:
@@ -184,6 +177,20 @@ class QueryStream(Record):
     _in_order = cached_property(lambda self: (
         self.ids, sealed(self.scores - self.thresholds)))
 
+    # A pickle or copy carries one shared threshold (a stride-0 column) as
+    # its value, and the copy reads it as one again.
+    def __getstate__(self) -> dict:
+        ids, scores, thresholds = self.columns
+        if thresholds.strides == (0,) and thresholds.size:
+            thresholds = float(thresholds[0])
+        return {"columns": (ids, scores, thresholds), "order": self.order}
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        ids, scores, thresholds = self.columns
+        if isinstance(thresholds, float):
+            vars(self)["columns"] = ids, scores, _shared(thresholds, ids.size)
+
     def __len__(self) -> int:
         return self.order.size
 
@@ -252,7 +259,7 @@ class SvtConfig:
     # (threshold law, query law, correction r), computed on the first run,
     # and r as the one-block path's 0-d operand.
     _laws = cached_property(lambda c: noise_pair(c) + (correction_term(c),))
-    _r = cached_property(lambda c: np.broadcast_to(c._laws[2], ()))
+    _r = cached_property(lambda c: sealed(np.array(c._laws[2])))
 
     # Pickles and copies carry the fields only, so a config unpickled in
     # another process or on another host computes its laws there.

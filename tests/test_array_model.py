@@ -365,6 +365,66 @@ def test_laws_pickle_their_fields_and_draw_as_the_original(trip):
         assert not any(a.flags.writeable for a in moved._operands)
 
 
+@pytest.mark.parametrize("trip", _ROUND_TRIPS.values(), ids=_ROUND_TRIPS.keys())
+def test_a_shared_threshold_stays_one_value_through_pickle_and_copy(trip):
+    """A stream's stride-0 threshold column is pickled as its one value and
+    read as a sealed stride-0 column again, so an appended run on the copy
+    reads thresholds by slice as the original does, to the same outcome and
+    generator state. A row-built stream's per-query column stays an array."""
+    stream = data.shuffle_and_stream(data.gen_zipf(10**4),
+                                     np.random.default_rng(0))
+    ids, scores, _ = stream.columns
+    assert len(pickle.dumps(stream)) <= (ids.nbytes + scores.nbytes
+                                         + stream.order.nbytes + 4096)
+    moved = trip(stream)
+    thresholds = moved.columns[2]
+    assert thresholds.strides == (0,) and thresholds.size == ids.size
+    assert not thresholds.flags.writeable
+    with pytest.raises(ValueError):
+        thresholds.flags.writeable = True
+    assert moved == stream
+    cfg = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=9000, k_max=30_000,
+                    variant=Variant.LAP, append=True, max_traverses=3)
+    one, two = np.random.default_rng(5), np.random.default_rng(5)
+    run = run_svt(moved, cfg, one)
+    assert run == run_svt(stream, cfg, two) and run.traverses.max() == 3
+    assert one.bit_generator.state == two.bit_generator.state
+    rows = QueryStream([1, 2, 3], [1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
+    assert trip(rows).columns[2].strides == (8,) and trip(rows) == rows
+
+
+@pytest.mark.parametrize("d", [
+    noise.laplace(1.7), noise.laplace(0.4, -0.0), noise.exponential(2.5),
+    noise.exponential(2.5, -0.3), noise.gaussian(0.9, 4.0), noise.gumbel(3.0)],
+    ids=lambda d: f"{d.kind.value}@{d.location}")
+def test_draw_operands_are_sealed_0d_arrays(d):
+    """A fresh law's array-draw operands (scale, -scale, location) are 0-d
+    float arrays, read-only and beyond being made writable, and its first
+    array draw has the bits of the law's scalar draws."""
+    u = np.random.default_rng(9).random(61)
+    want = np.array([noise.from_uniform(d, x) for x in u.tolist()])
+    fresh = noise.NoiseDist(d.kind, d.scale, d.location)
+    assert noise.from_uniform(fresh, u.copy()).tobytes() == want.tobytes()
+    for operand, value in zip(fresh._operands,
+                              (d.scale, -d.scale, d.location)):
+        assert operand.shape == () and operand.dtype == np.float64
+        assert operand.tobytes() == np.float64(value).tobytes()
+        assert not operand.flags.writeable
+        with pytest.raises(ValueError):
+            operand.flags.writeable = True
+
+
+def test_the_correction_operand_is_a_sealed_0d_array():
+    cfg = SvtConfig(delta=1.0, eps1=0.5, eps2=0.5, c=5, k_max=300,
+                    variant=Variant.EXP_OPT_CORR, k_est=60)
+    r = cfg._r
+    assert r.shape == () and r.dtype == np.float64
+    assert r.tobytes() == np.float64(cfg._laws[2]).tobytes()
+    assert not r.flags.writeable
+    with pytest.raises(ValueError):
+        r.flags.writeable = True
+
+
 def test_a_dataset_builds_its_stream_columns_once():
     """Every shuffle of a dataset reads the columns it kept on the first:
     its own id and score arrays and one stride-0 threshold column, so a

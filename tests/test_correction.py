@@ -329,6 +329,44 @@ def test_correction_query_validation():
         CorrectionQuery(b=1.0, lam=0.1, alpha=0.0, k=1, e=0.6)
 
 
+def _largest_accepted_b(lam: float, alpha: float) -> float:
+    """The largest float b that ``CorrectionQuery`` takes at lam, by a
+    search over the bit patterns of b from 1.0 (taken) to 1e308 (not)."""
+    def b_of(bits: int) -> float:
+        return float(np.int64(bits).view(np.float64))
+
+    lo, hi = (int(np.float64(b).view(np.int64)) for b in (1.0, 1e308))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            CorrectionQuery(b=b_of(mid), lam=lam, alpha=alpha, k=1)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return b_of(lo)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e300])
+def test_the_largest_accepted_b_reads_a_finite_grid_silently(alpha):
+    """The grid reaches twice the bound B, and a query is taken only where
+    that reach is finite: at the largest b taken, every grid value is
+    finite and distinct, and both readers run with warnings as errors."""
+    b = _largest_accepted_b(1.0, alpha)
+    q = CorrectionQuery(b=b, lam=1.0, alpha=alpha, k=1)
+    with pytest.raises(ValueError, match="overflow the grid bound"):
+        CorrectionQuery(b=float(np.nextafter(b, np.inf)), lam=1.0,
+                        alpha=alpha, k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = correction._difference_grid(q).values()
+        correction.optimal_correction.cache_clear()
+        r, p = correction.optimal_correction(q)
+        swept = correction.correction_sweep(q, [-1e308, 0.0, r, 1e308])
+    assert np.isfinite(values).all() and (np.diff(values) > 0).all()
+    assert math.isfinite(r) and 0.0 < p <= 1.0
+    assert swept[2] == (r, pytest.approx(p, rel=1e-12))
+
+
 def test_singular_query_is_silent_and_stays_continuous():
     q = CorrectionQuery(b=4.0, lam=0.25, alpha=0.0, k=3)
     with warnings.catch_warnings(record=True) as caught:
@@ -1010,8 +1048,9 @@ def _extreme_queries() -> list:
 
 def test_one_call_bound_equals_the_four_quantiles(monkeypatch,
                                                   bench_queries):
-    """One from_uniform call per law on [e, 1 - e] gives the largest
-    |quantile| of the four, bit for bit."""
+    """The grid bound, the largest |from_uniform| of the four scalar draws
+    (each law at e and at 1 - e), is the largest |quantile| of the four,
+    bit for bit."""
     bounds = []  # the B that _difference_grid hands on
     monkeypatch.setattr(correction, "_block_difference",
                         lambda x_law, y_law, m, B: bounds.append(B))

@@ -1,13 +1,20 @@
 """The shifted read of the step cdf, ``correction._grid_cdf``, at rounding
 ties: shifts at a mesh multiple or one ulp off it, shifts far below the
-grid's ulp and shifts beyond the grid, each read exactly by one search."""
+grid's ulp and shifts beyond the grid, each read exactly by one search; a
+zero shift read as a copy of the running cdf; and the half-grid cdf that
+``correction.discretize`` takes from ``noise``, byte for byte the
+allocating formula."""
+
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from svtkit import correction
+from svtkit import correction, noise
 from svtkit.correction import CorrectionQuery
-from test_correction import grid_work  # noqa: F401 (counts pmf_cdf's elements)
+from test_correction import (_same_pmf, grid_work,  # noqa: F401 (a fixture)
+                             reference_discretize)
 
 
 def _grid(m: int):
@@ -72,3 +79,85 @@ def test_grid_cdf_equals_one_search_of_the_grid(read):
     got = correction._grid_cdf(z, shift, lo, hi)
     assert got.tobytes() == want.tobytes()
 
+
+
+@pytest.mark.parametrize("shift", [0.0, -0.0])
+@pytest.mark.parametrize("m", [2, 3, 101, correction.DEFAULT_MESH_COUNT])
+def test_a_zero_shift_reads_a_copy_of_the_running_cdf(m, shift):
+    """At shift +-0.0 the read is the step cdf at the grid's own values,
+    bit for bit, and a caller writing over it leaves the grid's cdf."""
+    z = GRIDS[m] if m in GRIDS else _grid(m)
+    values, cum = z._steps
+    kept = cum.tobytes()
+    n = len(z.mass)
+    for lo, hi in ((0, n), (0, 1), (n - 1, n), (n // 3, n // 2 + 1),
+                   (n // 2, n // 2)):
+        got = correction._grid_cdf(z, shift, lo, hi)
+        want = correction.pmf_cdf(z, values[lo:hi] + shift)
+        assert got.tobytes() == want.tobytes(), (lo, hi)
+        got[...] = 7.0
+        assert z._cum.tobytes() == kept
+
+
+@st.composite
+def _laws_on_grids(draw):
+    """(law, m, B): an exponential or Laplace law on a grid of m from 2 to
+    2,001 and B from 1e-3 to 1e4, located at -0.0 or 0.0, inside the grid
+    (on an edge, one ulp off it, or anywhere), or beyond either end."""
+    m = draw(st.one_of(st.sampled_from((2, 3)), st.integers(2, 2001)))
+    B = draw(st.floats(1e-3, 1e4))
+    edge = draw(st.integers(1 - m, m - 1)) * (B / (m - 1))
+    location = draw(st.one_of(
+        st.sampled_from((-0.0, 0.0)),
+        st.just(edge),
+        st.sampled_from((-np.inf, np.inf)).map(
+            lambda to: float(np.nextafter(edge, to))),
+        st.floats(-B, B),
+        st.floats(B, 1e6 * B).flatmap(lambda x: st.sampled_from((x, -x)))))
+    law = draw(st.sampled_from((noise.exponential, noise.laplace)))
+    return law(draw(st.floats(1e-3, 1e4)), location), m, B
+
+
+@settings(max_examples=400, deadline=None)
+@given(_laws_on_grids())
+def test_discretize_equals_the_allocating_formula_byte_for_byte(grid):
+    d, m, B = grid
+    assert _same_pmf(correction.discretize(d, m, B),
+                     reference_discretize(d, m, B))
+
+
+@pytest.fixture
+def law_work(monkeypatch):
+    """Elements that ``noise`` sends to np.exp and np.expm1."""
+    work = {"exp": 0, "expm1": 0}
+
+    def counted(name):
+        ufunc = getattr(np, name)
+
+        def counting(x, *args, **kwargs):
+            if sys._getframe(1).f_code.co_filename == noise.__file__:
+                work[name] += np.size(x)
+            return ufunc(x, *args, **kwargs)
+        return counting
+
+    for name in work:
+        monkeypatch.setattr(np, name, counted(name))
+    return work
+
+
+@pytest.mark.parametrize("m", [2, 3, 101, correction.DEFAULT_MESH_COUNT])
+def test_laws_at_zero_evaluate_half_the_edges(law_work, m):
+    """At location 0 the exponential's cdf runs on the m edges from 0 up
+    (expm1), and the Laplace's exp on m elements: neither law evaluates
+    the m - 1 edges below 0."""
+    for d in (noise.exponential(20.0), noise.laplace(10.0),
+              noise.laplace(10.0, -0.0)):
+        law_work.update(exp=0, expm1=0)
+        correction.discretize(d, m, 300.0)
+        laplace = d.kind is noise.Kind.LAPLACE
+        assert law_work == {"exp": m if laplace else 0,
+                            "expm1": 0 if laplace else m}, d
+    law_work.update(exp=0, expm1=0)
+    correction._difference_grid(CorrectionQuery(b=10.0, lam=0.05, alpha=0.0,
+                                                k=1, m=m))
+    assert law_work == {"exp": m, "expm1": m}

@@ -401,6 +401,11 @@ PROBES = {
         lambda: correction.CorrectionQuery(**dict(QUERY, lam=1e-307)),
     "CorrectionQuery(b=5e306, e=1e-16)":
         lambda: correction.CorrectionQuery(**dict(QUERY, b=5e306), e=1e-16),
+    # A bound whose grid, out to twice the bound, overflows: its top values
+    # were inf, optimal_correction returned (0.0, 0.25) and
+    # correction_sweep warned of an overflow.
+    "CorrectionQuery(b=5e306)":
+        lambda: correction.CorrectionQuery(**dict(QUERY, b=5e306)),
     "optimal_w(c=nan)": lambda: allocation.optimal_w(Variant.LAP, NAN),
     "split(c=1.5)": lambda: allocation.split(1.0, Variant.LAP, 1.5),
     "calibrate(c=1.5)":
